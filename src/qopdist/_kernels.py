@@ -1,53 +1,32 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
 Two loops dominate runtime: evaluation of the qubit sine-minus-trace gap
 surface over large grids, and the Monte Carlo trial pipeline that turns
-sampled probability points into input/output trace distances.  Each kernel
-has a pure-numpy twin; set ``QOPDIST_NO_NUMBA=1`` to force the numpy path
-(the compiled path is used whenever numba imports and the flag is unset).
-
-The numpy twins are not mere fallbacks: tests cross-check both paths and
-``benchmarks/bench_kernels.py`` times them against each other.
+sampled probability points into input/output trace distances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import numba_disabled
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and not numba_disabled()
-
 _SQRT_HALF = np.sqrt(0.5)
+# Trials per batched eigvalsh call in trial_stats; bounds the (chunk, d, d)
+# temporaries for large trial counts.
+_CHUNK = 32768
 
 
 def kernel_backend() -> str:
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel implementation, recorded with benchmark results."""
+    return "numpy"
 
 
 # -- qubit gap surface -------------------------------------------------------
 
-def _gap_values_loop(u, v, eta, out):
-    for i in range(u.shape[0]):
-        a = 1.0 - u[i] * v[i] * eta[i] - np.sqrt((1.0 - u[i] * u[i]) * (1.0 - v[i] * v[i]))
-        if a < 0.0:
-            a = 0.0
-        b = u[i] * u[i] + v[i] * v[i] - 2.0 * u[i] * v[i] * eta[i]
-        if b < 0.0:
-            b = 0.0
-        out[i] = _SQRT_HALF * np.sqrt(a) - 0.5 * np.sqrt(b)
-
-
-def gap_values_numpy(u: np.ndarray, v: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Vectorized gap surface: sine distance minus trace distance per point."""
+def gap_values(u, v, eta) -> np.ndarray:
+    """Gap surface, sine distance minus trace distance, per (u, v, eta) point."""
+    u = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
+    v = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
+    eta = np.ascontiguousarray(eta, dtype=np.float64).reshape(-1)
     a = 1.0 - u * v * eta - np.sqrt((1.0 - u * u) * (1.0 - v * v))
     np.clip(a, 0.0, None, out=a)
     b = u * u + v * v - 2.0 * u * v * eta
@@ -55,42 +34,15 @@ def gap_values_numpy(u: np.ndarray, v: np.ndarray, eta: np.ndarray) -> np.ndarra
     return _SQRT_HALF * np.sqrt(a) - 0.5 * np.sqrt(b)
 
 
-def _gap_grid_max_loop(us, vs, etas):
-    best = -np.inf
-    bu = us[0]
-    bv = vs[0]
-    be = etas[0]
-    for i in range(us.shape[0]):
-        u = us[i]
-        cu = 1.0 - u * u
-        for j in range(vs.shape[0]):
-            v = vs[j]
-            cross = np.sqrt(cu * (1.0 - v * v))
-            uv = u * v
-            sq = u * u + v * v
-            for k in range(etas.shape[0]):
-                e = etas[k]
-                a = 1.0 - uv * e - cross
-                if a < 0.0:
-                    a = 0.0
-                b = sq - 2.0 * uv * e
-                if b < 0.0:
-                    b = 0.0
-                val = _SQRT_HALF * np.sqrt(a) - 0.5 * np.sqrt(b)
-                if val > best:
-                    best = val
-                    bu = u
-                    bv = v
-                    be = e
-    return best, bu, bv, be
+def gap_grid_max(us, vs, etas):
+    """Max of the gap surface over a product grid, as (value, u, v, eta).
 
-
-def gap_grid_max_numpy(us: np.ndarray, vs: np.ndarray, etas: np.ndarray):
-    """Max of the gap surface over a product grid.
-
-    Ties resolve to the lexicographically smallest (u, v, eta), matching
-    the loop twin's first-strictly-greater scan order.
+    Ties resolve to the first maximum in (u, v, eta) index order, as a
+    first-strictly-greater scan over the grid would find it.
     """
+    us = np.ascontiguousarray(us, dtype=np.float64)
+    vs = np.ascontiguousarray(vs, dtype=np.float64)
+    etas = np.ascontiguousarray(etas, dtype=np.float64)
     u = us[:, None, None]
     v = vs[None, :, None]
     e = etas[None, None, :]
@@ -107,68 +59,7 @@ def gap_grid_max_numpy(us: np.ndarray, vs: np.ndarray, etas: np.ndarray):
 
 # -- Monte Carlo trial pipeline ----------------------------------------------
 
-def _trial_stats_loop(op_mats, w_rho, w_sig, pm, pn, d_in, d_norm, d_sub):
-    n = w_rho.shape[0]
-    nb = op_mats.shape[0]
-    d = op_mats.shape[1]
-    if d == 2:
-        # Closed-form 2x2 Hermitian eigenvalues; no per-trial LAPACK calls.
-        for i in range(n):
-            s00 = 0.0j
-            s01 = 0.0j
-            s11 = 0.0j
-            t00 = 0.0j
-            t01 = 0.0j
-            t11 = 0.0j
-            inv_m = 1.0 / pm[i]
-            inv_n = 1.0 / pn[i]
-            acc = 0.0
-            for j in range(nb):
-                dw = w_rho[i, j] - w_sig[i, j]
-                wn = w_rho[i, j] * inv_m - w_sig[i, j] * inv_n
-                acc += abs(dw)
-                s00 += dw * op_mats[j, 0, 0]
-                s01 += dw * op_mats[j, 0, 1]
-                s11 += dw * op_mats[j, 1, 1]
-                t00 += wn * op_mats[j, 0, 0]
-                t01 += wn * op_mats[j, 0, 1]
-                t11 += wn * op_mats[j, 1, 1]
-            d_in[i] = 0.5 * acc
-            mid = 0.5 * (s00.real + s11.real)
-            rad = np.sqrt(
-                0.25 * (s00.real - s11.real) ** 2 + s01.real**2 + s01.imag**2
-            )
-            d_sub[i] = 0.5 * (abs(mid + rad) + abs(mid - rad))
-            mid = 0.5 * (t00.real + t11.real)
-            rad = np.sqrt(
-                0.25 * (t00.real - t11.real) ** 2 + t01.real**2 + t01.imag**2
-            )
-            d_norm[i] = 0.5 * (abs(mid + rad) + abs(mid - rad))
-        return
-    for i in range(n):
-        acc_sub = np.zeros((d, d), dtype=np.complex128)
-        acc_norm = np.zeros((d, d), dtype=np.complex128)
-        inv_m = 1.0 / pm[i]
-        inv_n = 1.0 / pn[i]
-        s = 0.0
-        for j in range(nb):
-            dw = w_rho[i, j] - w_sig[i, j]
-            s += abs(dw)
-            acc_sub += dw * op_mats[j]
-            acc_norm += (w_rho[i, j] * inv_m - w_sig[i, j] * inv_n) * op_mats[j]
-        d_in[i] = 0.5 * s
-        w1 = np.linalg.eigvalsh(acc_sub)
-        w2 = np.linalg.eigvalsh(acc_norm)
-        t1 = 0.0
-        t2 = 0.0
-        for k in range(d):
-            t1 += abs(w1[k])
-            t2 += abs(w2[k])
-        d_sub[i] = 0.5 * t1
-        d_norm[i] = 0.5 * t2
-
-
-def trial_stats_numpy(op_mats, w_rho, w_sig, pm, pn, chunk: int = 32768):
+def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     """Batched trial statistics.
 
     ``op_mats[j]`` is the operation's output matrix for the j-th basis
@@ -176,14 +67,19 @@ def trial_stats_numpy(op_mats, w_rho, w_sig, pm, pn, chunk: int = 32768):
     Returns per-trial input distance, normalized-output distance and
     subnormalized-output distance.
     """
+    op_mats = np.ascontiguousarray(op_mats, dtype=np.complex128)
+    w_rho = np.ascontiguousarray(w_rho, dtype=np.float64)
+    w_sig = np.ascontiguousarray(w_sig, dtype=np.float64)
+    pm = np.ascontiguousarray(pm, dtype=np.float64)
+    pn = np.ascontiguousarray(pn, dtype=np.float64)
     n = w_rho.shape[0]
     d = op_mats.shape[1]
     flat = op_mats.reshape(op_mats.shape[0], d * d)
     d_in = 0.5 * np.abs(w_rho - w_sig).sum(axis=1)
     d_norm = np.empty(n)
     d_sub = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
         dw = w_rho[lo:hi] - w_sig[lo:hi]
         wn = w_rho[lo:hi] / pm[lo:hi, None] - w_sig[lo:hi] / pn[lo:hi, None]
         m_sub = (dw @ flat).reshape(-1, d, d)
@@ -191,46 +87,3 @@ def trial_stats_numpy(op_mats, w_rho, w_sig, pm, pn, chunk: int = 32768):
         d_sub[lo:hi] = 0.5 * np.abs(np.linalg.eigvalsh(m_sub)).sum(axis=1)
         d_norm[lo:hi] = 0.5 * np.abs(np.linalg.eigvalsh(m_norm)).sum(axis=1)
     return d_in, d_norm, d_sub
-
-
-if USE_NUMBA:
-    _gap_values_c = njit(cache=True)(_gap_values_loop)
-    _gap_grid_max_c = njit(cache=True)(_gap_grid_max_loop)
-    _trial_stats_c = njit(cache=True)(_trial_stats_loop)
-
-
-def gap_values(u, v, eta) -> np.ndarray:
-    u = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
-    v = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
-    eta = np.ascontiguousarray(eta, dtype=np.float64).reshape(-1)
-    if USE_NUMBA:
-        out = np.empty(u.shape[0])
-        _gap_values_c(u, v, eta, out)
-        return out
-    return gap_values_numpy(u, v, eta)
-
-
-def gap_grid_max(us, vs, etas):
-    us = np.ascontiguousarray(us, dtype=np.float64)
-    vs = np.ascontiguousarray(vs, dtype=np.float64)
-    etas = np.ascontiguousarray(etas, dtype=np.float64)
-    if USE_NUMBA:
-        best, u, v, e = _gap_grid_max_c(us, vs, etas)
-        return float(best), float(u), float(v), float(e)
-    return gap_grid_max_numpy(us, vs, etas)
-
-
-def trial_stats(op_mats, w_rho, w_sig, pm, pn):
-    op_mats = np.ascontiguousarray(op_mats, dtype=np.complex128)
-    w_rho = np.ascontiguousarray(w_rho, dtype=np.float64)
-    w_sig = np.ascontiguousarray(w_sig, dtype=np.float64)
-    pm = np.ascontiguousarray(pm, dtype=np.float64)
-    pn = np.ascontiguousarray(pn, dtype=np.float64)
-    if USE_NUMBA:
-        n = w_rho.shape[0]
-        d_in = np.empty(n)
-        d_norm = np.empty(n)
-        d_sub = np.empty(n)
-        _trial_stats_c(op_mats, w_rho, w_sig, pm, pn, d_in, d_norm, d_sub)
-        return d_in, d_norm, d_sub
-    return trial_stats_numpy(op_mats, w_rho, w_sig, pm, pn)

@@ -32,10 +32,10 @@ from .errors import (
 from .matrixio import load_kraus_set, load_matrix, load_state, save_kraus_set, save_state
 from .maximizers import (
     MaximizerMode,
-    _unit_zero_eigenspaces,
     build_maximizing_operation,
     build_state_pair,
     certify_maximizer,
+    matched_eigenspaces,
 )
 from .metrics import angle, fidelity, sine_distance, trace_distance
 from .suites import SUITE_NAMES, run_suite, write_report
@@ -97,7 +97,7 @@ def cmd_pairs(args) -> int:
     if args.count < 1:
         raise ValidationError("count must be at least 1")
     try:
-        unit, zero = _unit_zero_eigenspaces(op, 1e-8)
+        unit, zero = matched_eigenspaces(op, 1e-8)
     except NotMaximizingShapeError as exc:
         spectrum = np.linalg.eigvalsh(op.t_op)
         print(f"error: {exc}", file=sys.stderr)

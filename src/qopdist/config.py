@@ -1,8 +1,11 @@
-"""Package-wide tolerances and environment switches."""
+"""Package-wide tolerances and the QOPDIST_DEFAULT_TOL override."""
 
 from __future__ import annotations
 
+import math
 import os
+
+from .errors import ValidationError
 
 # Hermiticity / positivity / normalization cuts used by the type validators.
 TOL_HERM = 1e-10
@@ -14,10 +17,15 @@ TOL_PROB = 1e-12
 
 
 def default_tol() -> float:
-    """Global absolute tolerance, overridable via QOPDIST_DEFAULT_TOL."""
-    return float(os.environ.get("QOPDIST_DEFAULT_TOL", "1e-9"))
+    """Global absolute tolerance, overridable via QOPDIST_DEFAULT_TOL.
 
-
-def numba_disabled() -> bool:
-    """True when QOPDIST_NO_NUMBA requests the pure-numpy kernel path."""
-    return os.environ.get("QOPDIST_NO_NUMBA", "").strip().lower() in {"1", "true", "yes", "on"}
+    Raises ValidationError when the variable is not a finite number >= 0.
+    """
+    raw = os.environ.get("QOPDIST_DEFAULT_TOL", "1e-9")
+    try:
+        tol = float(raw)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"QOPDIST_DEFAULT_TOL must be a finite number >= 0, got {raw!r}")
+    return tol

@@ -40,6 +40,7 @@ __all__ = [
     "build_state_pair",
     "certify_maximizer",
     "extremal_trace_product",
+    "matched_eigenspaces",
     "maximizing_projector",
     "theorem3_report",
     "theorem4_report",
@@ -183,7 +184,13 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> Max
     return MaximizerCertificate(mode=mode, m_op=m_full, diagnostics=diagnostics)
 
 
-def _unit_zero_eigenspaces(E: QuantumOperation, tol: float):
+def matched_eigenspaces(E: QuantumOperation, tol: float):
+    """Eigenvectors of T = sum E^dag E for eigenvalues within tol of 1 and
+    of 0, as the columns of (unit, zero); unit columns run from the largest
+    eigenvalue down.  Matched state pairs live on these two eigenspaces.
+
+    Raises NotMaximizingShapeError when either eigenspace is empty.
+    """
     w, v = np.linalg.eigh(E.t_op)
     unit = v[:, w >= 1.0 - tol][:, ::-1]
     zero = v[:, w <= tol]
@@ -216,7 +223,7 @@ def build_state_pair(
     """
     if not (0.0 < d_target < 1.0):
         raise ValidationError(f"d_target must lie in (0, 1), got {d_target}")
-    unit, zero = _unit_zero_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E, tol)
     nq_max, nr_max = unit.shape[1], zero.shape[1]
     if lambda_weights is None:
         lam = np.full(nq_max, d_target / nq_max)

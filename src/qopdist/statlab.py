@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .channels import QuantumOperation, apply
 from .errors import ValidationError
-from .maximizers import _unit_zero_eigenspaces, build_state_pair
+from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
 from .states import DensityMatrix, validate_state
 
@@ -80,7 +80,7 @@ def pair_for_point(E: QuantumOperation, point: TrianglePoint, tol: float = 1e-8)
     eigenvectors carry p_n in total and the kernel ones carry 1 - p_m;
     splits within each set are uniform.
     """
-    unit, zero = _unit_zero_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E, tol)
     nq, nr = unit.shape[1], zero.shape[1]
     d = point.p_m - point.p_n
     return build_state_pair(
@@ -114,7 +114,7 @@ class TrialRecord:
 
 def _presample(E: QuantumOperation, n_trials: int, rng: np.random.Generator, tol: float):
     """Draw every random quantity up front so all execution paths agree."""
-    unit, zero = _unit_zero_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E, tol)
     nq, nr = unit.shape[1], zero.shape[1]
     pm, pn = sample_triangle_batch(rng, n_trials)
     lam_frac = rng.dirichlet(np.ones(nq), size=n_trials)
@@ -138,7 +138,7 @@ def run_trials(
     """Sample n_trials triangle points with randomized admissible weight
     splits and evaluate all three distances per trial.
 
-    path "auto" routes through the compiled/vectorized kernels; "object"
+    path "auto" routes through the vectorized trial kernel; "object"
     rebuilds every state and output matrix through the high-level API.
     Both consume identical random draws, so they agree to rounding.
     """

@@ -152,3 +152,10 @@ def test_no_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "-1"])
+def test_bad_default_tol_env_exit_2(monkeypatch, capsys, value):
+    monkeypatch.setenv("QOPDIST_DEFAULT_TOL", value)
+    assert main(["verify", "thm1", "--cases", "1"]) == 2
+    assert "QOPDIST_DEFAULT_TOL" in capsys.readouterr().err

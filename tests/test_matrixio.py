@@ -1,6 +1,8 @@
 """Tests for the JSON matrix-file format."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,3 +132,14 @@ def test_entries_are_row_major():
     doc = matrix_to_doc(m)
     assert doc["entries"][1] == [2.0, 0.0]
     assert doc["entries"][2] == [3.0, 0.0]
+
+
+def test_readme_example_loads(tmp_path):
+    """The matrix document shown in README.md is accepted as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    path = tmp_path / "example.json"
+    path.write_text(blocks[0], encoding="utf-8")
+    rho = load_state(path)
+    assert np.max(np.abs(rho.mat - np.diag([0.9, 0.1]))) < 1e-15
