@@ -64,7 +64,7 @@ def cmd_maximize(args) -> int:
     rho = load_state(args.file_rho)
     sigma = load_state(args.file_sigma)
     tol = args.tol if args.tol is not None else default_tol()
-    op = build_maximizing_operation(rho, sigma, args.dim_out, MaximizerMode(args.mode))
+    op = build_maximizing_operation(rho, sigma, args.dim_out, MaximizerMode(args.mode), tol=tol)
     cert = certify_maximizer(op, rho, sigma)
     if cert.mode != MaximizerMode(args.mode):
         raise QopdistError(

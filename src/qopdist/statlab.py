@@ -30,6 +30,7 @@ __all__ = [
     "MomentCheck",
     "TrialRecord",
     "TrianglePoint",
+    "cdf_moment",
     "dominance_implies_moments",
     "empirical_cdf",
     "mean_output_distance_bound",
@@ -244,8 +245,14 @@ class DominanceResult:
         return self.dominance_holds and self.moments_ok
 
 
-def _cdf_moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
-    # E[X^n] = R^n - n * integral of x^(n-1) F(x) dx, for F(R) = 1.
+def cdf_moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
+    """n-th moment E[X^n] of a nonnegative variable from its CDF.
+
+    ``cdf`` holds F at the points of ``grid``, which starts at 0 (or where
+    F is still 0) and ends at R with F(R) = 1.  Integration by parts gives
+    E[X^n] = R^n - n * integral of x^(n-1) F(x) dx over [0, R], evaluated
+    with the trapezoid rule on the grid.
+    """
     r = grid[-1]
     return float(r**n - n * np.trapezoid(grid ** (n - 1) * cdf, grid))
 
@@ -272,8 +279,8 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
     gaps = fg - fh
     dominance = bool(np.all(gaps >= -tol))
     orders = tuple(int(n) for n in orders)
-    mg = tuple(_cdf_moment(grid_g, fg, n) for n in orders)
-    mh = tuple(_cdf_moment(grid_h, fh, n) for n in orders)
+    mg = tuple(cdf_moment(grid_g, fg, n) for n in orders)
+    mh = tuple(cdf_moment(grid_h, fh, n) for n in orders)
     moments_ok = dominance and all(a <= b + tol for a, b in zip(mg, mh))
     return DominanceResult(
         dominance_holds=dominance,

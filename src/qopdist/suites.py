@@ -6,6 +6,9 @@ violation counts for the inequalities, and distribution-level checks for
 the triangle statistics.  Reports serialize as line-delimited JSON with a
 schema header; timing stays in memory only, so a fixed seed reproduces a
 report file byte for byte.
+
+Every suite is declared once, as a body registered with ``@_suite``; the
+registry fixes the public ``run_<name>`` functions and ``SUITE_NAMES``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .maximizers import (
 )
 from .metrics import fidelity, max_qubit_gap, sine_distance, trace_distance
 from .states import random_density, random_pure
-from .statlab import BoundKind, dominance_implies_moments, empirical_cdf, moment_check
+from .statlab import BoundKind, cdf_moment, dominance_implies_moments, empirical_cdf, moment_check
 
 __all__ = [
     "SUITE_NAMES",
@@ -49,19 +52,6 @@ __all__ = [
 
 REPORT_FORMAT = "qopdist-suite-report"
 SCHEMA_VERSION = 1
-
-SUITE_NAMES = (
-    "thm1",
-    "thm2",
-    "thm3",
-    "thm4",
-    "thm5",
-    "cloning",
-    "lemma1",
-    "lemma2",
-    "appendixB",
-    "section3",
-)
 
 SQRT2 = float(np.sqrt(2.0))
 
@@ -87,20 +77,54 @@ class SuiteReport:
             raise ValidationError(f"worst_residual {self.worst_residual!r} is not finite")
 
 
-def _report(name: str, seed: int, n_cases: int, details: list, t0: float) -> SuiteReport:
-    return SuiteReport(
-        suite_name=name,
-        n_cases=n_cases,
-        n_failures=sum(1 for d in details if not d["ok"]),
-        worst_residual=float(max(d["residual"] for d in details)),
-        seed=seed,
-        elapsed_seconds=time.perf_counter() - t0,
-        details=tuple(details),
-    )
+# -- the harness ---------------------------------------------------------------
+
+# Suite name -> public run_<name>, in declaration (= canonical) order.
+_SUITES = {}
 
 
-def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([seed, salt])
+def _suite(name: str, salt: int, default_cases: int):
+    """Register ``body(rng, n_cases, slack) -> (n_counted, details)`` as the
+    public ``run_<name>(seed, n_cases=None, slack=1e-9) -> SuiteReport``.
+
+    The wrapper owns the timer, the default case count, the suite's
+    generator ``default_rng([seed, salt])`` and the report assembly.
+    """
+
+    def register(body):
+        def run(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+            t0 = time.perf_counter()
+            if n_cases is None:
+                n_cases = default_cases
+            n_counted, details = body(np.random.default_rng([seed, salt]), n_cases, slack)
+            return SuiteReport(
+                suite_name=name,
+                n_cases=n_counted,
+                n_failures=sum(1 for d in details if not d["ok"]),
+                worst_residual=float(max(d["residual"] for d in details)),
+                seed=seed,
+                elapsed_seconds=time.perf_counter() - t0,
+                details=tuple(details),
+            )
+
+        run.__name__ = run.__qualname__ = f"run_{name}"
+        run.__doc__ = body.__doc__
+        _SUITES[name] = run
+        return run
+
+    return register
+
+
+def _detail(case: str, residual, ok, **extra) -> dict:
+    """One check record: the case label, any extra fields, then the residual
+    as a float and the verdict as a bool."""
+    return {"case": case, **extra, "residual": float(residual), "ok": bool(ok)}
+
+
+def _violations(case: str, excess: np.ndarray, slack: float, **extra) -> dict:
+    """Count the entries of ``excess`` (value minus bound) above ``slack``."""
+    bad = int(np.sum(excess > slack))
+    return _detail(case, excess.max(), bad == 0, violations=bad, **extra)
 
 
 def _distinct_pair(dim: int, rng: np.random.Generator, min_dist: float = 1e-3):
@@ -127,17 +151,26 @@ def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperatio
     return QuantumOperation(kraus)
 
 
+def _trial_draws(rng: np.random.Generator, n_trials: int):
+    """Trials on the (5,2,2) and (2,1,1) maximizer-shaped operations, split
+    90/10: the total trial count and a (tag, records) pair per operation."""
+    shares = (max(n_trials - n_trials // 10, 1), max(n_trials // 10, 1))
+    shapes = ((5, 2, 2), (2, 1, 1))
+    draws = [
+        (tag, statlab.run_trials(_maximizer_shaped_op(*shape), share, rng))
+        for shape, share, tag in zip(shapes, shares, ("dim5", "dim2"))
+    ]
+    return sum(shares), draws
+
+
 # -- individual suites ---------------------------------------------------------
 
 
-def run_thm1(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("thm1", salt=101, default_cases=200)
+def run_thm1(rng, n_cases, slack):
     """Constructed operations attain the trace distance as a probability
     gap, and no random operation beats it."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 200
     n_oracle = 500
-    rng = _rng(seed, 101)
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
@@ -151,27 +184,23 @@ def run_thm1(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> Suit
         for _ in range(n_oracle):
             other = random_operation(dim, int(rng.integers(1, dim + 1)), int(rng.integers(1, 5)), rng)
             excess = max(excess, e_distance(other, rho, sig) - d)
-        ok = attain < 1e-10 and excess <= slack
         details.append(
-            {
-                "case": f"pair-{i:03d}-dim{dim}-{mode.value}",
-                "attain_residual": float(attain),
-                "oracle_excess": float(excess),
-                "residual": float(max(attain, excess)),
-                "ok": bool(ok),
-            }
+            _detail(
+                f"pair-{i:03d}-dim{dim}-{mode.value}",
+                max(attain, excess),
+                attain < 1e-10 and excess <= slack,
+                attain_residual=float(attain),
+                oracle_excess=float(excess),
+            )
         )
-    return _report("thm1", seed, n_cases, details, t0)
+    return n_cases, details
 
 
-def run_thm2(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("thm2", salt=102, default_cases=100)
+def run_thm2(rng, n_cases, slack):
     """Extremal input pairs attain the spread of the T spectrum; random
     pairs never exceed it; trace-preserving operations give zero."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 100
     n_pairs = 2000
-    rng = _rng(seed, 102)
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
@@ -189,15 +218,14 @@ def run_thm2(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> Suit
             sigs = _ginibre_batch(dim, rank, count, rng)
             vals = np.abs(np.einsum("ij,nji->n", t, rhos - sigs).real)
             excess = max(excess, float(vals.max() - ext.value))
-        ok = attain < 1e-10 and excess <= slack
         details.append(
-            {
-                "case": f"op-{i:03d}-dim{dim}",
-                "attain_residual": float(attain),
-                "pair_excess": float(excess),
-                "residual": float(max(attain, excess)),
-                "ok": bool(ok),
-            }
+            _detail(
+                f"op-{i:03d}-dim{dim}",
+                max(attain, excess),
+                attain < 1e-10 and excess <= slack,
+                attain_residual=float(attain),
+                pair_excess=float(excess),
+            )
         )
     # Trace-preserving operations: unitary singleton and a complete
     # projective measurement both have flat T spectrum.
@@ -208,212 +236,73 @@ def run_thm2(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> Suit
         ("tp-projective", QuantumOperation([np.outer(eye[:, k], eye[:, k]) for k in range(3)])),
     ):
         value = max_e_distance_over_states(op).value
-        details.append(
-            {"case": label, "residual": float(value), "ok": bool(value < 1e-10)}
-        )
-    return _report("thm2", seed, n_cases + 2, details, t0)
+        details.append(_detail(label, value, value < 1e-10))
+    return n_cases + 2, details
 
 
-def _trial_suite(
-    name: str,
-    salt: int,
-    seed: int,
-    n_trials: int,
-    check_fns,
-    extra_details=None,
-) -> SuiteReport:
-    """Shared harness: run trials on two maximizer-shaped operations and
-    apply per-distribution checks."""
-    t0 = time.perf_counter()
-    rng = _rng(seed, salt)
-    ops = [
-        _maximizer_shaped_op(5, 2, 2),
-        _maximizer_shaped_op(2, 1, 1),
-    ]
-    shares = [max(n_trials - n_trials // 10, 1), max(n_trials // 10, 1)]
-    details = []
-    for op, share, tag in zip(ops, shares, ("dim5", "dim2")):
-        records = statlab.run_trials(op, share, rng)
-        for fn in check_fns:
-            details.extend(fn(records, tag))
-    if extra_details:
-        details.extend(extra_details())
-    return _report(name, seed, sum(shares), details, t0)
-
-
-def _check_normalized_bounds(records, tag):
-    gaps = np.array([r.d_out_normalized - r.d_in / r.point.p_m for r in records])
-    bad = int(np.sum(gaps > 1e-9))
-    out = [
-        {
-            "case": f"{tag}-normalized-ratio-bound",
-            "violations": bad,
-            "residual": float(gaps.max()),
-            "ok": bad == 0,
-        }
-    ]
-    rels = [
-        (r.relative_increase, 1.0 - r.point.p_m)
-        for r in records
-        if r.relative_increase is not None
-    ]
-    if rels:
-        over = np.array([a - b for a, b in rels])
-        bad = int(np.sum(over > 1e-9))
-        out.append(
-            {
-                "case": f"{tag}-relative-increase-bound",
-                "violations": bad,
-                "n_increasing": len(rels),
-                "residual": float(over.max()),
-                "ok": bad == 0,
-            }
-        )
-    return out
-
-
-def _check_half_bound(records, tag):
-    gaps = np.array([r.d_out_subnormalized - 0.5 * r.d_in for r in records])
-    bad = int(np.sum(gaps > 1e-9))
-    return [
-        {
-            "case": f"{tag}-subnormalized-half-bound",
-            "violations": bad,
-            "residual": float(gaps.max()),
-            "ok": bad == 0,
-        }
-    ]
-
-
-def run_thm3(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("thm3", salt=103, default_cases=10_000)
+def run_thm3(rng, n_cases, slack):
     """Normalized output distance never beats the input distance divided by
     the larger probability; relative increase never beats 1 - p_m."""
-    if n_cases is None:
-        n_cases = 10_000
-    return _trial_suite("thm3", 103, seed, n_cases, [_check_normalized_bounds])
+    n_counted, draws = _trial_draws(rng, n_cases)
+    details = []
+    for tag, records in draws:
+        gaps = np.array([r.d_out_normalized - r.d_in / r.point.p_m for r in records])
+        details.append(_violations(f"{tag}-normalized-ratio-bound", gaps, slack))
+        over = [
+            r.relative_increase - (1.0 - r.point.p_m)
+            for r in records
+            if r.relative_increase is not None
+        ]
+        if over:
+            details.append(
+                _violations(
+                    f"{tag}-relative-increase-bound", np.array(over), slack, n_increasing=len(over)
+                )
+            )
+    return n_counted, details
 
 
-def run_thm4(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("thm4", salt=104, default_cases=10_000)
+def run_thm4(rng, n_cases, slack):
     """Subnormalized output distance stays at or below half the input
     distance, with the orthogonal-qubit instance saturating it."""
-    if n_cases is None:
-        n_cases = 10_000
-
-    def saturation():
-        rho = np.diag([1.0, 0.0]).astype(np.complex128)
-        sig = np.diag([0.0, 1.0]).astype(np.complex128)
-        op = build_maximizing_operation(rho, sig, 1, MaximizerMode.ON_Q)
-        d_sub = trace_distance(apply(op, rho), apply(op, sig))
-        resid = abs(d_sub - 0.5)
-        return [
-            {"case": "orthogonal-qubit-saturation", "residual": float(resid), "ok": bool(resid < 1e-10)}
-        ]
-
-    return _trial_suite("thm4", 104, seed, n_cases, [_check_half_bound], extra_details=saturation)
-
-
-def run_section3(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
-    """Distribution-level statistics over the uniform triangle."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 100_000
-    if n_cases < 100:
-        raise ValidationError("section3 needs at least 100 trials")
-    rng = _rng(seed, 105)
-    op = _maximizer_shaped_op(5, 2, 2)
-    records = statlab.run_trials(op, n_cases, rng)
-    n = len(records)
-    d_in = np.array([r.d_in for r in records])
-    d_norm = np.array([r.d_out_normalized for r in records])
-    rel = np.array(
-        [r.relative_increase if r.relative_increase is not None else 0.0 for r in records]
-    )
-    details = []
-    resid = abs(d_in.mean() - 1.0 / 3.0)
-    details.append(
-        {"case": "mean-input-distance", "value": float(d_in.mean()), "residual": float(resid), "ok": bool(resid <= 0.01)}
-    )
-    grid = np.round(np.arange(0.1, 0.95, 0.1), 2)
-    cdf_norm = empirical_cdf(d_norm, grid)
-    for xi, p in zip(grid, cdf_norm):
-        sem = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
-        deficit = float(xi - p)
-        details.append(
-            {
-                "case": f"output-cdf-at-{xi:.1f}",
-                "empirical": float(p),
-                "residual": deficit,
-                "ok": bool(p >= xi - 3.0 * sem),
-            }
+    n_counted, draws = _trial_draws(rng, n_cases)
+    details = [
+        _violations(
+            f"{tag}-subnormalized-half-bound",
+            np.array([r.d_out_subnormalized - 0.5 * r.d_in for r in records]),
+            slack,
         )
-    mc = moment_check(d_norm, 1, BoundKind.UNIFORM)
-    details.append(
-        {
-            "case": "output-mean-below-half",
-            "empirical": mc.empirical_moment,
-            "residual": float(mc.empirical_moment - mc.bound),
-            "ok": mc.holds,
-        }
-    )
-    cdf_rel = empirical_cdf(rel, grid)
-    for ze, p in zip(grid, cdf_rel):
-        target = 2.0 * ze - ze * ze
-        sem = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
-        deficit = float(target - p)
-        details.append(
-            {
-                "case": f"relative-increase-cdf-at-{ze:.1f}",
-                "empirical": float(p),
-                "residual": deficit,
-                "ok": bool(p >= target - 3.0 * sem),
-            }
-        )
-    wc = moment_check(rel, 1, BoundKind.WEDGE)
-    details.append(
-        {
-            "case": "relative-increase-mean-below-third",
-            "empirical": wc.empirical_moment,
-            "residual": float(wc.empirical_moment - wc.bound),
-            "ok": wc.holds,
-        }
-    )
-    mb = statlab.mean_output_distance_bound(records)
-    details.append(
-        {
-            "case": "mean-subnormalized-output-below-sixth",
-            "empirical": mb.mean_d_out_sub,
-            "residual": float(mb.mean_d_out_sub - 1.0 / 6.0),
-            "ok": mb.holds,
-        }
-    )
-    return _report("section3", seed, n_cases, details, t0)
+        for tag, records in draws
+    ]
+    rho = np.diag([1.0, 0.0]).astype(np.complex128)
+    sig = np.diag([0.0, 1.0]).astype(np.complex128)
+    op = build_maximizing_operation(rho, sig, 1, MaximizerMode.ON_Q)
+    resid = abs(trace_distance(apply(op, rho), apply(op, sig)) - 0.5)
+    details.append(_detail("orthogonal-qubit-saturation", resid, resid < 1e-10))
+    return n_counted, details
 
 
-def run_thm5(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("thm5", salt=106, default_cases=10_000)
+def run_thm5(rng, n_cases, slack):
     """Qubit gap maximum, its witness pair, and the global gap ceiling."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 10_000
-    rng = _rng(seed, 106)
-    details = []
     point = max_qubit_gap()
     resid = abs(point.value - 0.25)
-    details.append(
-        {
-            "case": "qubit-grid-max",
-            "value": point.value,
-            "at": [point.u, point.v, point.eta],
-            "residual": float(resid),
-            "ok": bool(resid <= 1e-4),
-        }
-    )
+    details = [
+        _detail(
+            "qubit-grid-max",
+            resid,
+            resid <= 1e-4,
+            value=point.value,
+            at=[point.u, point.v, point.eta],
+        )
+    ]
     rho = np.diag([1.0, 0.0]).astype(np.complex128)
     sig = np.diag([0.75, 0.25]).astype(np.complex128)
     gap = sine_distance(rho, sig) - trace_distance(rho, sig)
     resid = abs(gap - 0.25)
-    details.append(
-        {"case": "witness-pair-gap", "value": float(gap), "residual": float(resid), "ok": bool(resid < 1e-10)}
-    )
+    details.append(_detail("witness-pair-gap", resid, resid < 1e-10, value=float(gap)))
     worst_gap = -np.inf
     worst_chain = -np.inf
     worst_angle = -np.inf
@@ -433,35 +322,29 @@ def run_thm5(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> Suit
         if gap_i > SQRT2 - 1.0 + slack or chain > slack or angle_excess > 1e-12:
             bad += 1
     details.append(
-        {
-            "case": "global-gap-ceiling",
-            "violations": bad,
-            "worst_over_ceiling": float(worst_gap),
-            "worst_chain_excess": float(worst_chain),
-            "worst_angle_excess": float(worst_angle),
-            "residual": float(max(worst_gap, worst_chain, worst_angle)),
-            "ok": bad == 0,
-        }
+        _detail(
+            "global-gap-ceiling",
+            max(worst_gap, worst_chain, worst_angle),
+            bad == 0,
+            violations=bad,
+            worst_over_ceiling=float(worst_gap),
+            worst_chain_excess=float(worst_chain),
+            worst_angle_excess=float(worst_angle),
+        )
     )
-    return _report("thm5", seed, n_cases + 2, details, t0)
+    return n_cases + 2, details
 
 
-def run_cloning(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("cloning", salt=107, default_cases=200)
+def run_cloning(rng, n_cases, slack):
     """Output/input distance ratio of the exact cloner matches its closed
     form and stays above 1/sqrt(2)."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 200
-    rng = _rng(seed, 107)
-    details = []
     omega1 = np.diag([1.0, 0.0]).astype(np.complex128)
     omega2 = np.diag([0.0, 1.0]).astype(np.complex128)
     out = cloner_outputs(omega1, omega2)
     ratio = trace_distance(out.g1, out.g2) / trace_distance(omega1, omega2)
     resid = abs(ratio - 1.0)
-    details.append(
-        {"case": "orthogonal-pair-ratio-one", "ratio": float(ratio), "residual": float(resid), "ok": bool(resid < 1e-12)}
-    )
+    details = [_detail("orthogonal-pair-ratio-one", resid, resid < 1e-12, ratio=float(ratio))]
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
         while True:
@@ -470,31 +353,24 @@ def run_cloning(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> S
             if fidelity(w1, w2) < 1.0 - 1e-6:
                 break
         out = cloner_outputs(w1, w2)
-        d_in = trace_distance(w1, w2)
-        d_out = trace_distance(out.g1, out.g2)
-        ratio = d_out / d_in
-        predicted = cloner_distance_factor(out.omega)
-        resid = abs(ratio - predicted)
-        ok = resid < slack and ratio > 1.0 / SQRT2
+        ratio = trace_distance(out.g1, out.g2) / trace_distance(w1, w2)
+        resid = abs(ratio - cloner_distance_factor(out.omega))
         details.append(
-            {
-                "case": f"pair-{i:03d}-dim{dim}",
-                "omega": float(out.omega),
-                "ratio": float(ratio),
-                "residual": float(resid),
-                "ok": bool(ok),
-            }
+            _detail(
+                f"pair-{i:03d}-dim{dim}",
+                resid,
+                resid < slack and ratio > 1.0 / SQRT2,
+                omega=float(out.omega),
+                ratio=float(ratio),
+            )
         )
-    return _report("cloning", seed, n_cases + 1, details, t0)
+    return n_cases + 1, details
 
 
-def run_lemma1(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("lemma1", salt=108, default_cases=500)
+def run_lemma1(rng, n_cases, slack):
     """Trace products tr(TQ) stay inside [theta*D, Theta*D] and the scaled
     eigenprojectors attain the endpoints."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 500
-    rng = _rng(seed, 108)
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
@@ -512,69 +388,60 @@ def run_lemma1(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> Su
         q *= d_frak / float(np.trace(q).real)
         val = float(np.trace(t @ q).real)
         escape = max(ext.min_val - val, val - ext.max_val)
-        ok = attain < 1e-10 and escape <= slack
         details.append(
-            {
-                "case": f"T-{i:03d}-dim{dim}",
-                "attain_residual": float(attain),
-                "escape": float(escape),
-                "residual": float(max(attain, escape)),
-                "ok": bool(ok),
-            }
+            _detail(
+                f"T-{i:03d}-dim{dim}",
+                max(attain, escape),
+                attain < 1e-10 and escape <= slack,
+                attain_residual=float(attain),
+                escape=float(escape),
+            )
         )
-    return _report("lemma1", seed, n_cases, details, t0)
+    return n_cases, details
 
 
-def run_lemma2(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("lemma2", salt=110, default_cases=10_000)
+def run_lemma2(rng, n_cases, slack):
     """Moment identities of the flat and wedge densities via CDF
     integration, the dominance-to-moments implication, and the sine-plus-
-    cosine ceiling on a dense angle grid."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 10_000
+    cosine ceiling on a dense angle grid.  Draws nothing from the seed."""
     grid = np.linspace(0.0, 1.0, max(n_cases, 1000) + 1)
     cdf_uniform = grid.copy()
     cdf_wedge = 2.0 * grid - grid * grid
     details = []
     for n in range(1, 6):
-        m_u = statlab._cdf_moment(grid, cdf_uniform, n)
-        m_w = statlab._cdf_moment(grid, cdf_wedge, n)
+        m_u = cdf_moment(grid, cdf_uniform, n)
+        m_w = cdf_moment(grid, cdf_wedge, n)
         for label, m, target in (
             (f"uniform-moment-{n}", m_u, 1.0 / (n + 1)),
             (f"wedge-moment-{n}", m_w, 2.0 / (n * n + 3 * n + 2)),
         ):
             resid = abs(m - target)
-            details.append(
-                {"case": label, "value": float(m), "residual": float(resid), "ok": bool(resid <= 1e-3)}
-            )
-    dom = dominance_implies_moments((grid, cdf_wedge), (grid, cdf_uniform), range(1, 6))
+            details.append(_detail(label, resid, resid <= 1e-3, value=float(m)))
+    orders = range(1, 6)
+    dom = dominance_implies_moments((grid, cdf_wedge), (grid, cdf_uniform), orders, tol=slack)
     details.append(
-        {
-            "case": "wedge-dominates-uniform",
-            "dominance": dom.dominance_holds,
-            "residual": float(max(a - b for a, b in zip(dom.moments_g, dom.moments_h))),
-            "ok": bool(dom),
-        }
+        _detail(
+            "wedge-dominates-uniform",
+            max(a - b for a, b in zip(dom.moments_g, dom.moments_h)),
+            dom,
+            dominance=dom.dominance_holds,
+        )
     )
-    same = dominance_implies_moments((grid, cdf_uniform), (grid, cdf_uniform), range(1, 6))
-    resid = float(max(abs(a - b) for a, b in zip(same.moments_g, same.moments_h)))
-    details.append({"case": "equal-cdfs-equal-moments", "residual": resid, "ok": bool(same)})
+    same = dominance_implies_moments((grid, cdf_uniform), (grid, cdf_uniform), orders, tol=slack)
+    resid = max(abs(a - b) for a, b in zip(same.moments_g, same.moments_h))
+    details.append(_detail("equal-cdfs-equal-moments", resid, same))
     alpha = np.linspace(0.0, 2.0 * np.pi, max(n_cases, 1000))
     excess = float(np.max(np.sin(alpha) + np.cos(alpha)) - SQRT2)
-    details.append(
-        {"case": "sin-plus-cos-ceiling", "residual": excess, "ok": bool(excess <= 1e-12)}
-    )
-    return _report("lemma2", seed, max(n_cases, len(details)), details, t0)
+    details.append(_detail("sin-plus-cos-ceiling", excess, excess <= 1e-12))
+    return max(n_cases, len(details)), details
 
 
-def run_appendixB(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
+@_suite("appendixB", salt=109, default_cases=500)
+def run_appendixB(rng, n_cases, slack):
     """Hermitian-operator metric axioms, maximizing-projector optimality,
     and joint convexity on random instances."""
-    t0 = time.perf_counter()
-    if n_cases is None:
-        n_cases = 500
     n_probes = 200
-    rng = _rng(seed, 109)
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
@@ -613,7 +480,6 @@ def run_appendixB(seed: int, n_cases: int | None = None, slack: float = 1e-9) ->
         convex_gap = mixed - sum(
             p * trace_distance(ma, mb) for p, ma, mb in zip(probs, a_parts, b_parts)
         )
-        residual = max(sym, self_zero, tri, ident, probe_excess, convex_gap)
         ok = (
             sym <= 1e-12
             and self_zero <= 1e-12
@@ -623,41 +489,94 @@ def run_appendixB(seed: int, n_cases: int | None = None, slack: float = 1e-9) ->
             and convex_gap <= 1e-12
         )
         details.append(
-            {
-                "case": f"instance-{i:03d}-dim{dim}",
-                "symmetry": float(sym),
-                "triangle_excess": float(tri),
-                "projector_identity": float(ident),
-                "probe_excess": float(probe_excess),
-                "convexity_excess": float(convex_gap),
-                "residual": float(residual),
-                "ok": bool(ok),
-            }
+            _detail(
+                f"instance-{i:03d}-dim{dim}",
+                max(sym, self_zero, tri, ident, probe_excess, convex_gap),
+                ok,
+                symmetry=float(sym),
+                triangle_excess=float(tri),
+                projector_identity=float(ident),
+                probe_excess=float(probe_excess),
+                convexity_excess=float(convex_gap),
+            )
         )
-    return _report("appendixB", seed, n_cases, details, t0)
+    return n_cases, details
 
 
-_SUITE_FNS = {
-    "thm1": run_thm1,
-    "thm2": run_thm2,
-    "thm3": run_thm3,
-    "thm4": run_thm4,
-    "thm5": run_thm5,
-    "cloning": run_cloning,
-    "lemma1": run_lemma1,
-    "lemma2": run_lemma2,
-    "appendixB": run_appendixB,
-    "section3": run_section3,
-}
+def _cdf_floor(prefix: str, samples: np.ndarray, grid: np.ndarray, targets: np.ndarray) -> list:
+    """Empirical CDF of ``samples`` at each grid point against its target
+    floor, allowing three standard errors."""
+    n = len(samples)
+    details = []
+    for x, p, target in zip(grid, empirical_cdf(samples, grid), targets):
+        sem = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
+        details.append(
+            _detail(f"{prefix}-cdf-at-{x:.1f}", target - p, p >= target - 3.0 * sem, empirical=float(p))
+        )
+    return details
+
+
+@_suite("section3", salt=105, default_cases=100_000)
+def run_section3(rng, n_cases, slack):
+    """Distribution-level statistics over the uniform triangle.
+
+    The checks are statistical (CDF floors within 3 standard errors, the
+    mean input distance within 0.01, moment and mean ceilings), so
+    ``slack`` does not apply to them.
+    """
+    if n_cases < 100:
+        raise ValidationError("section3 needs at least 100 trials")
+    records = statlab.run_trials(_maximizer_shaped_op(5, 2, 2), n_cases, rng)
+    d_in = np.array([r.d_in for r in records])
+    d_norm = np.array([r.d_out_normalized for r in records])
+    rel = np.array(
+        [r.relative_increase if r.relative_increase is not None else 0.0 for r in records]
+    )
+    resid = abs(d_in.mean() - 1.0 / 3.0)
+    details = [_detail("mean-input-distance", resid, resid <= 0.01, value=float(d_in.mean()))]
+    grid = np.round(np.arange(0.1, 0.95, 0.1), 2)
+    details += _cdf_floor("output", d_norm, grid, grid)
+    mc = moment_check(d_norm, 1, BoundKind.UNIFORM)
+    details.append(
+        _detail(
+            "output-mean-below-half",
+            mc.empirical_moment - mc.bound,
+            mc.holds,
+            empirical=mc.empirical_moment,
+        )
+    )
+    details += _cdf_floor("relative-increase", rel, grid, 2.0 * grid - grid * grid)
+    wc = moment_check(rel, 1, BoundKind.WEDGE)
+    details.append(
+        _detail(
+            "relative-increase-mean-below-third",
+            wc.empirical_moment - wc.bound,
+            wc.holds,
+            empirical=wc.empirical_moment,
+        )
+    )
+    mb = statlab.mean_output_distance_bound(records)
+    details.append(
+        _detail(
+            "mean-subnormalized-output-below-sixth",
+            mb.mean_d_out_sub - 1.0 / 6.0,
+            mb.holds,
+            empirical=mb.mean_d_out_sub,
+        )
+    )
+    return n_cases, details
+
+
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, seed: int, n_cases: int | None = None, slack: float = 1e-9) -> list[SuiteReport]:
     """Run one named suite, or every suite for name 'all'."""
     if name == "all":
-        return [_SUITE_FNS[s](seed, n_cases, slack) for s in SUITE_NAMES]
-    if name not in _SUITE_FNS:
+        return [_SUITES[s](seed, n_cases, slack) for s in SUITE_NAMES]
+    if name not in _SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {('all',) + SUITE_NAMES}")
-    return [_SUITE_FNS[name](seed, n_cases, slack)]
+    return [_SUITES[name](seed, n_cases, slack)]
 
 
 def run_all(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> list[SuiteReport]:

@@ -5,12 +5,14 @@ lines always reach the terminal).  Scales and tolerances here are the
 contract; reduced-scale smoke coverage lives in test_suites.py.
 """
 
-import shutil
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import qopdist
 from qopdist.channels import QuantumOperation, e_distance, random_operation
 from qopdist.linalg import spectral_split
 from qopdist.maximizers import MaximizerMode, build_maximizing_operation, certify_maximizer
@@ -173,15 +175,18 @@ def test_criterion_10_metric_axioms(capsys):
 
 
 def test_criterion_11_verify_determinism(tmp_path, capsys):
-    cmd = [shutil.which("qopdist") or sys.executable]
-    if cmd == [sys.executable]:
-        cmd += ["-m", "qopdist.cli"]
+    # Run the package this test imported, never an installed copy found
+    # on PATH: its source root goes in front of the inherited PYTHONPATH.
+    src = str(Path(qopdist.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not inherited else os.pathsep.join([src, inherited]))
     paths = [tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"]
     for p in paths:
         proc = subprocess.run(
-            cmd + ["verify", "all", "--seed", "7", "--report", str(p)],
+            [sys.executable, "-m", "qopdist.cli", "verify", "all", "--seed", "7", "--report", str(p)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
     ok = paths[0].read_bytes() == paths[1].read_bytes()

@@ -88,6 +88,19 @@ def test_maximize_identical_exit_4(files):
     assert main(["maximize", str(files / "e0.json"), str(files / "e0.json"), "1", str(files / "x.json")]) == 4
 
 
+def test_maximize_tol_is_degenerate_cut(files, monkeypatch):
+    """--tol also decides when two states count as coinciding."""
+    monkeypatch.delenv("QOPDIST_DEFAULT_TOL", raising=False)
+    save_state(files / "a.json", np.diag([0.5, 0.5]).astype(complex))
+    save_state(files / "b.json", np.diag([0.5 + 5e-7, 0.5 - 5e-7]).astype(complex))
+    assert abs(trace_distance(load_state(files / "a.json"), load_state(files / "b.json")) - 5e-7) < 1e-12
+    args = ["maximize", str(files / "a.json"), str(files / "b.json"), "2"]
+    assert main(args + [str(files / "cut.json"), "--tol", "1e-5"]) == 4
+    assert not (files / "cut.json").exists()
+    assert main(args + [str(files / "kept.json")]) == 0
+    assert (files / "kept.json").exists()
+
+
 def test_pairs(files, capsys):
     out_dir = files / "pairs"
     code = main(["pairs", str(files / "op.json"), "0.5", "3", str(out_dir), "--seed", "5"])

@@ -1,8 +1,9 @@
 """Package modules reach each other only through public names.
 
 A module may import another module whole (``from . import _kernels``),
-but ``from .<module> import _name`` of a private function or class is a
-layering breach: the helper should be made public or stay where it is.
+but ``from .<module> import _name`` of a private function or class, or
+``<module>._name`` on a module imported that way, is a layering breach:
+the helper should be made public or stay where it is.
 """
 
 import ast
@@ -11,19 +12,34 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "qopdist"
 
 
-def _private_imports(path):
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_uses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    modules = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level > 0 and node.module:
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
             for alias in node.names:
-                if alias.name.startswith("_"):
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif _is_private(alias.name):
                     yield f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _is_private(node.attr)
+        ):
+            yield f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
 
 
 def test_no_private_cross_module_imports():
     modules = sorted(SRC.glob("*.py"))
     assert modules
-    breaches = [b for path in modules for b in _private_imports(path)]
+    breaches = [b for path in modules for b in _private_uses(path)]
     assert breaches == []
 
 
@@ -31,4 +47,17 @@ def test_detects_private_import(tmp_path):
     """The check itself flags a private name and passes a module import."""
     bad = tmp_path / "bad.py"
     bad.write_text("from . import _kernels\nfrom .maximizers import _helper, build_state_pair\n")
-    assert list(_private_imports(bad)) == ["bad.py:2: from .maximizers import _helper"]
+    assert list(_private_uses(bad)) == ["bad.py:2: from .maximizers import _helper"]
+
+
+def test_detects_private_attribute(tmp_path):
+    """The check flags module._name on a whole-module import and passes
+    public attributes, also of a private module."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "import numpy as np\n"
+        "from . import _kernels, statlab as sl\n"
+        "_kernels.trial_stats(np._private)\n"
+        "sl._cdf_moment(sl.run_trials, _kernels.__name__)\n"
+    )
+    assert list(_private_uses(bad)) == ["bad.py:4: sl._cdf_moment"]

@@ -9,7 +9,7 @@ from qopdist.statlab import (
     BoundKind,
     TrialRecord,
     TrianglePoint,
-    _cdf_moment,
+    cdf_moment,
     dominance_implies_moments,
     empirical_cdf,
     mean_output_distance_bound,
@@ -140,9 +140,9 @@ def test_empirical_cdf_frozen():
 def test_cdf_moment_closed_forms():
     grid = np.linspace(0.0, 1.0, 20001)
     for n in range(1, 6):
-        assert abs(_cdf_moment(grid, grid, n) - 1.0 / (n + 1)) < 1e-6
+        assert abs(cdf_moment(grid, grid, n) - 1.0 / (n + 1)) < 1e-6
         wedge = 2.0 * grid - grid * grid
-        assert abs(_cdf_moment(grid, wedge, n) - 2.0 / (n * n + 3 * n + 2)) < 1e-6
+        assert abs(cdf_moment(grid, wedge, n) - 2.0 / (n * n + 3 * n + 2)) < 1e-6
 
 
 def test_moment_two_routes_agree():
@@ -153,7 +153,7 @@ def test_moment_two_routes_agree():
     cdf = empirical_cdf(samples, grid)
     for n in (1, 2, 3):
         direct = float(np.mean(samples**n))
-        via_cdf = _cdf_moment(grid, cdf, n)
+        via_cdf = cdf_moment(grid, cdf, n)
         assert abs(direct - via_cdf) < 1e-3
 
 

@@ -4,10 +4,14 @@ Suites run here at reduced scale; the full-scale runs live in
 test_acceptance.py.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
+from qopdist import statlab, suites
 from qopdist.errors import ReportParseError, ValidationError
+from qopdist.statlab import TrialRecord, TrianglePoint
 from qopdist.suites import (
     SUITE_NAMES,
     SuiteReport,
@@ -15,6 +19,21 @@ from qopdist.suites import (
     run_all,
     run_suite,
     write_report,
+)
+
+# The canonical suite order, written out so it is not read back from the
+# registry that defines SUITE_NAMES.
+CANONICAL = (
+    "thm1",
+    "thm2",
+    "thm3",
+    "thm4",
+    "thm5",
+    "cloning",
+    "lemma1",
+    "lemma2",
+    "appendixB",
+    "section3",
 )
 
 SMALL = {
@@ -48,8 +67,60 @@ def test_suite_passes_at_reduced_scale(name):
 
 def test_run_all_order():
     """run_all covers every suite once, in the canonical order."""
+    assert SUITE_NAMES == CANONICAL
     reports = run_all(3, 150)
-    assert [r.suite_name for r in reports] == list(SUITE_NAMES)
+    assert tuple(r.suite_name for r in reports) == CANONICAL
+
+
+@pytest.mark.parametrize("name", CANONICAL)
+def test_public_suite_surface(name):
+    """Each suite is a module-level run_<name>(seed, n_cases=None, slack=1e-9)."""
+    fn = getattr(suites, f"run_{name}")
+    assert fn.__name__ == f"run_{name}"
+    assert fn.__module__ == "qopdist.suites"
+    assert str(inspect.signature(fn)) == (
+        "(seed: 'int', n_cases: 'int | None' = None, slack: 'float' = 1e-09) -> 'SuiteReport'"
+    )
+    assert fn.__doc__
+
+
+def _over_bounds_by(excess):
+    """run_trials stand-in: every record exceeds the Thm 3 ratio and
+    relative-increase bounds and the Thm 4 half bound by ``excess``."""
+    point = TrianglePoint(p_m=0.8, p_n=0.2)
+    record = TrialRecord(
+        point=point,
+        d_in=0.6,
+        d_out_normalized=0.6 / 0.8 + excess,
+        d_out_subnormalized=0.5 * 0.6 + excess,
+        relative_increase=(1.0 - 0.8) + excess,
+    )
+    return lambda op, n_trials, rng: [record] * n_trials
+
+
+@pytest.mark.parametrize("run, checks", [(suites.run_thm3, 4), (suites.run_thm4, 2)])
+def test_slack_reaches_trial_bounds(monkeypatch, run, checks):
+    monkeypatch.setattr(statlab, "run_trials", _over_bounds_by(1e-6))
+    assert run(7, 100, slack=1e-5).n_failures == 0
+    r = run(7, 100, slack=1e-7)
+    assert r.n_failures == checks
+    share = {"dim5": 90, "dim2": 10}  # 90/10 split of the 100 trials
+    for d in r.details:
+        if not d["ok"]:
+            assert d["violations"] == share[d["case"][:4]]
+
+
+def test_slack_reaches_lemma2_dominance(monkeypatch):
+    seen = []
+    real = suites.dominance_implies_moments
+
+    def spy(cdf_g, cdf_h, orders, tol=1e-9):
+        seen.append(tol)
+        return real(cdf_g, cdf_h, orders, tol=tol)
+
+    monkeypatch.setattr(suites, "dominance_implies_moments", spy)
+    assert suites.run_lemma2(0, 1000, slack=3e-7).n_failures == 0
+    assert seen == [3e-7, 3e-7]
 
 
 def test_unknown_suite():
