@@ -96,6 +96,8 @@ def cmd_pairs(args) -> int:
         raise ValidationError(f"target distance {args.d_target} must lie strictly in (0, 1)")
     if args.count < 1:
         raise ValidationError("count must be at least 1")
+    if args.seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     try:
         unit, zero = matched_eigenspaces(op, 1e-8)
     except NotMaximizingShapeError as exc:

@@ -12,7 +12,9 @@ distribution-level bounds those quantities must obey.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "DominanceResult",
     "MeanOutputBound",
     "MomentCheck",
+    "TrialColumns",
     "TrialRecord",
     "TrianglePoint",
     "cdf_moment",
@@ -129,13 +132,59 @@ def _presample(E: QuantumOperation, n_trials: int, rng: np.random.Generator, tol
     return basis, w_rho, w_sig, pm, pn
 
 
+@dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """Monte Carlo trials as one array per quantity, one entry per trial.
+
+    ``relative_increase`` is NaN where the normalized outputs did not drift
+    apart.  Both trial invariants (the point lies in the triangle, and the
+    input distance equals p_m - p_n) are checked once for the whole batch.
+    Iterating yields one TrialRecord per trial, with ``relative_increase``
+    None where the column is NaN.
+    """
+
+    p_m: np.ndarray
+    p_n: np.ndarray
+    d_in: np.ndarray
+    d_out_normalized: np.ndarray
+    d_out_subnormalized: np.ndarray
+    relative_increase: np.ndarray
+
+    def __post_init__(self):
+        if len({np.shape(col) for col in vars(self).values()}) != 1 or np.ndim(self.d_in) != 1:
+            raise ValidationError("trial columns must be 1-D arrays of one length")
+        pm, pn, d_in = self.p_m, self.p_n, self.d_in
+        outside = np.flatnonzero(~((0.0 <= pn) & (pn < pm) & (pm <= 1.0)))
+        if outside.size:
+            i = outside[0]
+            raise ValidationError(f"trial {i}: (p_m, p_n) = ({pm[i]}, {pn[i]}) outside the triangle")
+        mismatch = np.flatnonzero(~(np.abs(d_in - (pm - pn)) <= 1e-9))
+        if mismatch.size:
+            i = mismatch[0]
+            raise ValidationError(f"trial {i}: d_in {d_in[i]!r} != p_m - p_n = {pm[i] - pn[i]!r}")
+
+    def __len__(self) -> int:
+        return len(self.d_in)
+
+    def __iter__(self):
+        columns = (col.tolist() for col in vars(self).values())
+        for pm, pn, d_in, d_norm, d_sub, rel in zip(*columns):
+            yield TrialRecord(
+                point=TrianglePoint(p_m=pm, p_n=pn),
+                d_in=d_in,
+                d_out_normalized=d_norm,
+                d_out_subnormalized=d_sub,
+                relative_increase=None if math.isnan(rel) else rel,
+            )
+
+
 def run_trials(
     E: QuantumOperation,
     n_trials: int,
     rng: np.random.Generator,
     path: str = "auto",
     tol: float = 1e-8,
-) -> list[TrialRecord]:
+) -> TrialColumns:
     """Sample n_trials triangle points with randomized admissible weight
     splits and evaluate all three distances per trial.
 
@@ -166,21 +215,15 @@ def run_trials(
             out_s = apply(E, sig)
             d_sub[i] = trace_distance(out_r, out_s)
             d_norm[i] = trace_distance(out_r / pm[i], out_s / pn[i])
-    records = []
-    for i in range(n_trials):
-        rel = None
-        if d_norm[i] > d_in[i]:
-            rel = float((d_norm[i] - d_in[i]) / d_norm[i])
-        records.append(
-            TrialRecord(
-                point=TrianglePoint(p_m=float(pm[i]), p_n=float(pn[i])),
-                d_in=float(d_in[i]),
-                d_out_normalized=float(d_norm[i]),
-                d_out_subnormalized=float(d_sub[i]),
-                relative_increase=rel,
-            )
-        )
-    return records
+    rel = np.divide(d_norm - d_in, d_norm, out=np.full(n_trials, np.nan), where=d_norm > d_in)
+    return TrialColumns(
+        p_m=pm,
+        p_n=pn,
+        d_in=d_in,
+        d_out_normalized=d_norm,
+        d_out_subnormalized=d_sub,
+        relative_increase=rel,
+    )
 
 
 class BoundKind(enum.Enum):
@@ -303,11 +346,20 @@ class MeanOutputBound:
 def mean_output_distance_bound(records) -> MeanOutputBound:
     """Mean subnormalized output distance against its 1/6 ceiling (the mean
     input distance over the uniform triangle is 1/3, and outputs sit at
-    half of inputs or less)."""
-    if not records:
+    half of inputs or less).
+
+    ``records`` is a TrialColumns or an iterable of TrialRecord.
+    """
+    if isinstance(records, TrialColumns):
+        d_in, d_sub = records.d_in, records.d_out_subnormalized
+    else:
+        records = list(records)
+        d_in, d_sub = (
+            np.fromiter(map(attrgetter(name), records), float)
+            for name in ("d_in", "d_out_subnormalized")
+        )
+    if d_in.size == 0:
         raise ValidationError("need at least one trial record")
-    d_in = np.array([r.d_in for r in records])
-    d_sub = np.array([r.d_out_subnormalized for r in records])
     sem = float(d_sub.std(ddof=1) / np.sqrt(d_sub.size)) if d_sub.size > 1 else 0.0
     return MeanOutputBound(
         mean_d_in=float(d_in.mean()),

@@ -88,14 +88,19 @@ def _suite(name: str, salt: int, default_cases: int):
     public ``run_<name>(seed, n_cases=None, slack=1e-9) -> SuiteReport``.
 
     The wrapper owns the timer, the default case count, the suite's
-    generator ``default_rng([seed, salt])`` and the report assembly.
+    generator ``default_rng([seed, salt])`` and the report assembly.  A
+    negative seed or fewer than one case raises ValidationError.
     """
 
     def register(body):
         def run(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
             t0 = time.perf_counter()
+            if seed < 0:
+                raise ValidationError(f"seed must be a non-negative integer, got {seed}")
             if n_cases is None:
                 n_cases = default_cases
+            if n_cases < 1:
+                raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
             n_counted, details = body(np.random.default_rng([seed, salt]), n_cases, slack)
             return SuiteReport(
                 suite_name=name,
@@ -153,7 +158,7 @@ def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperatio
 
 def _trial_draws(rng: np.random.Generator, n_trials: int):
     """Trials on the (5,2,2) and (2,1,1) maximizer-shaped operations, split
-    90/10: the total trial count and a (tag, records) pair per operation."""
+    90/10: the total trial count and a (tag, TrialColumns) pair per operation."""
     shares = (max(n_trials - n_trials // 10, 1), max(n_trials // 10, 1))
     shapes = ((5, 2, 2), (2, 1, 1))
     draws = [
@@ -246,19 +251,14 @@ def run_thm3(rng, n_cases, slack):
     the larger probability; relative increase never beats 1 - p_m."""
     n_counted, draws = _trial_draws(rng, n_cases)
     details = []
-    for tag, records in draws:
-        gaps = np.array([r.d_out_normalized - r.d_in / r.point.p_m for r in records])
+    for tag, trials in draws:
+        gaps = trials.d_out_normalized - trials.d_in / trials.p_m
         details.append(_violations(f"{tag}-normalized-ratio-bound", gaps, slack))
-        over = [
-            r.relative_increase - (1.0 - r.point.p_m)
-            for r in records
-            if r.relative_increase is not None
-        ]
-        if over:
+        increasing = ~np.isnan(trials.relative_increase)
+        if increasing.any():
+            over = trials.relative_increase[increasing] - (1.0 - trials.p_m[increasing])
             details.append(
-                _violations(
-                    f"{tag}-relative-increase-bound", np.array(over), slack, n_increasing=len(over)
-                )
+                _violations(f"{tag}-relative-increase-bound", over, slack, n_increasing=over.size)
             )
     return n_counted, details
 
@@ -271,10 +271,10 @@ def run_thm4(rng, n_cases, slack):
     details = [
         _violations(
             f"{tag}-subnormalized-half-bound",
-            np.array([r.d_out_subnormalized - 0.5 * r.d_in for r in records]),
+            trials.d_out_subnormalized - 0.5 * trials.d_in,
             slack,
         )
-        for tag, records in draws
+        for tag, trials in draws
     ]
     rho = np.diag([1.0, 0.0]).astype(np.complex128)
     sig = np.diag([0.0, 1.0]).astype(np.complex128)
@@ -526,12 +526,9 @@ def run_section3(rng, n_cases, slack):
     """
     if n_cases < 100:
         raise ValidationError("section3 needs at least 100 trials")
-    records = statlab.run_trials(_maximizer_shaped_op(5, 2, 2), n_cases, rng)
-    d_in = np.array([r.d_in for r in records])
-    d_norm = np.array([r.d_out_normalized for r in records])
-    rel = np.array(
-        [r.relative_increase if r.relative_increase is not None else 0.0 for r in records]
-    )
+    trials = statlab.run_trials(_maximizer_shaped_op(5, 2, 2), n_cases, rng)
+    d_in, d_norm = trials.d_in, trials.d_out_normalized
+    rel = np.nan_to_num(trials.relative_increase, nan=0.0)
     resid = abs(d_in.mean() - 1.0 / 3.0)
     details = [_detail("mean-input-distance", resid, resid <= 0.01, value=float(d_in.mean()))]
     grid = np.round(np.arange(0.1, 0.95, 0.1), 2)
@@ -555,7 +552,7 @@ def run_section3(rng, n_cases, slack):
             empirical=wc.empirical_moment,
         )
     )
-    mb = statlab.mean_output_distance_bound(records)
+    mb = statlab.mean_output_distance_bound(trials)
     details.append(
         _detail(
             "mean-subnormalized-output-below-sixth",

@@ -126,6 +126,13 @@ def test_pairs_trace_preserving_exit_5(files, capsys):
     assert "T spectrum" in capsys.readouterr().err
 
 
+def test_pairs_negative_seed_exit_2(files, capsys):
+    out_dir = files / "p4"
+    assert main(["pairs", str(files / "op.json"), "0.5", "1", str(out_dir), "--seed", "-1"]) == 2
+    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_clone_orthogonal(files, capsys):
     assert main(["clone", str(files / "e0.json"), str(files / "e1.json")]) == 0
     out = capsys.readouterr().out.strip()
@@ -153,6 +160,21 @@ def test_verify_reports_identical(files):
     assert main(["verify", "cloning", "--seed", "11", "--cases", "30", "--report", str(r1)]) == 0
     assert main(["verify", "cloning", "--seed", "11", "--cases", "30", "--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_verify_negative_seed_exit_2(files, capsys):
+    report = files / "r.jsonl"
+    assert main(["verify", "lemma1", "--seed", "-1", "--cases", "1", "--report", str(report)]) == 2
+    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "suite, cases", [("thm1", "0"), ("thm3", "0"), ("cloning", "-3"), ("all", "0")]
+)
+def test_verify_too_few_cases_exit_2(capsys, suite, cases):
+    assert main(["verify", suite, "--cases", cases]) == 2
+    assert f"error: n_cases must be >= 1, got {cases}" in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_exit_2(files):

@@ -1,12 +1,17 @@
-"""Tests for triangle sampling, trial records and the moment machinery."""
+"""Tests for triangle sampling, trial columns and the moment machinery."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopdist.channels import QuantumOperation
 from qopdist.errors import ValidationError
 from qopdist.statlab import (
     BoundKind,
+    TrialColumns,
     TrialRecord,
     TrianglePoint,
     cdf_moment,
@@ -21,6 +26,16 @@ from qopdist.statlab import (
 )
 
 MEASURE0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
+
+DISTANCES = ("d_in", "d_out_normalized", "d_out_subnormalized")
+
+
+def _maximizer_shaped(dim_in, n_unit, dim_out):
+    """T = diag(1, ..., 1, 0, ..., 0) with n_unit unit eigenvalues; output
+    vectors cycle through the output basis."""
+    eye_in = np.eye(dim_in, dtype=complex)
+    eye_out = np.eye(dim_out, dtype=complex)
+    return QuantumOperation([np.outer(eye_out[:, i % dim_out], eye_in[:, i]) for i in range(n_unit)])
 
 
 def test_triangle_point_validation():
@@ -81,26 +96,75 @@ def test_trial_record_consistency_check():
 
 def test_run_trials_invariants():
     rng = np.random.default_rng(54)
-    records = run_trials(MEASURE0, 800, rng)
-    assert len(records) == 800
-    for r in records:
-        assert abs(r.d_in - (r.point.p_m - r.point.p_n)) < 1e-9
-        assert r.d_out_normalized <= r.d_in / r.point.p_m + 1e-9
-        assert r.d_out_subnormalized <= 0.5 * r.d_in + 1e-9
-        if r.relative_increase is not None:
-            assert r.relative_increase <= 1.0 - r.point.p_m + 1e-9
+    trials = run_trials(MEASURE0, 800, rng)
+    assert len(trials) == 800
+    assert np.all(np.abs(trials.d_in - (trials.p_m - trials.p_n)) < 1e-9)
+    assert np.all(trials.d_out_normalized <= trials.d_in / trials.p_m + 1e-9)
+    assert np.all(trials.d_out_subnormalized <= 0.5 * trials.d_in + 1e-9)
+    rel = trials.relative_increase
+    increasing = ~np.isnan(rel)
+    assert np.all(rel[increasing] <= 1.0 - trials.p_m[increasing] + 1e-9)
 
 
 def test_run_trials_paths_agree():
-    eye5 = np.eye(5, dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
-    op = QuantumOperation([np.outer(eye2[:, i], eye5[:, i]) for i in range(2)])
+    op = _maximizer_shaped(5, 2, 2)
     ra = run_trials(op, 200, np.random.default_rng(55), path="auto")
     rb = run_trials(op, 200, np.random.default_rng(55), path="object")
-    for a, b in zip(ra, rb):
-        assert abs(a.d_in - b.d_in) < 1e-12
-        assert abs(a.d_out_normalized - b.d_out_normalized) < 1e-12
-        assert abs(a.d_out_subnormalized - b.d_out_subnormalized) < 1e-12
+    assert isinstance(ra, TrialColumns) and isinstance(rb, TrialColumns)
+    for name in DISTANCES:
+        assert np.max(np.abs(getattr(ra, name) - getattr(rb, name))) < 1e-12
+
+
+def _columns(**override):
+    """Two consistent trials; the second did not drift apart."""
+    cols = {
+        "p_m": np.array([0.8, 0.5]),
+        "p_n": np.array([0.2, 0.1]),
+        "d_in": np.array([0.6, 0.4]),
+        "d_out_normalized": np.array([0.7, 0.3]),
+        "d_out_subnormalized": np.array([0.3, 0.1]),
+        "relative_increase": np.array([0.1 / 0.7, np.nan]),
+    }
+    cols.update({k: np.asarray(v, dtype=float) for k, v in override.items()})
+    return TrialColumns(**cols)
+
+
+def test_trial_columns_d_in_mismatch():
+    with pytest.raises(ValidationError, match="trial 1: d_in"):
+        _columns(d_in=[0.6, 0.4 + 1e-8])
+
+
+@pytest.mark.parametrize(
+    "p_m, p_n",
+    [(0.2, 0.8), (0.5, 0.5), (1.2, 0.1), (0.5, -0.1), (math.nan, 0.1)],
+)
+def test_trial_columns_point_outside_triangle(p_m, p_n):
+    with pytest.raises(ValidationError, match="trial 1: .* outside the triangle"):
+        _columns(p_m=[0.8, p_m], p_n=[0.2, p_n], d_in=[0.6, p_m - p_n])
+
+
+def test_trial_columns_lengths_must_agree():
+    with pytest.raises(ValidationError, match="one length"):
+        _columns(d_out_subnormalized=[0.3])
+
+
+def test_trial_columns_len_and_iteration():
+    """Iteration yields one TrialRecord per trial with exactly the column
+    values, and None exactly where relative_increase is NaN."""
+    trials = run_trials(_maximizer_shaped(5, 2, 2), 300, np.random.default_rng(58))
+    records = list(trials)
+    assert len(trials) == len(records) == 300
+    nan = np.isnan(trials.relative_increase)
+    assert nan.any() and not nan.all()
+    for i, r in enumerate(records):
+        assert isinstance(r, TrialRecord)
+        assert r.point.p_m == trials.p_m[i] and r.point.p_n == trials.p_n[i]
+        for name in DISTANCES:
+            assert getattr(r, name) == getattr(trials, name)[i]
+        if nan[i]:
+            assert r.relative_increase is None
+        else:
+            assert r.relative_increase == trials.relative_increase[i]
 
 
 def test_run_trials_validation():
@@ -197,13 +261,42 @@ def test_dominance_grid_mismatch():
 
 def test_mean_output_distance_bound():
     rng = np.random.default_rng(57)
-    records = run_trials(MEASURE0, 5000, rng)
-    rep = mean_output_distance_bound(records)
+    trials = run_trials(MEASURE0, 5000, rng)
+    rep = mean_output_distance_bound(trials)
     assert abs(rep.mean_d_in - 1.0 / 3.0) < 0.03
     assert rep.holds
     assert rep.mean_d_out_sub <= 1.0 / 6.0 + 3.0 * rep.stderr
 
 
+def test_mean_output_distance_bound_columns_or_records():
+    trials = run_trials(_maximizer_shaped(5, 2, 2), 2000, np.random.default_rng(59))
+    assert mean_output_distance_bound(trials) == mean_output_distance_bound(list(trials))
+
+
 def test_mean_output_distance_bound_empty():
     with pytest.raises(ValidationError):
         mean_output_distance_bound([])
+
+
+@st.composite
+def _maximizer_shapes(draw):
+    dim_in = draw(st.integers(2, 6))
+    return dim_in, draw(st.integers(1, dim_in - 1)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape=_maximizer_shapes(), seed=st.integers(0, 2**32 - 1), n_trials=st.integers(1, 30))
+def test_run_trials_obey_theorems_3_and_4(shape, seed, n_trials):
+    """On any maximizer-shaped operation, every trial obeys the Theorem 3
+    ratio and relative-increase bounds and the Theorem 4 half bound, and
+    the object path reproduces the columns."""
+    op = _maximizer_shaped(*shape)
+    trials = run_trials(op, n_trials, np.random.default_rng(seed))
+    assert np.all(trials.d_out_normalized <= trials.d_in / trials.p_m + 1e-9)
+    rel = trials.relative_increase
+    increasing = ~np.isnan(rel)
+    assert np.all(rel[increasing] <= 1.0 - trials.p_m[increasing] + 1e-9)
+    assert np.all(trials.d_out_subnormalized <= 0.5 * trials.d_in + 1e-9)
+    oracle = run_trials(op, n_trials, np.random.default_rng(seed), path="object")
+    for name in DISTANCES:
+        assert np.max(np.abs(getattr(trials, name) - getattr(oracle, name))) < 1e-12

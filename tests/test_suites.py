@@ -11,7 +11,7 @@ import pytest
 
 from qopdist import statlab, suites
 from qopdist.errors import ReportParseError, ValidationError
-from qopdist.statlab import TrialRecord, TrianglePoint
+from qopdist.statlab import TrialColumns
 from qopdist.suites import (
     SUITE_NAMES,
     SuiteReport,
@@ -85,17 +85,23 @@ def test_public_suite_surface(name):
 
 
 def _over_bounds_by(excess):
-    """run_trials stand-in: every record exceeds the Thm 3 ratio and
+    """run_trials stand-in: every trial exceeds the Thm 3 ratio and
     relative-increase bounds and the Thm 4 half bound by ``excess``."""
-    point = TrianglePoint(p_m=0.8, p_n=0.2)
-    record = TrialRecord(
-        point=point,
-        d_in=0.6,
-        d_out_normalized=0.6 / 0.8 + excess,
-        d_out_subnormalized=0.5 * 0.6 + excess,
-        relative_increase=(1.0 - 0.8) + excess,
-    )
-    return lambda op, n_trials, rng: [record] * n_trials
+
+    def run_trials(op, n_trials, rng):
+        def column(value):
+            return np.full(n_trials, value)
+
+        return TrialColumns(
+            p_m=column(0.8),
+            p_n=column(0.2),
+            d_in=column(0.6),
+            d_out_normalized=column(0.6 / 0.8 + excess),
+            d_out_subnormalized=column(0.5 * 0.6 + excess),
+            relative_increase=column((1.0 - 0.8) + excess),
+        )
+
+    return run_trials
 
 
 @pytest.mark.parametrize("run, checks", [(suites.run_thm3, 4), (suites.run_thm4, 2)])
@@ -121,6 +127,19 @@ def test_slack_reaches_lemma2_dominance(monkeypatch):
     monkeypatch.setattr(suites, "dominance_implies_moments", spy)
     assert suites.run_lemma2(0, 1000, slack=3e-7).n_failures == 0
     assert seen == [3e-7, 3e-7]
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+@pytest.mark.parametrize("n_cases", [0, -3])
+def test_too_few_cases_rejected(name, n_cases):
+    """Every suite rejects fewer than one case with the same error."""
+    with pytest.raises(ValidationError, match=f"n_cases must be >= 1, got {n_cases}"):
+        run_suite(name, 0, n_cases)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+        run_suite("all", -1, 1)
 
 
 def test_unknown_suite():
