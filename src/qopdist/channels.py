@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PROB, default_tol
+from .config import TOL_PROB, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import as_complex_matrix, hermitian_part, projector_onto
 from .metrics import fidelity, trace_distance
-from .states import DensityMatrix, validate_state
+from .states import DensityMatrix, as_state, validate_state
 
 __all__ = [
     "ClonerOutputs",
@@ -48,40 +48,33 @@ class QuantumOperation:
     """Immutable Kraus set {E_mu}, each of shape (dim_out, dim_in).
 
     The sum T = sum E_mu^† E_mu is validated to satisfy 0 <= T <= 1
-    (eigenvalues in [-tol, 1+tol]) and cached at construction.
+    (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
+    operation holds read-only copies of the given operators.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "t_op")
 
     def __init__(self, kraus, tol: float | None = None):
-        if tol is None:
-            tol = default_tol()
-        ops = tuple(as_complex_matrix(e) for e in kraus)
+        tol = resolve_tol(tol)
+        ops = tuple(as_complex_matrix(np.array(e, dtype=np.complex128)) for e in kraus)
         if not ops:
             raise ValidationError("need at least one Kraus operator")
         d_out, d_in = ops[0].shape
+        if d_out < 1 or d_in < 1:
+            raise ValidationError(f"Kraus operators need nonzero dimensions, got shape {(d_out, d_in)}")
         for e in ops[1:]:
             if e.shape != (d_out, d_in):
                 raise DimensionMismatchError(
                     f"Kraus shapes disagree: {(d_out, d_in)} vs {e.shape}"
                 )
-        t = np.zeros((d_in, d_in), dtype=np.complex128)
-        for e in ops:
-            t += e.conj().T @ e
-        t = hermitian_part(t)
+        t = _t_sum(ops)
         w = np.linalg.eigvalsh(t)
         if w[0] < -tol or w[-1] > 1.0 + tol:
             raise ValidationError(
                 f"Kraus sum gives T eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}], "
                 "outside [0, 1]"
             )
-        for e in ops:
-            e.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "kraus", ops)
-        object.__setattr__(self, "dim_in", int(d_in))
-        object.__setattr__(self, "dim_out", int(d_out))
-        object.__setattr__(self, "t_op", t)
+        _fill(self, ops, t)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumOperation is immutable")
@@ -91,6 +84,32 @@ class QuantumOperation:
             f"QuantumOperation(n_kraus={len(self.kraus)}, "
             f"dim_in={self.dim_in}, dim_out={self.dim_out})"
         )
+
+
+def _t_sum(ops) -> np.ndarray:
+    """T = sum E_mu^† E_mu, symmetrized, in one fixed order of arithmetic."""
+    d_in = ops[0].shape[1]
+    t = np.zeros((d_in, d_in), dtype=np.complex128)
+    for e in ops:
+        t += e.conj().T @ e
+    return hermitian_part(t)
+
+
+def _fill(op: QuantumOperation, ops: tuple, t: np.ndarray) -> QuantumOperation:
+    for e in ops:
+        e.flags.writeable = False
+    t.flags.writeable = False
+    object.__setattr__(op, "kraus", ops)
+    object.__setattr__(op, "dim_in", int(t.shape[0]))
+    object.__setattr__(op, "dim_out", int(ops[0].shape[0]))
+    object.__setattr__(op, "t_op", t)
+    return op
+
+
+def _trusted_operation(ops: tuple, t: np.ndarray) -> QuantumOperation:
+    """Wrap Kraus operators this module just built, with ``t = _t_sum(ops)``
+    already known to lie between 0 and 1, without checking them again."""
+    return _fill(object.__new__(QuantumOperation), ops, t)
 
 
 def _input_matrix(E: QuantumOperation, rho) -> np.ndarray:
@@ -133,7 +152,7 @@ def normalize_output(E: QuantumOperation, rho, tol_prob: float = TOL_PROB):
     if p <= tol_prob:
         raise ZeroProbabilityError(f"occurrence probability {p:.3e} <= {tol_prob:.3e}")
     out = apply(E, rho) / p
-    return validate_state(out, default_tol()), p
+    return validate_state(out), p
 
 
 def e_distance(E: QuantumOperation, rho, sigma) -> float:
@@ -145,8 +164,7 @@ def e_distance(E: QuantumOperation, rho, sigma) -> float:
 
 def is_trace_preserving(E: QuantumOperation, tol: float | None = None) -> bool:
     """True when T equals the identity within tol (entrywise max norm)."""
-    if tol is None:
-        tol = default_tol()
+    tol = resolve_tol(tol)
     return bool(np.max(np.abs(E.t_op - np.eye(E.dim_in))) <= tol)
 
 
@@ -225,10 +243,8 @@ def cloner_outputs(omega1, omega2, tol: float | None = None) -> ClonerOutputs:
     probability of exact cloning is 1/(1+Omega), which shows up as the
     common trace of both outputs.
     """
-    if tol is None:
-        tol = default_tol()
-    s1 = omega1 if isinstance(omega1, DensityMatrix) else validate_state(omega1)
-    s2 = omega2 if isinstance(omega2, DensityMatrix) else validate_state(omega2)
+    tol = resolve_tol(tol)
+    s1, s2 = as_state(omega1), as_state(omega2)
     if s1.dim != s2.dim:
         raise DimensionMismatchError(f"input dims differ: {s1.dim} vs {s2.dim}")
     for name, s in (("omega1", s1), ("omega2", s2)):
@@ -261,16 +277,19 @@ def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Gen
 
     The whole set is divided by sqrt(||T|| + eps), which keeps the top of
     the T spectrum strictly below 1 and covers the non-trace-preserving
-    regime the extremal-pair machinery cares about.
+    regime the extremal-pair machinery cares about.  That scaling is the
+    proof that 0 <= T <= 1, so the constructor's check is not repeated.
     """
+    if dim_in < 1 or dim_out < 1 or n_kraus < 1:
+        raise ValidationError(
+            f"dim_in, dim_out and n_kraus must be >= 1, got {dim_in}, {dim_out}, {n_kraus}"
+        )
     draws = [
         (rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in)))
         / np.sqrt(2.0)
         for _ in range(n_kraus)
     ]
-    t = np.zeros((dim_in, dim_in), dtype=np.complex128)
-    for e in draws:
-        t += e.conj().T @ e
-    top = float(np.linalg.eigvalsh(hermitian_part(t))[-1])
+    top = float(np.linalg.eigvalsh(_t_sum(draws))[-1])
     scale = 1.0 / np.sqrt(top + 1e-9)
-    return QuantumOperation([scale * e for e in draws])
+    ops = tuple(scale * e for e in draws)
+    return _trusted_operation(ops, _t_sum(ops))

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .channels import cloner_distance_factor, cloner_outputs, e_distance
-from .config import default_tol
+from .config import resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -61,9 +61,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_maximize(args) -> int:
+    tol = resolve_tol(args.tol)
     rho = load_state(args.file_rho)
     sigma = load_state(args.file_sigma)
-    tol = args.tol if args.tol is not None else default_tol()
     op = build_maximizing_operation(rho, sigma, args.dim_out, MaximizerMode(args.mode), tol=tol)
     cert = certify_maximizer(op, rho, sigma)
     if cert.mode != MaximizerMode(args.mode):
@@ -90,8 +90,8 @@ def _positive_fractions(rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def cmd_pairs(args) -> int:
+    tol = resolve_tol(args.tol)
     op = load_kraus_set(args.kraus_file)
-    tol = args.tol if args.tol is not None else default_tol()
     if not 0.0 < args.d_target < 1.0:
         raise ValidationError(f"target distance {args.d_target} must lie strictly in (0, 1)")
     if args.count < 1:
@@ -137,8 +137,7 @@ def cmd_pairs(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    slack = args.tol if args.tol is not None else default_tol()
-    reports = run_suite(args.suite, args.seed, args.cases, slack)
+    reports = run_suite(args.suite, args.seed, args.cases, resolve_tol(args.tol))
     for r in reports:
         print(
             f"{r.suite_name}: {r.n_cases} cases, {r.n_failures} failures, "

@@ -16,16 +16,38 @@ TOL_ORTHO = 1e-10
 TOL_PROB = 1e-12
 
 
+def _as_tol(raw) -> float | None:
+    """``raw`` as a float, or None when it is not a finite number >= 0."""
+    try:
+        tol = float(raw)
+    except (TypeError, ValueError):
+        return None
+    return tol if math.isfinite(tol) and tol >= 0.0 else None
+
+
 def default_tol() -> float:
     """Global absolute tolerance, overridable via QOPDIST_DEFAULT_TOL.
 
     Raises ValidationError when the variable is not a finite number >= 0.
     """
     raw = os.environ.get("QOPDIST_DEFAULT_TOL", "1e-9")
-    try:
-        tol = float(raw)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0.0):
+    tol = _as_tol(raw)
+    if tol is None:
         raise ValidationError(f"QOPDIST_DEFAULT_TOL must be a finite number >= 0, got {raw!r}")
     return tol
+
+
+def resolve_tol(tol) -> float:
+    """``default_tol()`` for None, otherwise ``tol`` as a float.
+
+    Every tolerance a caller passes goes through here; a value that is not
+    a finite number >= 0 (NaN, infinite, negative, non-numeric) raises
+    ValidationError, because comparisons against it would pass or fail
+    regardless of the data.
+    """
+    if tol is None:
+        return default_tol()
+    checked = _as_tol(tol)
+    if checked is None:
+        raise ValidationError(f"tolerance must be a finite number >= 0, got {tol!r}")
+    return checked

@@ -13,12 +13,13 @@ helpers cover the supporting variational identities.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import QuantumOperation, apply, e_distance, normalize_output, occurrence_probability
-from .config import TOL_PROB, default_tol
+from .config import TOL_PROB, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -28,7 +29,7 @@ from .errors import (
 )
 from .linalg import as_hermitian, projector_onto, spectral_split
 from .metrics import trace_distance
-from .states import DensityMatrix, validate_state
+from .states import state_matrix, validate_state
 
 __all__ = [
     "BoundReport",
@@ -55,10 +56,6 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
-def _state_matrix(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityMatrix) else as_hermitian(x)
-
-
 def build_maximizing_operation(
     rho,
     sigma,
@@ -75,11 +72,10 @@ def build_maximizing_operation(
     output vectors only need to be normalized; by default the standard
     basis of the output space is assigned cyclically.
     """
-    if tol is None:
-        tol = default_tol()
+    tol = resolve_tol(tol)
     if dim_out < 1:
         raise ValidationError(f"dim_out must be >= 1, got {dim_out}")
-    mr, ms = _state_matrix(rho), _state_matrix(sigma)
+    mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
     split = spectral_split(mr - ms)
@@ -127,7 +123,7 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> Max
     cut.  Returns NOT_MAXIMIZER with m_op None when neither block pattern
     matches.
     """
-    mr, ms = _state_matrix(rho), _state_matrix(sigma)
+    mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
     split = spectral_split(mr - ms)
@@ -365,8 +361,8 @@ def extremal_trace_product(t, d_frak: float) -> ExtremalTraceProduct:
     attained by one-dimensional eigenprojectors scaled the same way.
     """
     tm = as_hermitian(t)
-    if d_frak <= 0:
-        raise ValidationError(f"d_frak must be positive, got {d_frak}")
+    if not (math.isfinite(d_frak) and d_frak > 0):
+        raise ValidationError(f"d_frak must be a finite positive number, got {d_frak}")
     w, v = np.linalg.eigh(tm)
     if w[0] < -default_tol():
         raise ValidationError(f"T has negative eigenvalue {w[0]:.3e}; not PSD")

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import default_tol
 from .errors import DimensionMismatchError, ValidationError
-from .linalg import as_hermitian, hermitian_part, psd_sqrt
-from .states import DensityMatrix, validate_state
+from .linalg import psd_sqrt
+from .states import as_state, state_matrix
 
 __all__ = [
     "FvdgReport",
@@ -30,17 +29,9 @@ __all__ = [
 ]
 
 
-def _as_matrix(x) -> np.ndarray:
-    return x.mat if isinstance(x, DensityMatrix) else as_hermitian(x)
-
-
-def _as_state(x) -> DensityMatrix:
-    return x if isinstance(x, DensityMatrix) else validate_state(x, default_tol())
-
-
 def trace_distance(a, b) -> float:
     """Half the trace norm of (a - b) for Hermitian a, b."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = state_matrix(a), state_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"operands have shapes {ma.shape} and {mb.shape}")
     w = np.linalg.eigvalsh(ma - mb)
@@ -54,7 +45,7 @@ def fidelity(rho, sigma) -> float:
     exact arithmetic, but rank-deficient inputs keep full precision because
     eigenvalue noise enters the sum linearly instead of under a square root.
     """
-    r, s = _as_state(rho), _as_state(sigma)
+    r, s = as_state(rho), as_state(sigma)
     if r.dim != s.dim:
         raise DimensionMismatchError(f"states have dims {r.dim} and {s.dim}")
     sv = np.linalg.svd(psd_sqrt(r.mat) @ psd_sqrt(s.mat), compute_uv=False)
@@ -145,9 +136,10 @@ class FvdgReport:
 
 def check_fvdg_bounds(rho, sigma, slack: float = 1e-9) -> FvdgReport:
     """Evaluate both fidelity/trace-distance bounds on a state pair."""
-    d = trace_distance(_as_state(rho), _as_state(sigma))
-    f = fidelity(rho, sigma)
-    c = sine_distance(rho, sigma)
+    r, s = as_state(rho), as_state(sigma)
+    d = trace_distance(r, s)
+    f = fidelity(r, s)
+    c = sine_distance(r, s)
     return FvdgReport(
         trace_dist=d,
         fid=f,

@@ -11,17 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PSD, TOL_TRACE, default_tol
+from .config import TOL_HERM, TOL_PSD, TOL_TRACE, resolve_tol
 from .errors import ValidationError
 from .linalg import as_hermitian, hermitian_part
 
 __all__ = [
     "DensityMatrix",
     "PAULI",
+    "as_state",
     "bloch_of",
     "from_bloch",
     "random_density",
     "random_pure",
+    "state_matrix",
     "validate_state",
 ]
 
@@ -43,13 +45,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = as_hermitian(self.mat)
-        w = np.linalg.eigvalsh(m)
-        if w[0] < -TOL_PSD:
-            raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.3e}")
-        tr = float(np.trace(m).real)
-        if abs(tr - 1.0) > TOL_TRACE:
-            raise ValidationError(f"state trace {tr!r} deviates from 1 beyond {TOL_TRACE:.1e}")
+        m, _, _ = _check_state(self.mat, TOL_HERM, TOL_PSD, TOL_TRACE)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -60,6 +56,42 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         return float(np.trace(self.mat @ self.mat).real)
+
+
+def _check_state(m, tol_herm: float, tol_psd: float, tol_trace: float):
+    """The one state check: Hermitian, PSD and unit trace within the given
+    tolerances.  Returns the symmetrized copy, its ascending eigenvalues
+    and its trace."""
+    h = as_hermitian(m, tol_herm)
+    if h.shape[0] == 0:
+        raise ValidationError("a state needs dimension >= 1, got a 0 x 0 matrix")
+    w = np.linalg.eigvalsh(h)
+    if w[0] < -tol_psd:
+        raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.6e} beyond tolerance {tol_psd:.1e}")
+    tr = float(np.trace(h).real)
+    if tr <= 0.0 or abs(tr - 1.0) > tol_trace:
+        raise ValidationError(f"state trace {tr!r} deviates from 1 beyond tolerance {tol_trace:.1e}")
+    return h, w, tr
+
+
+def _trusted_state(m: np.ndarray) -> DensityMatrix:
+    """Wrap a bit-Hermitian, unit-trace, PSD matrix that this module just
+    built, without checking it again."""
+    m.flags.writeable = False
+    state = object.__new__(DensityMatrix)
+    object.__setattr__(state, "mat", m)
+    return state
+
+
+def as_state(x) -> DensityMatrix:
+    """``x`` itself if it is a ``DensityMatrix``, else ``validate_state(x)``."""
+    return x if isinstance(x, DensityMatrix) else validate_state(x)
+
+
+def state_matrix(x) -> np.ndarray:
+    """The matrix of a ``DensityMatrix``, or the Hermiticity-checked,
+    symmetrized copy of any other square matrix."""
+    return x.mat if isinstance(x, DensityMatrix) else as_hermitian(x)
 
 
 def from_bloch(u) -> DensityMatrix:
@@ -88,7 +120,8 @@ def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
         raise ValidationError("dimension must be >= 1")
     psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi /= np.linalg.norm(psi)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    # The outer product is not bit-Hermitian; the symmetrized copy is.
+    return _trusted_state(hermitian_part(np.outer(psi, psi.conj())))
 
 
 def random_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
@@ -100,29 +133,26 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMatr
         raise ValidationError(f"rank must satisfy 1 <= rank <= dim, got rank={rank}, dim={dim}")
     g = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
     m = g.conj().T @ g
-    m = hermitian_part(m / np.trace(m).real)
-    return DensityMatrix(m)
+    return _trusted_state(hermitian_part(m / np.trace(m).real))
 
 
 def validate_state(m: np.ndarray, tol: float | None = None) -> DensityMatrix:
-    """Check PSD and unit trace within ``tol``; normalize drift below it.
+    """Check Hermiticity, PSD and unit trace within ``tol``; normalize
+    drift below it.
 
-    Raises ``ValidationError`` naming the offending quantity otherwise.
+    A trace within rounding of 1 (``4 * dim * eps``: a few ulps on each
+    diagonal entry) is left as it is, so any state this package built
+    comes back bit for bit.  Eigenvalues between ``-tol`` and the
+    ``DensityMatrix`` cut are clamped to zero.  Raises ``ValidationError``
+    naming the offending quantity otherwise.
     """
-    if tol is None:
-        tol = default_tol()
-    h = as_hermitian(m, tol)
-    w = np.linalg.eigvalsh(h)
-    if w[0] < -tol:
-        raise ValidationError(f"negative eigenvalue {w[0]:.6e} beyond tolerance {tol:.1e}")
-    tr = float(np.trace(h).real)
-    if abs(tr - 1.0) > tol:
-        raise ValidationError(f"trace {tr!r} deviates from 1 beyond tolerance {tol:.1e}")
-    h = h / tr
-    # Re-clamp tiny negative round-off so the constructor's stricter cut passes.
-    if np.linalg.eigvalsh(h)[0] < -TOL_PSD:
+    tol = resolve_tol(tol)
+    h, w, tr = _check_state(m, tol, tol, tol)
+    if abs(tr - 1.0) > 4 * h.shape[0] * np.finfo(np.float64).eps:
+        h = h / tr
+    if w[0] / tr < -TOL_PSD:
         vals, vecs = np.linalg.eigh(h)
         vals = np.clip(vals, 0.0, None)
         h = hermitian_part((vecs * vals) @ vecs.conj().T)
         h /= np.trace(h).real
-    return DensityMatrix(h)
+    return _trusted_state(h)

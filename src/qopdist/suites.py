@@ -29,6 +29,7 @@ from .channels import (
     max_e_distance_over_states,
     random_operation,
 )
+from .config import resolve_tol
 from .errors import ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
@@ -89,7 +90,8 @@ def _suite(name: str, salt: int, default_cases: int):
 
     The wrapper owns the timer, the default case count, the suite's
     generator ``default_rng([seed, salt])`` and the report assembly.  A
-    negative seed or fewer than one case raises ValidationError.
+    negative seed, fewer than one case or a slack that is not a finite
+    number >= 0 raises ValidationError.
     """
 
     def register(body):
@@ -101,6 +103,7 @@ def _suite(name: str, salt: int, default_cases: int):
                 n_cases = default_cases
             if n_cases < 1:
                 raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
+            slack = resolve_tol(slack)
             n_counted, details = body(np.random.default_rng([seed, salt]), n_cases, slack)
             return SuiteReport(
                 suite_name=name,

@@ -194,3 +194,16 @@ def test_bad_default_tol_env_exit_2(monkeypatch, capsys, value):
     monkeypatch.setenv("QOPDIST_DEFAULT_TOL", value)
     assert main(["verify", "thm1", "--cases", "1"]) == 2
     assert "QOPDIST_DEFAULT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["verify", "maximize", "pairs"])
+def test_bad_tol_option_exit_2(files, capsys, command, tol):
+    argv = {
+        "verify": ["verify", "thm3", "--cases", "1"],
+        "maximize": ["maximize", str(files / "e0.json"), str(files / "e1.json"), "1", str(files / "m.json")],
+        "pairs": ["pairs", str(files / "op.json"), "0.5", "1", str(files / "p5")],
+    }[command]
+    assert main(argv + ["--tol", tol]) == 2
+    assert "error: tolerance must be a finite number >= 0" in capsys.readouterr().err
+    assert not (files / "m.json").exists() and not (files / "p5").exists()

@@ -245,6 +245,12 @@ def test_extremal_trace_product_validation():
         extremal_trace_product(np.diag([0.5, 0.5]), 0.0)
 
 
+@pytest.mark.parametrize("d_frak", [float("nan"), float("inf")])
+def test_extremal_trace_product_rejects_nonfinite_d_frak(d_frak):
+    with pytest.raises(ValidationError, match="finite positive"):
+        extremal_trace_product(np.diag([0.9, 0.3]), d_frak)
+
+
 def test_maximizing_projector_frozen():
     a = np.diag([1.0, -2.0]).astype(complex)
     b = np.zeros((2, 2), dtype=complex)

@@ -1,0 +1,214 @@
+"""The validation contract: each state and operation is checked once, at the
+public boundary, and what the library builds passes that check unchanged.
+
+Properties run the public checks again on library outputs and demand
+bit-identical results; work counts pin how many eigendecompositions a
+validation costs; edge inputs must raise the documented ValidationError.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import qopdist
+from qopdist import config, metrics, states
+from qopdist.channels import QuantumOperation, cloner_outputs, is_trace_preserving, random_operation
+from qopdist.config import resolve_tol
+from qopdist.errors import ValidationError
+from qopdist.matrixio import load_state, save_state
+from qopdist.maximizers import build_maximizing_operation
+from qopdist.states import DensityMatrix, random_density, random_pure, validate_state
+from qopdist.suites import run_thm3
+
+SEEDS = st.integers(0, 2**32 - 1)
+LAPACK = ("eigvalsh", "eigh", "svd", "qr")
+BAD_TOLS = [math.nan, math.inf, -1.0, -1e-12, "abc"]
+
+
+def _drifted(rng, dim):
+    """A state matrix with trace drift below 1e-9 and, when it has a kernel,
+    kernel eigenvalues pushed to -5e-10: both repairs of validate_state run."""
+    rank = int(rng.integers(1, dim + 1))
+    w, v = np.linalg.eigh(random_density(dim, rank, rng).mat)
+    shift = np.where(w < 1e-12, -5e-10, 0.0)
+    m = (v * (w + shift)) @ v.conj().T
+    return m * (1.0 + float(rng.uniform(-5e-10, 5e-10)))
+
+
+def _library_states(seed, dim):
+    rng = np.random.default_rng(seed)
+    return [
+        random_pure(dim, rng),
+        random_density(dim, int(rng.integers(1, dim + 1)), rng),
+        validate_state(_drifted(rng, dim), tol=1e-8),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.integers(1, 6))
+def test_library_states_pass_the_public_check_unchanged(seed, dim):
+    for s in _library_states(seed, dim):
+        assert not s.mat.flags.writeable
+        assert np.array_equal(DensityMatrix(s.mat).mat, s.mat)
+        assert np.array_equal(validate_state(s.mat).mat, s.mat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim_in=st.integers(1, 5), dim_out=st.integers(1, 4), n_kraus=st.integers(1, 4))
+def test_random_operations_pass_the_public_check_unchanged(seed, dim_in, dim_out, n_kraus):
+    op = random_operation(dim_in, dim_out, n_kraus, np.random.default_rng(seed))
+    assert (op.dim_in, op.dim_out, len(op.kraus)) == (dim_in, dim_out, n_kraus)
+    again = QuantumOperation(op.kraus)
+    assert np.array_equal(again.t_op, op.t_op)
+    assert all(np.array_equal(a, b) for a, b in zip(again.kraus, op.kraus))
+    assert not op.t_op.flags.writeable
+    assert not any(e.flags.writeable for e in op.kraus)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=SEEDS, dim=st.integers(1, 6))
+def test_state_file_round_trip_is_bit_exact(tmp_path, seed, dim):
+    path = tmp_path / "state.json"
+    for s in _library_states(seed, dim):
+        save_state(path, s)
+        assert np.array_equal(load_state(path).mat, s.mat)
+
+
+# -- work counts ----------------------------------------------------------------
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    calls = []
+    for name in LAPACK:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def default_tol_calls(monkeypatch):
+    calls = []
+    real = config.default_tol
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(config, "default_tol", counted)
+    for module in vars(qopdist).values():
+        if getattr(module, "__name__", "").startswith("qopdist.") and hasattr(module, "default_tol"):
+            monkeypatch.setattr(module, "default_tol", counted)
+    return calls
+
+
+def test_random_operation_costs_one_eigvalsh_and_no_tol_read(lapack_calls, default_tol_calls):
+    rng = np.random.default_rng(3)
+    for dim_in, dim_out, n_kraus in ((1, 1, 1), (3, 2, 4), (5, 5, 2)):
+        del lapack_calls[:]
+        random_operation(dim_in, dim_out, n_kraus, rng)
+        assert lapack_calls == ["eigvalsh"]
+    assert default_tol_calls == []
+
+
+def test_validate_state_of_a_valid_state_costs_one_eigvalsh(lapack_calls):
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 4, 6):
+        m = random_density(dim, dim, rng).mat
+        del lapack_calls[:]
+        validate_state(m)
+        assert lapack_calls == ["eigvalsh"]
+
+
+def test_check_fvdg_bounds_validates_each_raw_input_once(monkeypatch):
+    seen = []
+    real = states.validate_state
+
+    def spy(m, tol=None):
+        seen.append(1)
+        return real(m, tol)
+
+    for module in (states, metrics):
+        monkeypatch.setattr(module, "validate_state", spy, raising=False)
+    report = metrics.check_fvdg_bounds(np.diag([0.9, 0.1]), np.diag([0.3, 0.7]))
+    assert len(seen) == 2
+    assert abs(report.trace_dist - 0.6) < 1e-12
+
+
+def test_library_samplers_do_not_recheck(lapack_calls):
+    rng = np.random.default_rng(5)
+    random_pure(4, rng)
+    random_density(4, 2, rng)
+    assert lapack_calls == []
+
+
+# -- tolerances -----------------------------------------------------------------
+
+
+def test_resolve_tol_default_and_value(monkeypatch):
+    monkeypatch.setenv("QOPDIST_DEFAULT_TOL", "3e-7")
+    assert resolve_tol(None) == 3e-7
+    assert resolve_tol(0) == 0.0
+    assert resolve_tol(2e-5) == 2e-5
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_resolve_tol_rejects(tol):
+    with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
+        resolve_tol(tol)
+
+
+EYE2 = np.eye(2, dtype=np.complex128)
+TOL_TAKERS = {
+    "QuantumOperation": lambda tol: QuantumOperation([2.0 * EYE2], tol=tol),
+    "validate_state": lambda tol: validate_state(np.diag([0.7, 0.5]), tol=tol),
+    "is_trace_preserving": lambda tol: is_trace_preserving(QuantumOperation([EYE2]), tol=tol),
+    "cloner_outputs": lambda tol: cloner_outputs(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), tol=tol),
+    "build_maximizing_operation": lambda tol: build_maximizing_operation(
+        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 1, tol=tol
+    ),
+    "run_thm3": lambda tol: run_thm3(0, 1, slack=tol),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_TAKERS))
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_bad_tolerance_rejected_at_every_entry_point(name, tol):
+    with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
+        TOL_TAKERS[name](tol)
+
+
+# -- edge inputs ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [DensityMatrix, validate_state, lambda m: QuantumOperation([m])],
+    ids=["DensityMatrix", "validate_state", "QuantumOperation"],
+)
+def test_zero_dimension_rejected(build):
+    with pytest.raises(ValidationError):
+        build(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
+def test_random_operation_rejects_empty_shape(args):
+    with pytest.raises(ValidationError):
+        random_operation(*args, np.random.default_rng(0))
+
+
+def test_operation_copies_the_callers_arrays():
+    k = np.array([[1.0, 0.0], [0.0, 0.5]], dtype=np.complex128)
+    op = QuantumOperation([k])
+    assert k.flags.writeable
+    k[0, 0] = 0.0
+    assert op.kraus[0][0, 0] == 1.0
+    assert op.t_op[0, 0] == 1.0
