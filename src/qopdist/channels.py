@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PROB, resolve_tol
+from .config import TOL_BOUND, TOL_PROB, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -42,6 +42,8 @@ __all__ = [
     "random_operation",
     "t_operator",
 ]
+
+_CLUSTER_TOL = 1e-10  # T eigenvalues this close to an extreme attain it
 
 
 class QuantumOperation:
@@ -142,15 +144,15 @@ def occurrence_probability(E: QuantumOperation, rho) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def normalize_output(E: QuantumOperation, rho, tol_prob: float = TOL_PROB):
+def normalize_output(E: QuantumOperation, rho):
     """Normalized output state and its occurrence probability.
 
     Raises ZeroProbabilityError when the branch does not occur
-    (probability at or below tol_prob).
+    (probability at or below TOL_PROB).
     """
     p = occurrence_probability(E, rho)
-    if p <= tol_prob:
-        raise ZeroProbabilityError(f"occurrence probability {p:.3e} <= {tol_prob:.3e}")
+    if p <= TOL_PROB:
+        raise ZeroProbabilityError(f"occurrence probability {p:.3e} <= {TOL_PROB:.3e}")
     out = apply(E, rho) / p
     return validate_state(out), p
 
@@ -186,18 +188,18 @@ class ExtremalPair:
             )
 
 
-def max_e_distance_over_states(E: QuantumOperation, cluster_tol: float = 1e-10) -> ExtremalPair:
+def max_e_distance_over_states(E: QuantumOperation) -> ExtremalPair:
     """Maximize the probability difference over all pairs of input states.
 
     The maximum equals the spread of the T spectrum; it is attained by the
     normalized projectors onto the top and bottom eigenspaces (eigenvalues
-    within cluster_tol of the extremes).
+    within _CLUSTER_TOL of the extremes).
     """
     w, v = np.linalg.eigh(E.t_op)
     theta_min, theta_max = float(w[0]), float(w[-1])
     dim = E.dim_in
-    top = v[:, w >= theta_max - cluster_tol]
-    bot = v[:, w <= theta_min + cluster_tol]
+    top = v[:, w >= theta_max - _CLUSTER_TOL]
+    bot = v[:, w <= theta_min + _CLUSTER_TOL]
     rho_star = validate_state(projector_onto(top, dim) / top.shape[1])
     sigma_star = validate_state(projector_onto(bot, dim) / bot.shape[1])
     return ExtremalPair(
@@ -218,13 +220,13 @@ class ContractivityReport:
     holds: bool
 
 
-def contractivity_check(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> ContractivityReport:
-    """Check D(out) <= D(in) for a trace-preserving operation."""
+def contractivity_check(E: QuantumOperation, rho, sigma) -> ContractivityReport:
+    """Check D(out) <= D(in) + TOL_BOUND for a trace-preserving operation."""
     if not is_trace_preserving(E):
         raise ValidationError("contractivity_check needs a trace-preserving operation")
     d_in = trace_distance(_input_matrix(E, rho), _input_matrix(E, sigma))
     d_out = trace_distance(apply(E, rho), apply(E, sigma))
-    return ContractivityReport(d_in=d_in, d_out=d_out, holds=d_out <= d_in + slack)
+    return ContractivityReport(d_in=d_in, d_out=d_out, holds=d_out <= d_in + TOL_BOUND)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ def cmd_pairs(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
     try:
-        unit, zero = matched_eigenspaces(op, 1e-8)
+        unit, zero = matched_eigenspaces(op)
     except NotMaximizingShapeError as exc:
         spectrum = np.linalg.eigvalsh(op.t_op)
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,10 @@ TOL_TRACE = 1e-10
 TOL_ORTHO = 1e-10
 # Occurrence probabilities below this are treated as "the branch did not occur".
 TOL_PROB = 1e-12
+# T eigenvalues within this of 1 (of 0) are unit (zero): the maximizer shape.
+TOL_UNIT_ZERO = 1e-8
+# Slack of the bound reports: Fuchs-van de Graaf, Theorems 3 and 4, contractivity.
+TOL_BOUND = 1e-9
 
 
 def _as_tol(raw) -> float | None:

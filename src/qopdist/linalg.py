@@ -26,7 +26,6 @@ __all__ = [
     "psd_sqrt",
     "random_hermitian",
     "spectral_split",
-    "trace_norm_half",
 ]
 
 
@@ -63,13 +62,13 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     return hermitian_part(scale * g / np.sqrt(2.0))
 
 
-def eig_hermitian(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a matrix Hermitian within ``TOL_HERM``.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending and
     eigenvectors as the matching columns of ``vecs``.
     """
-    m = as_hermitian(h, tol)
+    m = as_hermitian(h)
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -77,15 +76,15 @@ def eig_hermitian(h: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def psd_sqrt(a: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Unique positive square root of a positive semidefinite matrix.
 
-    Eigenvalues in ``[-tol_psd, 0)`` are treated as round-off and clamped
+    Eigenvalues in ``[-TOL_PSD, 0)`` are treated as round-off and clamped
     to zero; anything more negative is rejected.
     """
     w, v = eig_hermitian(a)
-    if w.size and w[-1] < -tol_psd:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{tol_psd:.1e}")
+    if w.size and w[-1] < -TOL_PSD:
+        raise ValidationError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{TOL_PSD:.1e}")
     w = np.clip(w, 0.0, None)
     return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
 
@@ -118,18 +117,16 @@ class SpectralSplit:
         return self.kernel_basis.shape[1]
 
 
-def spectral_split(delta: np.ndarray, tol_zero: float | None = None) -> SpectralSplit:
+def spectral_split(delta: np.ndarray) -> SpectralSplit:
     """Split a Hermitian matrix into positive part, negative part and kernel.
 
-    Eigenvalues with magnitude below ``tol_zero`` are assigned to the
-    kernel.  The default cut is relative: ``1e-9 * max|eigenvalue|``.
+    Eigenvalues with magnitude at or below ``1e-9 * max|eigenvalue|`` are
+    assigned to the kernel.
     """
     w, v = eig_hermitian(delta)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    if tol_zero is None:
-        tol_zero = 1e-9 * top
-    pos = w > tol_zero
-    neg = w < -tol_zero
+    cut = 1e-9 * float(np.max(np.abs(w))) if w.size else 0.0
+    pos = w > cut
+    neg = w < -cut
     ker = ~(pos | neg)
     dim = v.shape[0]
 
@@ -150,8 +147,8 @@ def spectral_split(delta: np.ndarray, tol_zero: float | None = None) -> Spectral
     )
 
 
-def projector_onto(vectors, dim: int, tol: float = TOL_ORTHO) -> np.ndarray:
-    """Orthogonal projector onto the span of the given orthonormal vectors.
+def projector_onto(vectors, dim: int) -> np.ndarray:
+    """Projector onto the span of vectors orthonormal within ``TOL_ORTHO``.
 
     ``vectors`` may be a sequence of 1-D arrays or a 2-D array whose
     columns are the vectors.  An empty list yields the zero matrix.
@@ -160,8 +157,8 @@ def projector_onto(vectors, dim: int, tol: float = TOL_ORTHO) -> np.ndarray:
     if cols.shape[1]:
         gram = cols.conj().T @ cols
         dev = float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
-        if dev > tol:
-            raise ValidationError(f"vectors are not orthonormal: Gram deviation {dev:.3e} > {tol:.1e}")
+        if dev > TOL_ORTHO:
+            raise ValidationError(f"vectors are not orthonormal: Gram deviation {dev:.3e} > {TOL_ORTHO:.1e}")
     return hermitian_part(cols @ cols.conj().T)
 
 
@@ -176,9 +173,3 @@ def _as_columns(vectors, dim: int) -> np.ndarray:
     if cols.shape[0] != dim:
         raise ValidationError(f"vectors live in dimension {cols.shape[0]}, expected {dim}")
     return cols
-
-
-def trace_norm_half(delta: np.ndarray) -> float:
-    """Half the trace norm of a Hermitian matrix: (1/2) sum of |eigenvalues|."""
-    w, _ = eig_hermitian(delta)
-    return 0.5 * float(np.sum(np.abs(w)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumOperation, apply, e_distance, normalize_output, occurrence_probability
-from .config import TOL_PROB, default_tol, resolve_tol
+from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -114,14 +114,13 @@ class MaximizerCertificate:
     diagnostics: dict
 
 
-def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> MaximizerCertificate:
+def certify_maximizer(E: QuantumOperation, rho, sigma) -> MaximizerCertificate:
     """Decide whether T = P_supp + M with the unit block on either support
     of rho - sigma and a kernel-supported M between 0 and 1.
 
-    Works in the (q, r, kernel) eigenbasis of rho - sigma; all block
-    residuals land in the diagnostics record so callers can tighten the
-    cut.  Returns NOT_MAXIMIZER with m_op None when neither block pattern
-    matches.
+    Works in the (q, r, kernel) eigenbasis of rho - sigma; every block must
+    match within TOL_UNIT_ZERO, and all block residuals land in the
+    diagnostics record.  Returns NOT_MAXIMIZER with m_op None otherwise.
     """
     mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
@@ -154,7 +153,7 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> Max
         m_lo, m_hi = float(mw[0]), float(mw[-1])
     else:
         m_lo, m_hi = 0.0, 0.0
-    m_ok = (m_lo >= -tol) and (m_hi <= 1.0 + tol)
+    m_ok = (m_lo >= -TOL_UNIT_ZERO) and (m_hi <= 1.0 + TOL_UNIT_ZERO)
     diagnostics = {
         "tr_t_r": float(np.trace(t @ split.r_mat).real),
         "tr_t_q_minus_tr_q": float((np.trace(t @ split.q_mat) - np.trace(split.q_mat)).real),
@@ -168,10 +167,10 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> Max
         "m_min_eig": m_lo,
         "m_max_eig": m_hi,
     }
-    offs_ok = max(off_qr, off_qk, off_rk) <= tol
-    if offs_ok and m_ok and res_qq_unit <= tol and res_rr_zero <= tol:
+    offs_ok = max(off_qr, off_qk, off_rk) <= TOL_UNIT_ZERO
+    if offs_ok and m_ok and res_qq_unit <= TOL_UNIT_ZERO and res_rr_zero <= TOL_UNIT_ZERO:
         mode = MaximizerMode.ON_Q
-    elif offs_ok and m_ok and res_rr_unit <= tol and res_qq_zero <= tol:
+    elif offs_ok and m_ok and res_rr_unit <= TOL_UNIT_ZERO and res_qq_zero <= TOL_UNIT_ZERO:
         mode = MaximizerMode.ON_R
     else:
         return MaximizerCertificate(mode=MaximizerMode.NOT_MAXIMIZER, m_op=None, diagnostics=diagnostics)
@@ -180,16 +179,16 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float = 1e-8) -> Max
     return MaximizerCertificate(mode=mode, m_op=m_full, diagnostics=diagnostics)
 
 
-def matched_eigenspaces(E: QuantumOperation, tol: float):
-    """Eigenvectors of T = sum E^dag E for eigenvalues within tol of 1 and
-    of 0, as the columns of (unit, zero); unit columns run from the largest
+def matched_eigenspaces(E: QuantumOperation):
+    """Eigenvectors of T for eigenvalues within TOL_UNIT_ZERO of 1 and of 0,
+    as the columns of (unit, zero); unit columns run from the largest
     eigenvalue down.  Matched state pairs live on these two eigenspaces.
 
     Raises NotMaximizingShapeError when either eigenspace is empty.
     """
     w, v = np.linalg.eigh(E.t_op)
-    unit = v[:, w >= 1.0 - tol][:, ::-1]
-    zero = v[:, w <= tol]
+    unit = v[:, w >= 1.0 - TOL_UNIT_ZERO][:, ::-1]
+    zero = v[:, w <= TOL_UNIT_ZERO]
     if unit.shape[1] == 0 or zero.shape[1] == 0:
         raise NotMaximizingShapeError(
             f"T spectrum spans [{w[0]:.3e}, {w[-1]:.3e}] but a matched pair "
@@ -205,7 +204,6 @@ def build_state_pair(
     kappa_weights=None,
     delta_lambda=None,
     delta_kappa=None,
-    tol: float = 1e-8,
 ):
     """Matched pair (rho, sigma) with trace distance and probability
     difference both equal to d_target, for an operation whose T has unit
@@ -219,7 +217,7 @@ def build_state_pair(
     """
     if not (0.0 < d_target < 1.0):
         raise ValidationError(f"d_target must lie in (0, 1), got {d_target}")
-    unit, zero = matched_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E)
     nq_max, nr_max = unit.shape[1], zero.shape[1]
     if lambda_weights is None:
         lam = np.full(nq_max, d_target / nq_max)
@@ -291,9 +289,9 @@ def _require_maximizer(E: QuantumOperation, rho, sigma) -> None:
         )
 
 
-def theorem3_report(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> BoundReport:
+def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Normalized outputs: D(rho', sigma') <= D(rho, sigma) / p_m, and the
-    relative increase of distance stays below 1 - p_m."""
+    relative increase stays below 1 - p_m, both up to TOL_BOUND."""
     _require_maximizer(E, rho, sigma)
     d_in = trace_distance(rho, sigma)
     p_r = occurrence_probability(E, rho)
@@ -306,11 +304,11 @@ def theorem3_report(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> Bou
     d_sub = trace_distance(apply(E, rho), apply(E, sigma))
     p_m, p_n = max(p_r, p_s), min(p_r, p_s)
     bound = d_in / p_m
-    holds = d_out <= bound + slack
+    holds = d_out <= bound + TOL_BOUND
     rel = None
     if d_out > d_in:
         rel = (d_out - d_in) / d_out
-        holds = holds and rel <= (1.0 - p_m) + slack
+        holds = holds and rel <= (1.0 - p_m) + TOL_BOUND
     return BoundReport(
         d_in=d_in,
         d_out_normalized=d_out,
@@ -323,9 +321,9 @@ def theorem3_report(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> Bou
     )
 
 
-def theorem4_report(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> BoundReport:
+def theorem4_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Subnormalized outputs under the Hermitian-operator metric:
-    D(E(rho), E(sigma)) <= D(rho, sigma) / 2."""
+    D(E(rho), E(sigma)) <= D(rho, sigma) / 2 + TOL_BOUND."""
     _require_maximizer(E, rho, sigma)
     d_in = trace_distance(rho, sigma)
     d_sub = trace_distance(apply(E, rho), apply(E, sigma))
@@ -339,7 +337,7 @@ def theorem4_report(E: QuantumOperation, rho, sigma, slack: float = 1e-9) -> Bou
         p_m=max(p_r, p_s),
         p_n=min(p_r, p_s),
         bound=bound,
-        holds=d_sub <= bound + slack,
+        holds=d_sub <= bound + TOL_BOUND,
         relative_increase=None,
     )
 

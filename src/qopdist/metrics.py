@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import TOL_BOUND
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import psd_sqrt
 from .states import as_state, state_matrix
@@ -59,7 +60,11 @@ def angle(rho, sigma) -> float:
 
 def sine_distance(rho, sigma) -> float:
     """sqrt(1 - F^2); coincides with the trace distance on pure pairs."""
-    f = fidelity(rho, sigma)
+    return _sine(fidelity(rho, sigma))
+
+
+def _sine(f: float) -> float:
+    """The sine distance sqrt(1 - F^2) of a pair with fidelity ``f``."""
     return float(np.sqrt(max(1.0 - f * f, 0.0)))
 
 
@@ -134,16 +139,16 @@ class FvdgReport:
     upper_ok: bool
 
 
-def check_fvdg_bounds(rho, sigma, slack: float = 1e-9) -> FvdgReport:
-    """Evaluate both fidelity/trace-distance bounds on a state pair."""
+def check_fvdg_bounds(rho, sigma) -> FvdgReport:
+    """Evaluate both bounds on a state pair, each up to TOL_BOUND."""
     r, s = as_state(rho), as_state(sigma)
     d = trace_distance(r, s)
     f = fidelity(r, s)
-    c = sine_distance(r, s)
+    c = _sine(f)
     return FvdgReport(
         trace_dist=d,
         fid=f,
         sine_dist=c,
-        lower_ok=(1.0 - f) <= d + slack,
-        upper_ok=d <= c + slack,
+        lower_ok=(1.0 - f) <= d + TOL_BOUND,
+        upper_ok=d <= c + TOL_BOUND,
     )

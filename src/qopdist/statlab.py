@@ -20,6 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import QuantumOperation, apply
+from .config import resolve_tol
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
@@ -77,14 +78,14 @@ def sample_triangle_batch(rng: np.random.Generator, n: int):
     return pm, pn
 
 
-def pair_for_point(E: QuantumOperation, point: TrianglePoint, tol: float = 1e-8):
+def pair_for_point(E: QuantumOperation, point: TrianglePoint):
     """Matched pair whose occurrence probabilities are exactly the point.
 
     Distance target p_m - p_n, with the delta weights split so the unit
     eigenvectors carry p_n in total and the kernel ones carry 1 - p_m;
     splits within each set are uniform.
     """
-    unit, zero = matched_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E)
     nq, nr = unit.shape[1], zero.shape[1]
     d = point.p_m - point.p_n
     return build_state_pair(
@@ -94,7 +95,6 @@ def pair_for_point(E: QuantumOperation, point: TrianglePoint, tol: float = 1e-8)
         kappa_weights=np.full(nr, d / nr),
         delta_lambda=np.full(nq, point.p_n / nq),
         delta_kappa=np.full(nr, (1.0 - point.p_m) / nr),
-        tol=tol,
     )
 
 
@@ -116,9 +116,9 @@ class TrialRecord:
             )
 
 
-def _presample(E: QuantumOperation, n_trials: int, rng: np.random.Generator, tol: float):
+def _presample(E: QuantumOperation, n_trials: int, rng: np.random.Generator):
     """Draw every random quantity up front so all execution paths agree."""
-    unit, zero = matched_eigenspaces(E, tol)
+    unit, zero = matched_eigenspaces(E)
     nq, nr = unit.shape[1], zero.shape[1]
     pm, pn = sample_triangle_batch(rng, n_trials)
     lam_frac = rng.dirichlet(np.ones(nq), size=n_trials)
@@ -183,7 +183,6 @@ def run_trials(
     n_trials: int,
     rng: np.random.Generator,
     path: str = "auto",
-    tol: float = 1e-8,
 ) -> TrialColumns:
     """Sample n_trials triangle points with randomized admissible weight
     splits and evaluate all three distances per trial.
@@ -196,7 +195,7 @@ def run_trials(
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if path not in ("auto", "object"):
         raise ValidationError(f"path must be 'auto' or 'object', got {path!r}")
-    basis, w_rho, w_sig, pm, pn = _presample(E, n_trials, rng, tol)
+    basis, w_rho, w_sig, pm, pn = _presample(E, n_trials, rng)
     nb = basis.shape[1]
     op_mats = np.stack(
         [apply(E, np.outer(basis[:, j], basis[:, j].conj())) for j in range(nb)]
@@ -308,6 +307,7 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
     reach 1.  Moments come from integrating the CDFs, so the ordering is
     inherited from dominance exactly up to quadrature arithmetic.
     """
+    tol = resolve_tol(tol)
     grid_g, fg = (np.asarray(a, dtype=float) for a in cdf_g)
     grid_h, fh = (np.asarray(a, dtype=float) for a in cdf_h)
     if grid_g.shape != grid_h.shape or np.max(np.abs(grid_g - grid_h)) > 1e-12:

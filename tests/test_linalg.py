@@ -12,7 +12,6 @@ from qopdist.linalg import (
     psd_sqrt,
     random_hermitian,
     spectral_split,
-    trace_norm_half,
 )
 
 
@@ -112,11 +111,6 @@ def test_projector_onto_rejects_nonorthonormal():
     vecs = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValidationError):
         projector_onto(vecs, 3)
-
-
-def test_trace_norm_half():
-    assert abs(trace_norm_half(np.diag([1.0, -1.0])) - 1.0) < 1e-15
-    assert abs(trace_norm_half(np.diag([0.5, -0.25])) - 0.375) < 1e-15
 
 
 def test_random_hermitian_is_hermitian():

@@ -37,6 +37,8 @@ def test_trace_distance_hermitian_inputs():
     a = np.diag([1.0, -2.0]).astype(complex)
     b = np.zeros((2, 2), dtype=complex)
     assert abs(trace_distance(a, b) - 1.5) < 1e-14
+    assert abs(trace_distance(np.diag([1.0, -1.0]), b) - 1.0) < 1e-15
+    assert abs(trace_distance(np.diag([0.5, -0.25]), b) - 0.375) < 1e-15
 
 
 def test_fidelity_commuting():

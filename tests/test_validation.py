@@ -6,6 +6,7 @@ bit-identical results; work counts pin how many eigendecompositions a
 validation costs; edge inputs must raise the documented ValidationError.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from qopdist.errors import ValidationError
 from qopdist.matrixio import load_state, save_state
 from qopdist.maximizers import build_maximizing_operation
 from qopdist.states import DensityMatrix, random_density, random_pure, validate_state
-from qopdist.suites import run_thm3
+from qopdist.statlab import dominance_implies_moments
+from qopdist.suites import run_all, run_suite, run_thm3
 
 SEEDS = st.integers(0, 2**32 - 1)
 LAPACK = ("eigvalsh", "eigh", "svd", "qr")
@@ -143,6 +145,15 @@ def test_check_fvdg_bounds_validates_each_raw_input_once(monkeypatch):
     assert abs(report.trace_dist - 0.6) < 1e-12
 
 
+def test_check_fvdg_bounds_computes_the_fidelity_once(lapack_calls):
+    rng = np.random.default_rng(6)
+    r, s = random_density(3, 3, rng), random_density(3, 2, rng)
+    report = metrics.check_fvdg_bounds(r, s)
+    assert sorted(lapack_calls) == ["eigh", "eigh", "eigvalsh", "svd"]
+    assert report.fid == metrics.fidelity(r, s)
+    assert report.sine_dist == metrics.sine_distance(r, s)
+
+
 def test_library_samplers_do_not_recheck(lapack_calls):
     rng = np.random.default_rng(5)
     random_pure(4, rng)
@@ -176,6 +187,11 @@ TOL_TAKERS = {
         np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 1, tol=tol
     ),
     "run_thm3": lambda tol: run_thm3(0, 1, slack=tol),
+    "run_suite": lambda tol: run_suite("thm3", 0, 1, slack=tol),
+    "run_all": lambda tol: run_all(0, 1, slack=tol),
+    "dominance_implies_moments": lambda tol: dominance_implies_moments(
+        (np.linspace(0, 1, 3),) * 2, (np.linspace(0, 1, 3),) * 2, [1], tol=tol
+    ),
 }
 
 
@@ -184,6 +200,23 @@ TOL_TAKERS = {
 def test_bad_tolerance_rejected_at_every_entry_point(name, tol):
     with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
         TOL_TAKERS[name](tol)
+
+
+def _tolerance_parameters(obj) -> list:
+    """Names of the parameters of ``obj`` (of ``__init__`` for a class) that
+    hold a tolerance: every name containing "tol" or "slack"."""
+    try:
+        sig = inspect.signature(obj.__init__ if inspect.isclass(obj) else obj)
+    except (TypeError, ValueError):
+        return []
+    return [name for name in sig.parameters if "tol" in name or "slack" in name]
+
+
+def test_every_public_tolerance_is_checked():
+    """A tolerance parameter in the public API exists only on a callable
+    whose bad values are shown above to raise ValidationError."""
+    takers = {name for name in qopdist.__all__ if _tolerance_parameters(getattr(qopdist, name))}
+    assert takers == set(TOL_TAKERS) & set(qopdist.__all__)
 
 
 # -- edge inputs ----------------------------------------------------------------
