@@ -113,6 +113,13 @@ def test_projector_onto_rejects_nonorthonormal():
         projector_onto(vecs, 3)
 
 
+def test_trace_norm_half():
+    """Half the trace norm is half the summed magnitudes of the split's two parts."""
+    for delta, expected in ((np.diag([1.0, -1.0]), 1.0), (np.diag([0.5, -0.25]), 0.375)):
+        split = spectral_split(delta)
+        assert abs(0.5 * float(np.sum(split.q_vals) + np.sum(split.r_vals)) - expected) < 1e-15
+
+
 def test_random_hermitian_is_hermitian():
     rng = np.random.default_rng(0)
     h = random_hermitian(6, rng)
