@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_ORTHO, TOL_PSD
+from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, resolve_tol
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -46,7 +46,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def as_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity within ``tol`` and return the symmetrized copy."""
+    """Validate Hermiticity within ``tol`` and return the symmetrized copy.
+
+    ``tol`` must be a finite number >= 0 (``config.resolve_tol``).
+    """
+    tol = resolve_tol(tol)
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {m.shape}")

@@ -29,7 +29,7 @@ from .channels import (
     max_e_distance_over_states,
     random_operation,
 )
-from .config import resolve_tol
+from .config import TOL_PSD, resolve_tol
 from .errors import ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
@@ -135,19 +135,103 @@ def _violations(case: str, excess: np.ndarray, slack: float, **extra) -> dict:
     return _detail(case, excess.max(), bad == 0, violations=bad, **extra)
 
 
-def _distinct_pair(dim: int, rng: np.random.Generator, min_dist: float = 1e-3):
+def _distinct_pair(dim: int, rng: np.random.Generator):
     while True:
         rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
         sig = random_density(dim, int(rng.integers(1, dim + 1)), rng)
-        if trace_distance(rho, sig) >= min_dist:
+        if trace_distance(rho, sig) >= 1e-3:
             return rho, sig
 
 
-def _ginibre_batch(dim: int, rank: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((count, dim, rank)) + 1j * rng.standard_normal((count, dim, rank))
-    mats = g @ g.conj().transpose(0, 2, 1)
-    tr = np.trace(mats, axis1=1, axis2=2).real
-    return mats / tr[:, None, None]
+def _complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A block of rows of ``dim`` complex normals (real and imaginary parts
+    i.i.d. N(0, 1)) where ``keep`` is True, and zero rows where it is not."""
+    g = np.zeros(keep.shape + (dim,), dtype=np.complex128)
+    g[keep] = rng.standard_normal((int(keep.sum()), 2 * dim)).view(np.complex128)
+    return g
+
+
+def _ginibre_batch(dim: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One state per entry of ``ranks``, drawn as ``random_density`` draws
+    them: G†G / tr(G†G), symmetrized, for a Ginibre G whose rows beyond
+    the rank are zero."""
+    g = _complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
+    mats = g.conj().transpose(0, 2, 1) @ g
+    mats = mats + mats.conj().transpose(0, 2, 1)
+    return mats / np.einsum("nii->n", mats).real[:, None, None]
+
+
+def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """tr(M delta) for each matrix M of a stack."""
+    return np.einsum("nij,ji->n", mats, delta).real
+
+
+def _trace_distances(rhos: np.ndarray, sigs: np.ndarray) -> np.ndarray:
+    """``metrics.trace_distance`` of each pair of two stacks of states."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(rhos - sigs)).sum(axis=1)
+
+
+def _psd_sqrts(mats: np.ndarray) -> np.ndarray:
+    """Stacked positive square roots, with ``linalg.psd_sqrt``'s clamp."""
+    w, v = np.linalg.eigh(mats)
+    low = float(w[:, 0].min())
+    if low < -TOL_PSD:
+        raise ValidationError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{TOL_PSD:.1e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+
+def _fidelities(rhos: np.ndarray, sigs: np.ndarray) -> np.ndarray:
+    """``metrics.fidelity`` of each pair: the nuclear norm of
+    sqrt(rho) sqrt(sigma), clamped to [0, 1]."""
+    sv = np.linalg.svd(_psd_sqrts(rhos) @ _psd_sqrts(sigs), compute_uv=False)
+    return np.clip(sv.sum(axis=1), 0.0, 1.0)
+
+
+_MAX_KRAUS = 4  # the oracle operations have 1 to _MAX_KRAUS Kraus operators
+
+
+def _operation_block(dim: int, count: int, rng: np.random.Generator):
+    """``count`` random operations on ``dim``-dimensional inputs, drawn as
+    ``random_operation`` draws them: output dimension in [1, dim], 1 to
+    ``_MAX_KRAUS`` complex-normal Kraus operators, all scaled by
+    1/sqrt(top eigenvalue of T + 1e-9).
+
+    One padded draw: the Kraus block has shape (count, _MAX_KRAUS, dim, dim)
+    and is zero beyond each operation's Kraus count and output dimension.
+    Returns the Kraus block, the stacked T, the Kraus counts and the output
+    dimensions.
+    """
+    dim_out = rng.integers(1, dim + 1, size=count)
+    n_kraus = rng.integers(1, _MAX_KRAUS + 1, size=count)
+    keep = (np.arange(_MAX_KRAUS) < n_kraus[:, None])[:, :, None] & (
+        np.arange(dim) < dim_out[:, None]
+    )[:, None, :]
+    g = _complex_normals(keep, dim, rng) / SQRT2
+    rows = g.reshape(count, _MAX_KRAUS * dim, dim)
+    t = rows.conj().transpose(0, 2, 1) @ rows
+    scale = 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
+    return g * np.sqrt(scale)[:, None, None, None], t * scale[:, None, None], n_kraus, dim_out
+
+
+def _probe_block(dim: int, count: int, rng: np.random.Generator):
+    """``count`` random probes 0 <= P <= 1 of rank 0 to ``dim``: each spans
+    the first ``rank`` columns of a Ginibre draw, with weight 1 on each
+    column (half the probes) or uniform weights in [0, 1].
+
+    One stacked QR: the first ``rank`` columns of Q span the first ``rank``
+    columns of the draw.  Returns Q, the weights (zero beyond each rank)
+    and the ranks; P = Q diag(w) Q†.
+    """
+    ranks = rng.integers(0, dim + 1, size=count)
+    q, _ = np.linalg.qr(rng.standard_normal((count, dim, 2 * dim)).view(np.complex128))
+    weights = np.where(rng.random((count, 1)) < 0.5, 1.0, rng.uniform(0.0, 1.0, size=(count, dim)))
+    weights *= np.arange(dim) < ranks[:, None]
+    return q, weights, ranks
+
+
+def _probe_values(q: np.ndarray, weights: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """tr(P delta) = sum_k w_k q_k† delta q_k for each probe of a block."""
+    return np.einsum("nik,nik,nk->n", q.conj(), delta @ q, weights).real
 
 
 def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperation:
@@ -188,10 +272,9 @@ def run_thm1(rng, n_cases, slack):
         dim_out = int(rng.integers(1, 5))
         op = build_maximizing_operation(rho, sig, dim_out, mode)
         attain = abs(e_distance(op, rho, sig) - d)
-        excess = -np.inf
-        for _ in range(n_oracle):
-            other = random_operation(dim, int(rng.integers(1, dim + 1)), int(rng.integers(1, 5)), rng)
-            excess = max(excess, e_distance(other, rho, sig) - d)
+        _, t, _, _ = _operation_block(dim, n_oracle, rng)
+        gaps = np.abs(_trace_products(t, rho.mat - sig.mat))
+        excess = float(gaps.max()) - d
         details.append(
             _detail(
                 f"pair-{i:03d}-dim{dim}-{mode.value}",
@@ -217,15 +300,10 @@ def run_thm2(rng, n_cases, slack):
         attain = abs(e_distance(op, ext.rho_star, ext.sigma_star) - ext.value)
         t = op.t_op
         ranks = rng.integers(1, dim + 1, size=n_pairs)
-        excess = -np.inf
-        for rank in range(1, dim + 1):
-            count = int(np.sum(ranks == rank))
-            if count == 0:
-                continue
-            rhos = _ginibre_batch(dim, rank, count, rng)
-            sigs = _ginibre_batch(dim, rank, count, rng)
-            vals = np.abs(np.einsum("ij,nji->n", t, rhos - sigs).real)
-            excess = max(excess, float(vals.max() - ext.value))
+        rhos = _ginibre_batch(dim, ranks, rng)
+        sigs = _ginibre_batch(dim, ranks, rng)
+        vals = np.abs(_trace_products(rhos - sigs, t))
+        excess = float(vals.max() - ext.value)
         details.append(
             _detail(
                 f"op-{i:03d}-dim{dim}",
@@ -306,24 +384,27 @@ def run_thm5(rng, n_cases, slack):
     gap = sine_distance(rho, sig) - trace_distance(rho, sig)
     resid = abs(gap - 0.25)
     details.append(_detail("witness-pair-gap", resid, resid < 1e-10, value=float(gap)))
+    dims = rng.integers(2, 7, size=n_cases)
     worst_gap = -np.inf
     worst_chain = -np.inf
     worst_angle = -np.inf
     bad = 0
-    for _ in range(n_cases):
-        dim = int(rng.integers(2, 7))
-        rho_i, sig_i = _distinct_pair(dim, rng, min_dist=0.0)
-        d = trace_distance(rho_i, sig_i)
-        f = fidelity(rho_i, sig_i)
-        c = float(np.sqrt(max(1.0 - f * f, 0.0)))
-        gap_i = c - d
-        chain = gap_i - (c + f - 1.0)
+    for dim in range(2, 7):
+        count = int(np.sum(dims == dim))
+        if count == 0:
+            continue
+        rhos = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
+        sigs = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
+        d = _trace_distances(rhos, sigs)
+        f = _fidelities(rhos, sigs)
+        c = np.sqrt(np.maximum(1.0 - f * f, 0.0))
+        gap = c - d
+        chain = gap - (c + f - 1.0)
         angle_excess = (c + f) - SQRT2
-        worst_gap = max(worst_gap, gap_i - (SQRT2 - 1.0))
-        worst_chain = max(worst_chain, chain)
-        worst_angle = max(worst_angle, angle_excess)
-        if gap_i > SQRT2 - 1.0 + slack or chain > slack or angle_excess > 1e-12:
-            bad += 1
+        worst_gap = max(worst_gap, float(gap.max()) - (SQRT2 - 1.0))
+        worst_chain = max(worst_chain, float(chain.max()))
+        worst_angle = max(worst_angle, float(angle_excess.max()))
+        bad += int(np.sum((gap > SQRT2 - 1.0 + slack) | (chain > slack) | (angle_excess > 1e-12)))
     details.append(
         _detail(
             "global-gap-ceiling",
@@ -457,22 +538,8 @@ def run_appendixB(rng, n_cases, slack):
         tri = d_ab - (trace_distance(a, c) + trace_distance(c, b))
         mp = maximizing_projector(a, b)
         ident = abs(mp.value - (d_ab + 0.5 * float(np.trace(a - b).real)))
-        probe_excess = -np.inf
-        delta = a - b
-        for _ in range(n_probes):
-            rank = int(rng.integers(0, dim + 1))
-            if rank == 0:
-                probe = np.zeros((dim, dim), dtype=np.complex128)
-            else:
-                gq = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-                qmat, _ = np.linalg.qr(gq)
-                if rng.random() < 0.5:
-                    probe = qmat @ qmat.conj().T
-                else:
-                    probe = (qmat * rng.uniform(0.0, 1.0, size=rank)) @ qmat.conj().T
-            probe_excess = max(
-                probe_excess, float(np.trace(probe @ delta).real) - mp.value
-            )
+        q, weights, _ = _probe_block(dim, n_probes, rng)
+        probe_excess = float(_probe_values(q, weights, a - b).max()) - mp.value
         probs = rng.dirichlet(np.ones(3))
         a_parts = [random_hermitian(dim, rng) for _ in range(3)]
         b_parts = [random_hermitian(dim, rng) for _ in range(3)]

@@ -8,9 +8,15 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopdist import statlab, suites
+from qopdist.channels import QuantumOperation, e_distance
 from qopdist.errors import ReportParseError, ValidationError
+from qopdist.linalg import random_hermitian
+from qopdist.metrics import fidelity, trace_distance
+from qopdist.states import random_density
 from qopdist.statlab import TrialColumns
 from qopdist.suites import (
     SUITE_NAMES,
@@ -127,6 +133,94 @@ def test_slack_reaches_lemma2_dominance(monkeypatch):
     monkeypatch.setattr(suites, "dominance_implies_moments", spy)
     assert suites.run_lemma2(0, 1000, slack=3e-7).n_failures == 0
     assert seen == [3e-7, 3e-7]
+
+
+# -- the stacked oracles against the public scalar path -------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+DIMS = st.integers(2, 6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, dim=DIMS)
+def test_oracle_block_holds_public_operations(seed, dim):
+    """Each operation of a thm1 oracle block, cut to its Kraus count and
+    output dimension, passes the public QuantumOperation check (0 <= T <= 1)
+    and its e_distance is the block's stacked value."""
+    rng = np.random.default_rng(seed)
+    kraus, t, n_kraus, dim_out = suites._operation_block(dim, 40, rng)
+    rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
+    sig = random_density(dim, int(rng.integers(1, dim + 1)), rng)
+    gaps = np.abs(suites._trace_products(t, rho.mat - sig.mat))
+    for n in range(40):
+        op = QuantumOperation(kraus[n, : n_kraus[n], : dim_out[n]])
+        assert abs(e_distance(op, rho, sig) - gaps[n]) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, dim=DIMS)
+def test_stacked_distances_match_metrics(seed, dim):
+    """thm5's stacked trace distance and fidelity equal metrics.trace_distance
+    and metrics.fidelity, on pairs of rank 1 up to full rank and on a pair of
+    one state with itself."""
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(1, dim + 1, size=(2, 12))
+    ranks[:, 0] = 1
+    rhos = suites._ginibre_batch(dim, ranks[0], rng)
+    sigs = suites._ginibre_batch(dim, ranks[1], rng)
+    sigs[1] = rhos[1]
+    d = suites._trace_distances(rhos, sigs)
+    f = suites._fidelities(rhos, sigs)
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    for n in range(12):
+        assert np.linalg.matrix_rank(rhos[n], tol=1e-10, hermitian=True) == ranks[0, n]
+        assert abs(d[n] - trace_distance(rhos[n], sigs[n])) <= 1e-12
+        assert abs(f[n] - fidelity(rhos[n], sigs[n])) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, dim=DIMS)
+def test_probe_values_match_explicit_probes(seed, dim):
+    """Each stacked appendixB probe value is tr(P delta) of the probe P built
+    from the first ``rank`` columns of Q and their weights, and 0 <= P <= 1."""
+    rng = np.random.default_rng(seed)
+    q, weights, ranks = suites._probe_block(dim, 40, rng)
+    delta = random_hermitian(dim, rng) - random_hermitian(dim, rng)
+    values = suites._probe_values(q, weights, delta)
+    for n in range(40):
+        cols = q[n][:, : ranks[n]]
+        probe = (cols * weights[n, : ranks[n]]) @ cols.conj().T
+        w = np.linalg.eigvalsh(probe)
+        assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
+        assert abs(np.trace(probe @ delta).real - values[n]) <= 1e-12
+
+
+def test_thm1_fails_when_the_construction_misses(monkeypatch):
+    """An operation that reaches only D - 1e-6 fails every thm1 case."""
+    real = suites.build_maximizing_operation
+
+    def short(rho, sig, dim_out, mode):
+        op = real(rho, sig, dim_out, mode)
+        shrink = np.sqrt(1.0 - 1e-6 / trace_distance(rho, sig))
+        return QuantumOperation([shrink * e for e in op.kraus])
+
+    monkeypatch.setattr(suites, "build_maximizing_operation", short)
+    r = suites.run_thm1(7, 2)
+    assert r.n_failures == 2
+    for d in r.details:
+        assert abs(d["attain_residual"] - 1e-6) < 1e-12
+
+
+def test_thm5_slack_below_the_chain_excess_fails(monkeypatch):
+    """With every fidelity set to 1 - D - 1e-6, each pair exceeds the chain
+    1 - F <= D by 1e-6: a slack above that passes, a slack below fails."""
+    monkeypatch.setattr(suites, "_fidelities", lambda r, s: 1.0 - suites._trace_distances(r, s) - 1e-6)
+    above = suites.run_thm5(7, 50, slack=1e-5)
+    assert above.n_failures == 0
+    assert abs(above.details[-1]["worst_chain_excess"] - 1e-6) < 1e-12
+    below = suites.run_thm5(7, 50, slack=1e-7)
+    assert below.n_failures == 1
+    assert below.details[-1]["violations"] == 50
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)

@@ -6,8 +6,10 @@ bit-identical results; work counts pin how many eigendecompositions a
 validation costs; edge inputs must raise the documented ValidationError.
 """
 
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qopdist
-from qopdist import config, metrics, states
+from qopdist import config, linalg, metrics, states
 from qopdist.channels import QuantumOperation, cloner_outputs, is_trace_preserving, random_operation
 from qopdist.config import resolve_tol
 from qopdist.errors import ValidationError
@@ -186,6 +188,7 @@ TOL_TAKERS = {
     "build_maximizing_operation": lambda tol: build_maximizing_operation(
         np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 1, tol=tol
     ),
+    "as_hermitian": lambda tol: linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=tol),
     "run_thm3": lambda tol: run_thm3(0, 1, slack=tol),
     "run_suite": lambda tol: run_suite("thm3", 0, 1, slack=tol),
     "run_all": lambda tol: run_all(0, 1, slack=tol),
@@ -212,11 +215,21 @@ def _tolerance_parameters(obj) -> list:
     return [name for name in sig.parameters if "tol" in name or "slack" in name]
 
 
+def _public_api() -> dict:
+    """Name -> object for ``qopdist.__all__`` and the ``__all__`` of every
+    module of the package."""
+    modules = [qopdist] + [
+        importlib.import_module(f"qopdist.{info.name}") for info in pkgutil.iter_modules(qopdist.__path__)
+    ]
+    return {name: getattr(m, name) for m in modules for name in getattr(m, "__all__", ())}
+
+
 def test_every_public_tolerance_is_checked():
     """A tolerance parameter in the public API exists only on a callable
     whose bad values are shown above to raise ValidationError."""
-    takers = {name for name in qopdist.__all__ if _tolerance_parameters(getattr(qopdist, name))}
-    assert takers == set(TOL_TAKERS) & set(qopdist.__all__)
+    public = _public_api()
+    takers = {name for name, obj in public.items() if _tolerance_parameters(obj)}
+    assert takers == set(TOL_TAKERS) & set(public)
 
 
 # -- edge inputs ----------------------------------------------------------------
