@@ -30,31 +30,45 @@ __all__ = [
 
 
 def as_complex_matrix(a: np.ndarray) -> np.ndarray:
-    """Coerce to a finite 2-D complex128 array."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
+    """Coerce to a finite 2-D complex128 array; a stack of matrices is
+    rejected, so this is also the gate of every function that takes one
+    matrix."""
+    m = _finite_complex(a)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    return m
+
+
+def _finite_complex(a) -> np.ndarray:
+    m = np.ascontiguousarray(a, dtype=np.complex128)
+    if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return m
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(A + A†)/2."""
+    """(A + A†)/2, of one matrix or of each matrix of a stack (..., d, d)."""
     a = np.asarray(a, dtype=np.complex128)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 def as_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """Validate Hermiticity within ``tol`` and return the symmetrized copy.
 
-    ``tol`` must be a finite number >= 0 (``config.resolve_tol``).
+    Takes one matrix (d, d) or a stack (..., d, d), checked in one pass;
+    an empty stack passes.  ``tol`` must be a finite number >= 0
+    (``config.resolve_tol``).
     """
     tol = resolve_tol(tol)
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
-    dev = float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    m = _finite_complex(a)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    dev = float(np.abs(m - _dagger(m)).max(initial=0.0))
     if dev > tol:
         raise ValidationError(f"matrix is not Hermitian: max |A - A†| = {dev:.3e} > {tol:.1e}")
     return hermitian_part(m)
@@ -67,12 +81,12 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a matrix Hermitian within ``TOL_HERM``.
+    """Eigendecomposition of one matrix Hermitian within ``TOL_HERM``.
 
     Returns ``(vals, vecs)`` with eigenvalues sorted descending and
     eigenvectors as the matching columns of ``vecs``.
     """
-    m = as_hermitian(h)
+    m = as_hermitian(as_complex_matrix(h))
     try:
         w, v = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -81,16 +95,22 @@ def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Unique positive square root of a positive semidefinite matrix.
+    """Unique positive square root of a positive semidefinite matrix, or of
+    each matrix of a stack (..., d, d).
 
-    Eigenvalues in ``[-TOL_PSD, 0)`` are treated as round-off and clamped
-    to zero; anything more negative is rejected.
+    Eigenvalues below ``-TOL_PSD`` are rejected.  Eigenvalues at or below
+    ``d * eps * max|eigenvalue|`` are round-off on the kernel and count as
+    zero: their square roots (~1e-8 from ~1e-17) would otherwise enter
+    every product with the root.
     """
-    w, v = eig_hermitian(a)
-    if w.size and w[-1] < -TOL_PSD:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {w[-1]:.3e} < -{TOL_PSD:.1e}")
-    w = np.clip(w, 0.0, None)
-    return hermitian_part((v * np.sqrt(w)) @ v.conj().T)
+    m = as_hermitian(a)
+    w, v = np.linalg.eigh(m)
+    low = float(w.min(initial=0.0))
+    if low < -TOL_PSD:
+        raise ValidationError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{TOL_PSD:.1e}")
+    cut = m.shape[-1] * np.finfo(np.float64).eps * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
+    roots = np.sqrt(np.where(w > cut, w, 0.0))
+    return hermitian_part((v * roots[..., None, :]) @ _dagger(v))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_hermitian, projector_onto, spectral_split
+from .linalg import as_hermitian, eig_hermitian, projector_onto, spectral_split
 from .metrics import trace_distance
 from .states import state_matrix, validate_state
 
@@ -358,17 +358,18 @@ def extremal_trace_product(t, d_frak: float) -> ExtremalTraceProduct:
     The extremes are the extreme T-eigenvalues scaled by d_frak; they are
     attained by one-dimensional eigenprojectors scaled the same way.
     """
-    tm = as_hermitian(t)
+    w, v = eig_hermitian(t)
+    if w.size == 0:
+        raise ValidationError("T needs dimension >= 1, got a 0 x 0 matrix")
     if not (math.isfinite(d_frak) and d_frak > 0):
         raise ValidationError(f"d_frak must be a finite positive number, got {d_frak}")
-    w, v = np.linalg.eigh(tm)
-    if w[0] < -default_tol():
-        raise ValidationError(f"T has negative eigenvalue {w[0]:.3e}; not PSD")
-    vec_max = v[:, -1]
-    vec_min = v[:, 0]
+    if w[-1] < -default_tol():
+        raise ValidationError(f"T has negative eigenvalue {w[-1]:.3e}; not PSD")
+    vec_max = v[:, 0]
+    vec_min = v[:, -1]
     return ExtremalTraceProduct(
-        max_val=float(w[-1]) * d_frak,
-        min_val=float(w[0]) * d_frak,
+        max_val=float(w[0]) * d_frak,
+        min_val=float(w[-1]) * d_frak,
         q_max=d_frak * np.outer(vec_max, vec_max.conj()),
         q_min=d_frak * np.outer(vec_min, vec_min.conj()),
     )

@@ -15,7 +15,7 @@ from . import _kernels
 from .config import TOL_BOUND
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import psd_sqrt
-from .states import as_state, state_matrix
+from .states import as_state, as_state_matrices, state_matrix
 
 __all__ = [
     "FvdgReport",
@@ -30,42 +30,54 @@ __all__ = [
 ]
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b) for Hermitian a, b."""
+def trace_distance(a, b) -> float | np.ndarray:
+    """Half the trace norm of (a - b) for Hermitian a, b.
+
+    Also takes two stacks (n, d, d) of the same shape and returns the n
+    distances of their pairs as an array; one pair gives a float.
+    """
     ma, mb = state_matrix(a), state_matrix(b)
     if ma.shape != mb.shape:
         raise DimensionMismatchError(f"operands have shapes {ma.shape} and {mb.shape}")
-    w = np.linalg.eigvalsh(ma - mb)
-    return 0.5 * float(np.sum(np.abs(w)))
+    return _per_pair(0.5 * np.abs(np.linalg.eigvalsh(ma - mb)).sum(axis=-1))
 
 
-def fidelity(rho, sigma) -> float:
+def fidelity(rho, sigma) -> float | np.ndarray:
     """Uhlmann fidelity tr sqrt(sqrt(rho) sigma sqrt(rho)), clamped to [0, 1].
 
     Evaluated as the nuclear norm of sqrt(rho) @ sqrt(sigma): identical in
-    exact arithmetic, but rank-deficient inputs keep full precision because
-    eigenvalue noise enters the sum linearly instead of under a square root.
+    exact arithmetic, but ``psd_sqrt`` sets round-off eigenvalues on a
+    kernel to zero, so rank-deficient inputs keep full precision.  Takes
+    states or two stacks (n, d, d) of the same shape, like
+    ``trace_distance``; a plain array is checked as ``validate_state``
+    checks it, once for the whole stack.
     """
-    r, s = as_state(rho), as_state(sigma)
-    if r.dim != s.dim:
-        raise DimensionMismatchError(f"states have dims {r.dim} and {s.dim}")
-    sv = np.linalg.svd(psd_sqrt(r.mat) @ psd_sqrt(s.mat), compute_uv=False)
-    return float(np.clip(np.sum(sv), 0.0, 1.0))
+    r, s = as_state_matrices(rho), as_state_matrices(sigma)
+    if r.shape != s.shape:
+        raise DimensionMismatchError(f"states have shapes {r.shape} and {s.shape}")
+    sv = np.linalg.svd(psd_sqrt(r) @ psd_sqrt(s), compute_uv=False)
+    return _per_pair(np.clip(sv.sum(axis=-1), 0.0, 1.0))
 
 
-def angle(rho, sigma) -> float:
+def angle(rho, sigma) -> float | np.ndarray:
     """Angle between states in [0, pi/2]: arccos of the fidelity."""
-    return float(np.arccos(fidelity(rho, sigma)))
+    return _per_pair(np.arccos(fidelity(rho, sigma)))
 
 
-def sine_distance(rho, sigma) -> float:
+def sine_distance(rho, sigma) -> float | np.ndarray:
     """sqrt(1 - F^2); coincides with the trace distance on pure pairs."""
     return _sine(fidelity(rho, sigma))
 
 
-def _sine(f: float) -> float:
-    """The sine distance sqrt(1 - F^2) of a pair with fidelity ``f``."""
-    return float(np.sqrt(max(1.0 - f * f, 0.0)))
+def _sine(f) -> float | np.ndarray:
+    """The sine distance sqrt(1 - F^2) of a pair, or of each pair, with
+    fidelity ``f``."""
+    return _per_pair(np.sqrt(np.maximum(1.0 - f * f, 0.0)))
+
+
+def _per_pair(values) -> float | np.ndarray:
+    """A float for one pair, the array of values for a stack of pairs."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)

@@ -11,14 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_PSD, TOL_TRACE, resolve_tol
+from .config import TOL_HERM, TOL_PSD, TOL_TRACE, default_tol, resolve_tol
 from .errors import ValidationError
-from .linalg import as_hermitian, hermitian_part
+from .linalg import as_complex_matrix, as_hermitian, hermitian_part
 
 __all__ = [
     "DensityMatrix",
     "PAULI",
     "as_state",
+    "as_state_matrices",
     "bloch_of",
     "from_bloch",
     "random_density",
@@ -26,6 +27,8 @@ __all__ = [
     "state_matrix",
     "validate_state",
 ]
+
+_EPS = np.finfo(np.float64).eps
 
 PAULI = (
     np.array([[0, 1], [1, 0]], dtype=np.complex128),
@@ -45,7 +48,7 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m, _, _ = _check_state(self.mat, TOL_HERM, TOL_PSD, TOL_TRACE)
+        m, _, _ = _check_state(as_complex_matrix(self.mat), TOL_HERM, TOL_PSD, TOL_TRACE)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
@@ -60,17 +63,20 @@ class DensityMatrix:
 
 def _check_state(m, tol_herm: float, tol_psd: float, tol_trace: float):
     """The one state check: Hermitian, PSD and unit trace within the given
-    tolerances.  Returns the symmetrized copy, its ascending eigenvalues
-    and its trace."""
+    tolerances, for one matrix or each matrix of a stack (..., d, d).
+    Returns the symmetrized copy, its ascending eigenvalues and its
+    traces."""
     h = as_hermitian(m, tol_herm)
-    if h.shape[0] == 0:
+    if h.shape[-1] == 0:
         raise ValidationError("a state needs dimension >= 1, got a 0 x 0 matrix")
     w = np.linalg.eigvalsh(h)
-    if w[0] < -tol_psd:
-        raise ValidationError(f"state is not PSD: min eigenvalue {w[0]:.6e} beyond tolerance {tol_psd:.1e}")
-    tr = float(np.trace(h).real)
-    if tr <= 0.0 or abs(tr - 1.0) > tol_trace:
-        raise ValidationError(f"state trace {tr!r} deviates from 1 beyond tolerance {tol_trace:.1e}")
+    low = w[..., 0].min(initial=np.inf)
+    if low < -tol_psd:
+        raise ValidationError(f"state is not PSD: min eigenvalue {low:.6e} beyond tolerance {tol_psd:.1e}")
+    tr = np.asarray(h.trace(axis1=-2, axis2=-1).real)
+    bad = (tr <= 0.0) | (np.abs(tr - 1.0) > tol_trace)
+    if bad.any():
+        raise ValidationError(f"state trace {float(tr[bad][0])!r} deviates from 1 beyond tolerance {tol_trace:.1e}")
     return h, w, tr
 
 
@@ -88,9 +94,16 @@ def as_state(x) -> DensityMatrix:
     return x if isinstance(x, DensityMatrix) else validate_state(x)
 
 
+def as_state_matrices(x) -> np.ndarray:
+    """The matrix of a ``DensityMatrix``; for a plain matrix or a stack
+    (n, d, d), the matrices ``validate_state`` would return at the default
+    tolerance, checked in one pass for the whole stack."""
+    return x.mat if isinstance(x, DensityMatrix) else _validated(x, default_tol())
+
+
 def state_matrix(x) -> np.ndarray:
     """The matrix of a ``DensityMatrix``, or the Hermiticity-checked,
-    symmetrized copy of any other square matrix."""
+    symmetrized copy of any other square matrix or stack of them."""
     return x.mat if isinstance(x, DensityMatrix) else as_hermitian(x)
 
 
@@ -146,13 +159,19 @@ def validate_state(m: np.ndarray, tol: float | None = None) -> DensityMatrix:
     ``DensityMatrix`` cut are clamped to zero.  Raises ``ValidationError``
     naming the offending quantity otherwise.
     """
-    tol = resolve_tol(tol)
+    return _trusted_state(_validated(as_complex_matrix(m), resolve_tol(tol)))
+
+
+def _validated(m, tol: float) -> np.ndarray:
+    """``_check_state`` at ``tol`` on one matrix or a stack, then
+    ``validate_state``'s two repairs on each matrix that needs them."""
     h, w, tr = _check_state(m, tol, tol, tol)
-    if abs(tr - 1.0) > 4 * h.shape[0] * np.finfo(np.float64).eps:
-        h = h / tr
-    if w[0] / tr < -TOL_PSD:
-        vals, vecs = np.linalg.eigh(h)
+    renorm = np.abs(tr - 1.0) > 4 * h.shape[-1] * _EPS
+    np.divide(h, tr[..., None, None], out=h, where=renorm[..., None, None])
+    clamp = w[..., 0] / tr < -TOL_PSD
+    if clamp.any():
+        vals, vecs = np.linalg.eigh(h[clamp])
         vals = np.clip(vals, 0.0, None)
-        h = hermitian_part((vecs * vals) @ vecs.conj().T)
-        h /= np.trace(h).real
-    return _trusted_state(h)
+        fixed = hermitian_part((vecs * vals[:, None, :]) @ vecs.conj().transpose(0, 2, 1))
+        h[clamp] = fixed / np.trace(fixed, axis1=1, axis2=2).real[:, None, None]
+    return h

@@ -29,7 +29,7 @@ from .channels import (
     max_e_distance_over_states,
     random_operation,
 )
-from .config import TOL_PSD, resolve_tol
+from .config import resolve_tol
 from .errors import ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
@@ -164,27 +164,6 @@ def _ginibre_batch(dim: int, ranks: np.ndarray, rng: np.random.Generator) -> np.
 def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """tr(M delta) for each matrix M of a stack."""
     return np.einsum("nij,ji->n", mats, delta).real
-
-
-def _trace_distances(rhos: np.ndarray, sigs: np.ndarray) -> np.ndarray:
-    """``metrics.trace_distance`` of each pair of two stacks of states."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(rhos - sigs)).sum(axis=1)
-
-
-def _psd_sqrts(mats: np.ndarray) -> np.ndarray:
-    """Stacked positive square roots, with ``linalg.psd_sqrt``'s clamp."""
-    w, v = np.linalg.eigh(mats)
-    low = float(w[:, 0].min())
-    if low < -TOL_PSD:
-        raise ValidationError(f"matrix is not PSD: min eigenvalue {low:.3e} < -{TOL_PSD:.1e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().transpose(0, 2, 1)
-
-
-def _fidelities(rhos: np.ndarray, sigs: np.ndarray) -> np.ndarray:
-    """``metrics.fidelity`` of each pair: the nuclear norm of
-    sqrt(rho) sqrt(sigma), clamped to [0, 1]."""
-    sv = np.linalg.svd(_psd_sqrts(rhos) @ _psd_sqrts(sigs), compute_uv=False)
-    return np.clip(sv.sum(axis=1), 0.0, 1.0)
 
 
 _MAX_KRAUS = 4  # the oracle operations have 1 to _MAX_KRAUS Kraus operators
@@ -395,8 +374,8 @@ def run_thm5(rng, n_cases, slack):
             continue
         rhos = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
         sigs = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
-        d = _trace_distances(rhos, sigs)
-        f = _fidelities(rhos, sigs)
+        d = trace_distance(rhos, sigs)
+        f = fidelity(rhos, sigs)
         c = np.sqrt(np.maximum(1.0 - f * f, 0.0))
         gap = c - d
         chain = gap - (c + f - 1.0)
@@ -532,24 +511,25 @@ def run_appendixB(rng, n_cases, slack):
         a = random_hermitian(dim, rng)
         b = random_hermitian(dim, rng)
         c = random_hermitian(dim, rng)
-        d_ab = trace_distance(a, b)
-        sym = abs(d_ab - trace_distance(b, a))
-        self_zero = trace_distance(a, a)
-        tri = d_ab - (trace_distance(a, c) + trace_distance(c, b))
         mp = maximizing_projector(a, b)
-        ident = abs(mp.value - (d_ab + 0.5 * float(np.trace(a - b).real)))
         q, weights, _ = _probe_block(dim, n_probes, rng)
         probe_excess = float(_probe_values(q, weights, a - b).max()) - mp.value
         probs = rng.dirichlet(np.ones(3))
         a_parts = [random_hermitian(dim, rng) for _ in range(3)]
         b_parts = [random_hermitian(dim, rng) for _ in range(3)]
-        mixed = trace_distance(
-            sum(p * m for p, m in zip(probs, a_parts)),
-            sum(p * m for p, m in zip(probs, b_parts)),
+        mix_a = sum(p * m for p, m in zip(probs, a_parts))
+        mix_b = sum(p * m for p, m in zip(probs, b_parts))
+        # One stacked call: ab, ba, aa, ac, cb, the mixtures, then the parts.
+        dist = trace_distance(
+            np.stack([a, b, a, a, c, mix_a, *a_parts]),
+            np.stack([b, a, a, c, b, mix_b, *b_parts]),
         )
-        convex_gap = mixed - sum(
-            p * trace_distance(ma, mb) for p, ma, mb in zip(probs, a_parts, b_parts)
-        )
+        d_ab = dist[0]
+        sym = abs(d_ab - dist[1])
+        self_zero = dist[2]
+        tri = d_ab - (dist[3] + dist[4])
+        ident = abs(mp.value - (d_ab + 0.5 * float(np.trace(a - b).real)))
+        convex_gap = dist[5] - sum(p * d for p, d in zip(probs, dist[6:]))
         ok = (
             sym <= 1e-12
             and self_zero <= 1e-12

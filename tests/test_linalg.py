@@ -47,17 +47,24 @@ def test_psd_sqrt_diagonal():
 
 
 def test_psd_sqrt_squares_back():
+    """One matrix at a time and as one stack of rank 1 to 4."""
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    mats = []
+    for k in range(20):
+        g = rng.standard_normal((4, 1 + k % 4)) + 1j * rng.standard_normal((4, 1 + k % 4))
         m = g @ g.conj().T
         r = psd_sqrt(m)
+        assert np.max(np.abs(r @ r - m)) < 1e-10 * np.max(np.abs(m))
+        mats.append(m)
+    for r, m in zip(psd_sqrt(np.stack(mats)), mats):
         assert np.max(np.abs(r @ r - m)) < 1e-10 * np.max(np.abs(m))
 
 
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(ValidationError):
         psd_sqrt(np.diag([1.0, -0.5]))
+    with pytest.raises(ValidationError, match="not PSD"):
+        psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -0.5])]))
 
 
 def test_spectral_split_diagonal():

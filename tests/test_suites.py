@@ -15,8 +15,8 @@ from qopdist import statlab, suites
 from qopdist.channels import QuantumOperation, e_distance
 from qopdist.errors import ReportParseError, ValidationError
 from qopdist.linalg import random_hermitian
-from qopdist.metrics import fidelity, trace_distance
-from qopdist.states import random_density
+from qopdist.metrics import trace_distance
+from qopdist.states import DensityMatrix, random_density
 from qopdist.statlab import TrialColumns
 from qopdist.suites import (
     SUITE_NAMES,
@@ -159,23 +159,15 @@ def test_oracle_block_holds_public_operations(seed, dim):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, dim=DIMS)
-def test_stacked_distances_match_metrics(seed, dim):
-    """thm5's stacked trace distance and fidelity equal metrics.trace_distance
-    and metrics.fidelity, on pairs of rank 1 up to full rank and on a pair of
-    one state with itself."""
+def test_ginibre_batch_holds_public_states(seed, dim):
+    """Each state of a thm2/thm5 batch has the rank it was drawn with, from
+    rank 1 to full, and passes the public state check unchanged."""
     rng = np.random.default_rng(seed)
-    ranks = rng.integers(1, dim + 1, size=(2, 12))
-    ranks[:, 0] = 1
-    rhos = suites._ginibre_batch(dim, ranks[0], rng)
-    sigs = suites._ginibre_batch(dim, ranks[1], rng)
-    sigs[1] = rhos[1]
-    d = suites._trace_distances(rhos, sigs)
-    f = suites._fidelities(rhos, sigs)
-    assert np.all((f >= 0.0) & (f <= 1.0))
-    for n in range(12):
-        assert np.linalg.matrix_rank(rhos[n], tol=1e-10, hermitian=True) == ranks[0, n]
-        assert abs(d[n] - trace_distance(rhos[n], sigs[n])) <= 1e-12
-        assert abs(f[n] - fidelity(rhos[n], sigs[n])) <= 1e-12
+    ranks = rng.integers(1, dim + 1, size=12)
+    ranks[:2] = 1, dim
+    for rank, m in zip(ranks, suites._ginibre_batch(dim, ranks, rng)):
+        assert np.linalg.matrix_rank(m, tol=1e-10, hermitian=True) == rank
+        assert np.array_equal(DensityMatrix(m).mat, m)
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,7 +206,7 @@ def test_thm1_fails_when_the_construction_misses(monkeypatch):
 def test_thm5_slack_below_the_chain_excess_fails(monkeypatch):
     """With every fidelity set to 1 - D - 1e-6, each pair exceeds the chain
     1 - F <= D by 1e-6: a slack above that passes, a slack below fails."""
-    monkeypatch.setattr(suites, "_fidelities", lambda r, s: 1.0 - suites._trace_distances(r, s) - 1e-6)
+    monkeypatch.setattr(suites, "fidelity", lambda r, s: 1.0 - suites.trace_distance(r, s) - 1e-6)
     above = suites.run_thm5(7, 50, slack=1e-5)
     assert above.n_failures == 0
     assert abs(above.details[-1]["worst_chain_excess"] - 1e-6) < 1e-12

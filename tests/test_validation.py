@@ -9,7 +9,9 @@ validation costs; edge inputs must raise the documented ValidationError.
 import importlib
 import inspect
 import math
+import os
 import pkgutil
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +19,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qopdist
-from qopdist import config, linalg, metrics, states
+from qopdist import config, linalg, metrics, states, suites
 from qopdist.channels import QuantumOperation, cloner_outputs, is_trace_preserving, random_operation
 from qopdist.config import resolve_tol
-from qopdist.errors import ValidationError
+from qopdist.errors import DimensionMismatchError, ValidationError
+from qopdist.linalg import eig_hermitian, spectral_split
 from qopdist.matrixio import load_state, save_state
-from qopdist.maximizers import build_maximizing_operation
+from qopdist.maximizers import (
+    build_maximizing_operation,
+    certify_maximizer,
+    extremal_trace_product,
+    maximizing_projector,
+)
+from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, trace_distance
 from qopdist.states import DensityMatrix, random_density, random_pure, validate_state
 from qopdist.statlab import dominance_implies_moments
 from qopdist.suites import run_all, run_suite, run_thm3
@@ -70,6 +79,22 @@ def test_random_operations_pass_the_public_check_unchanged(seed, dim_in, dim_out
     assert all(np.array_equal(a, b) for a, b in zip(again.kraus, op.kraus))
     assert not op.t_op.flags.writeable
     assert not any(e.flags.writeable for e in op.kraus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=SEEDS, dim=st.integers(1, 6))
+def test_a_stack_is_checked_as_each_of_its_matrices(seed, dim):
+    """as_state_matrices on a stack returns what validate_state returns for
+    each matrix at the default tolerance, bit for bit, with both repairs
+    running; one bad matrix rejects the stack."""
+    rng = np.random.default_rng(seed)
+    mats = np.stack([_drifted(rng, dim) for _ in range(6)] + [random_density(dim, dim, rng).mat])
+    with mock.patch.dict(os.environ, {"QOPDIST_DEFAULT_TOL": "1e-8"}):
+        expected = np.stack([validate_state(m).mat for m in mats])
+        assert np.array_equal(states.as_state_matrices(mats), expected)
+        mats[3] *= 1.5
+        with pytest.raises(ValidationError, match="state trace"):
+            states.as_state_matrices(mats)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -156,6 +181,23 @@ def test_check_fvdg_bounds_computes_the_fidelity_once(lapack_calls):
     assert report.sine_dist == metrics.sine_distance(r, s)
 
 
+def test_appendixB_checks_each_instance_at_most_five_times(monkeypatch):
+    """One stacked trace_distance call (two checks) and maximizing_projector
+    (three) per instance; every binding of as_hermitian is counted."""
+    calls = []
+    real = linalg.as_hermitian
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in vars(qopdist).values():
+        if getattr(module, "__name__", "").startswith("qopdist.") and hasattr(module, "as_hermitian"):
+            monkeypatch.setattr(module, "as_hermitian", counted)
+    assert suites.run_appendixB(7, 3).n_failures == 0
+    assert 0 < len(calls) <= 5 * 3
+
+
 def test_library_samplers_do_not_recheck(lapack_calls):
     rng = np.random.default_rng(5)
     random_pure(4, rng)
@@ -237,8 +279,8 @@ def test_every_public_tolerance_is_checked():
 
 @pytest.mark.parametrize(
     "build",
-    [DensityMatrix, validate_state, lambda m: QuantumOperation([m])],
-    ids=["DensityMatrix", "validate_state", "QuantumOperation"],
+    [DensityMatrix, validate_state, lambda m: QuantumOperation([m]), lambda m: extremal_trace_product(m, 0.5)],
+    ids=["DensityMatrix", "validate_state", "QuantumOperation", "extremal_trace_product"],
 )
 def test_zero_dimension_rejected(build):
     with pytest.raises(ValidationError):
@@ -258,3 +300,57 @@ def test_operation_copies_the_callers_arrays():
     k[0, 0] = 0.0
     assert op.kraus[0][0, 0] == 1.0
     assert op.t_op[0, 0] == 1.0
+
+
+# -- stacks ---------------------------------------------------------------------
+
+PAIR_STACK = np.stack([np.diag([0.9, 0.1]), np.diag([0.5, 0.5])]).astype(np.complex128)
+OTHER_STACK = PAIR_STACK[::-1].copy()
+METRICS = {"trace_distance": trace_distance, "fidelity": fidelity, "sine_distance": sine_distance, "angle": angle}
+EMPTY = "empty"  # accepted: an empty stack (0, d, d) gives an empty array of values
+
+STACK_CASES = {
+    # Functions that take one matrix reject a stack with ValidationError.
+    "DensityMatrix": (lambda: DensityMatrix(PAIR_STACK), ValidationError),
+    "validate_state": (lambda: validate_state(PAIR_STACK), ValidationError),
+    "spectral_split": (lambda: spectral_split(PAIR_STACK), ValidationError),
+    "eig_hermitian": (lambda: eig_hermitian(PAIR_STACK), ValidationError),
+    "maximizing_projector": (lambda: maximizing_projector(PAIR_STACK, OTHER_STACK), ValidationError),
+    "extremal_trace_product": (lambda: extremal_trace_product(PAIR_STACK, 0.5), ValidationError),
+    "build_maximizing_operation": (
+        lambda: build_maximizing_operation(PAIR_STACK, OTHER_STACK, 1),
+        ValidationError,
+    ),
+    "certify_maximizer": (
+        lambda: certify_maximizer(QuantumOperation([EYE2]), PAIR_STACK, OTHER_STACK),
+        ValidationError,
+    ),
+    "check_fvdg_bounds": (lambda: check_fvdg_bounds(PAIR_STACK, OTHER_STACK), ValidationError),
+    "cloner_outputs": (lambda: cloner_outputs(PAIR_STACK, OTHER_STACK), ValidationError),
+}
+for _name, _metric in METRICS.items():
+    STACK_CASES.update(
+        {
+            # Stacks of different shapes, and one matrix against a stack.
+            f"{_name}-stack-lengths": (
+                lambda m=_metric: m(PAIR_STACK, np.stack([np.eye(2) / 2] * 3)),
+                DimensionMismatchError,
+            ),
+            f"{_name}-stack-dims": (
+                lambda m=_metric: m(PAIR_STACK, np.stack([np.eye(3) / 3] * 2)),
+                DimensionMismatchError,
+            ),
+            f"{_name}-matrix-vs-stack": (lambda m=_metric: m(PAIR_STACK[0], OTHER_STACK), DimensionMismatchError),
+            f"{_name}-empty": (lambda m=_metric: m(PAIR_STACK[:0], OTHER_STACK[:0]), EMPTY),
+        }
+    )
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_stack_edge_cases(name):
+    call, outcome = STACK_CASES[name]
+    if outcome is EMPTY:
+        assert call().shape == (0,)
+    else:
+        with pytest.raises(outcome):
+            call()
