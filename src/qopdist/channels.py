@@ -21,9 +21,9 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_complex_matrix, hermitian_part, projector_onto
+from .linalg import as_complex_matrix, hermitian_part
 from .metrics import fidelity, trace_distance
-from .states import DensityMatrix, as_state, validate_state
+from .states import DensityMatrix, as_state, from_spectrum, validate_state
 
 __all__ = [
     "ClonerOutputs",
@@ -197,15 +197,12 @@ def max_e_distance_over_states(E: QuantumOperation) -> ExtremalPair:
     """
     w, v = np.linalg.eigh(E.t_op)
     theta_min, theta_max = float(w[0]), float(w[-1])
-    dim = E.dim_in
-    top = v[:, w >= theta_max - _CLUSTER_TOL]
-    bot = v[:, w <= theta_min + _CLUSTER_TOL]
-    rho_star = validate_state(projector_onto(top, dim) / top.shape[1])
-    sigma_star = validate_state(projector_onto(bot, dim) / bot.shape[1])
+    top = w >= theta_max - _CLUSTER_TOL
+    bot = w <= theta_min + _CLUSTER_TOL
     return ExtremalPair(
         value=theta_max - theta_min,
-        rho_star=rho_star,
-        sigma_star=sigma_star,
+        rho_star=from_spectrum(v[:, top], np.full(top.sum(), 1.0 / top.sum())),
+        sigma_star=from_spectrum(v[:, bot], np.full(bot.sum(), 1.0 / bot.sum())),
         theta_max=theta_max,
         theta_min=theta_min,
     )
@@ -247,12 +244,13 @@ def cloner_outputs(omega1, omega2, tol: float | None = None) -> ClonerOutputs:
     """
     tol = resolve_tol(tol)
     s1, s2 = as_state(omega1), as_state(omega2)
+    if max(s1.mat.ndim, s2.mat.ndim) > 2:
+        raise ValidationError("cloner_outputs takes two states, not stacks of them")
     if s1.dim != s2.dim:
         raise DimensionMismatchError(f"input dims differ: {s1.dim} vs {s2.dim}")
     for name, s in (("omega1", s1), ("omega2", s2)):
-        purity = float(np.trace(s.mat @ s.mat).real)
-        if purity < 1.0 - tol:
-            raise PurityError(f"{name} is mixed (tr rho^2 = {purity:.12f})")
+        if s.purity < 1.0 - tol:
+            raise PurityError(f"{name} is mixed (tr rho^2 = {s.purity:.12f})")
     om = fidelity(s1, s2)
     if om >= 1.0 - 1e-12:
         raise DegenerateInputError("designated pure states coincide")

@@ -20,6 +20,7 @@ __all__ = [
     "SpectralSplit",
     "as_complex_matrix",
     "as_hermitian",
+    "complex_normals",
     "eig_hermitian",
     "hermitian_part",
     "projector_onto",
@@ -78,6 +79,14 @@ def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> 
     """GUE-style random Hermitian matrix with entries of typical size ``scale``."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitian_part(scale * g / np.sqrt(2.0))
+
+
+def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A block of rows of ``dim`` complex normals (real and imaginary parts
+    i.i.d. N(0, 1)) where ``keep`` is True, and zero rows where it is not."""
+    g = np.zeros(keep.shape + (dim,), dtype=np.complex128)
+    g[keep] = rng.standard_normal((int(keep.sum()), 2 * dim)).view(np.complex128)
+    return g
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

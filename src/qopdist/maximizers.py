@@ -27,9 +27,9 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_hermitian, eig_hermitian, projector_onto, spectral_split
+from .linalg import SpectralSplit, as_hermitian, eig_hermitian, projector_onto, spectral_split
 from .metrics import trace_distance
-from .states import state_matrix, validate_state
+from .states import from_spectrum, state_matrix
 
 __all__ = [
     "BoundReport",
@@ -56,6 +56,19 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
+def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
+    """Spectral split of rho - sigma; DegenerateInputError when the states
+    coincide: their trace distance is at or below the resolved ``tol``."""
+    tol = resolve_tol(tol)
+    mr, ms = state_matrix(rho), state_matrix(sigma)
+    if mr.shape != ms.shape:
+        raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
+    split = spectral_split(mr - ms)
+    if 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)) <= tol:
+        raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
+    return split
+
+
 def build_maximizing_operation(
     rho,
     sigma,
@@ -70,17 +83,12 @@ def build_maximizing_operation(
     One Kraus operator |q'><q| per eigenvector of the chosen support of
     rho - sigma (positive part for ON_Q, negative part for ON_R).  The
     output vectors only need to be normalized; by default the standard
-    basis of the output space is assigned cyclically.
+    basis of the output space is assigned cyclically.  States within
+    ``tol`` in trace distance coincide (DegenerateInputError).
     """
-    tol = resolve_tol(tol)
     if dim_out < 1:
         raise ValidationError(f"dim_out must be >= 1, got {dim_out}")
-    mr, ms = state_matrix(rho), state_matrix(sigma)
-    if mr.shape != ms.shape:
-        raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    split = spectral_split(mr - ms)
-    if 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)) <= tol:
-        raise DegenerateInputError("states coincide; no maximizing operation exists")
+    split = _distinct_split(rho, sigma, tol)
     if mode is MaximizerMode.ON_Q:
         basis = split.q_basis
     elif mode is MaximizerMode.ON_R:
@@ -121,14 +129,10 @@ def certify_maximizer(E: QuantumOperation, rho, sigma) -> MaximizerCertificate:
     Works in the (q, r, kernel) eigenbasis of rho - sigma; every block must
     match within TOL_UNIT_ZERO, and all block residuals land in the
     diagnostics record.  Returns NOT_MAXIMIZER with m_op None otherwise.
+    States within the default tolerance in trace distance coincide
+    (DegenerateInputError), as for ``build_maximizing_operation``.
     """
-    mr, ms = state_matrix(rho), state_matrix(sigma)
-    if mr.shape != ms.shape:
-        raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    split = spectral_split(mr - ms)
-    d = 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
-    if d <= 1e-12:
-        raise DegenerateInputError("states coincide; certification undefined")
+    split = _distinct_split(rho, sigma, None)
     t = E.t_op
     if t.shape[0] != split.dim:
         raise DimensionMismatchError(
@@ -213,7 +217,8 @@ def build_state_pair(
     delta_kappa on the kernel ones; sigma swaps the roles.  Weight lists
     default to uniform; explicit lists may address leading subsets of the
     two eigenspaces, with sums lambda = kappa = d_target and
-    delta_lambda + delta_kappa = 1 - d_target.
+    delta_lambda + delta_kappa = 1 - d_target; ``from_spectrum`` checks
+    that the deltas are >= 0 and complete each state to a unit trace.
     """
     if not (0.0 < d_target < 1.0):
         raise ValidationError(f"d_target must lie in (0, 1), got {d_target}")
@@ -240,30 +245,15 @@ def build_state_pair(
         raise ValidationError(f"kappa lists must address 1..{nr_max} kernel eigenvectors")
     if np.any(lam <= 0) or np.any(kap <= 0):
         raise ValidationError("lambda and kappa weights must be strictly positive")
-    if np.any(dlam < 0) or np.any(dkap < 0):
-        raise ValidationError("delta weights must be nonnegative")
     if abs(lam.sum() - d_target) > 1e-9 or abs(kap.sum() - d_target) > 1e-9:
         raise ValidationError(
             f"lambda and kappa must each sum to {d_target}, got {lam.sum()} and {kap.sum()}"
         )
-    if abs(dlam.sum() + dkap.sum() - (1.0 - d_target)) > 1e-9:
-        raise ValidationError(
-            f"delta weights must sum to {1.0 - d_target}, got {dlam.sum() + dkap.sum()}"
-        )
-    q_vecs = unit[:, :nq]
-    r_vecs = zero[:, :nr]
-    dim = E.dim_in
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    sig = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(nq):
-        proj = np.outer(q_vecs[:, i], q_vecs[:, i].conj())
-        rho += (lam[i] + dlam[i]) * proj
-        sig += dlam[i] * proj
-    for i in range(nr):
-        proj = np.outer(r_vecs[:, i], r_vecs[:, i].conj())
-        rho += dkap[i] * proj
-        sig += (kap[i] + dkap[i]) * proj
-    return validate_state(rho), validate_state(sig)
+    basis = np.hstack([unit[:, :nq], zero[:, :nr]])
+    return (
+        from_spectrum(basis, np.concatenate([lam + dlam, dkap])),
+        from_spectrum(basis, np.concatenate([dlam, kap + dkap])),
+    )
 
 
 @dataclass(frozen=True)

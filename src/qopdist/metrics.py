@@ -15,7 +15,7 @@ from . import _kernels
 from .config import TOL_BOUND
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import psd_sqrt
-from .states import as_state, as_state_matrices, state_matrix
+from .states import as_state, state_matrix
 
 __all__ = [
     "FvdgReport",
@@ -49,10 +49,10 @@ def fidelity(rho, sigma) -> float | np.ndarray:
     exact arithmetic, but ``psd_sqrt`` sets round-off eigenvalues on a
     kernel to zero, so rank-deficient inputs keep full precision.  Takes
     states or two stacks (n, d, d) of the same shape, like
-    ``trace_distance``; a plain array is checked as ``validate_state``
-    checks it, once for the whole stack.
+    ``trace_distance``; a plain array goes through ``validate_state``,
+    once for the whole stack.
     """
-    r, s = as_state_matrices(rho), as_state_matrices(sigma)
+    r, s = as_state(rho).mat, as_state(sigma).mat
     if r.shape != s.shape:
         raise DimensionMismatchError(f"states have shapes {r.shape} and {s.shape}")
     sv = np.linalg.svd(psd_sqrt(r) @ psd_sqrt(s), compute_uv=False)
@@ -117,42 +117,35 @@ def max_qubit_gap(coarse_n: int = 50, refine_rounds: int = 6) -> QubitGapPoint:
     """
     if coarse_n < 20:
         raise ValidationError(f"coarse_n must be >= 20, got {coarse_n}")
-    box = [(0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]
-    full = [(0.0, 1.0), (0.0, 1.0), (-1.0, 1.0)]
+    full = box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     best_val = -np.inf
     best_pt = (0.0, 0.0, -1.0)
     for _ in range(refine_rounds + 1):
         axes = [np.linspace(lo, hi, coarse_n) for lo, hi in box]
         val, bu, bv, be = _kernels.gap_grid_max(*axes)
         if val > best_val:
-            best_val = val
-            best_pt = (bu, bv, be)
-        # Shrink to a few grid cells around the incumbent, clipped to the box.
-        box = []
-        for (lo, hi), c, (flo, fhi) in zip(
-            [(axes[0][0], axes[0][-1]), (axes[1][0], axes[1][-1]), (axes[2][0], axes[2][-1])],
-            best_pt,
-            full,
-        ):
-            half = 2.0 * (hi - lo) / (coarse_n - 1)
-            box.append((max(c - half, flo), min(c + half, fhi)))
+            best_val, best_pt = val, (bu, bv, be)
+        # Shrink to a few grid cells around the incumbent, clipped to the full box.
+        halves = [2.0 * (a[-1] - a[0]) / (coarse_n - 1) for a in axes]
+        box = [(max(c - h, lo), min(c + h, hi)) for c, h, (lo, hi) in zip(best_pt, halves, full)]
     u, v, eta = best_pt
     return QubitGapPoint(u=u, v=v, eta=eta, value=best_val)
 
 
 @dataclass(frozen=True)
 class FvdgReport:
-    """Fuchs-van de Graaf check: 1 - F <= D <= sqrt(1 - F^2)."""
+    """Fuchs-van de Graaf check: 1 - F <= D <= sqrt(1 - F^2), per pair."""
 
-    trace_dist: float
-    fid: float
-    sine_dist: float
-    lower_ok: bool
-    upper_ok: bool
+    trace_dist: float | np.ndarray
+    fid: float | np.ndarray
+    sine_dist: float | np.ndarray
+    lower_ok: bool | np.ndarray
+    upper_ok: bool | np.ndarray
 
 
 def check_fvdg_bounds(rho, sigma) -> FvdgReport:
-    """Evaluate both bounds on a state pair, each up to TOL_BOUND."""
+    """Evaluate both bounds, each up to TOL_BOUND, on a state pair or on
+    each pair of two stacks (n, d, d), from one fidelity evaluation."""
     r, s = as_state(rho), as_state(sigma)
     d = trace_distance(r, s)
     f = fidelity(r, s)

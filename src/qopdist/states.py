@@ -11,18 +11,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_PSD, TOL_TRACE, default_tol, resolve_tol
+from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, TOL_TRACE, resolve_tol
 from .errors import ValidationError
-from .linalg import as_complex_matrix, as_hermitian, hermitian_part
+from .linalg import as_hermitian, complex_normals, hermitian_part
 
 __all__ = [
     "DensityMatrix",
     "PAULI",
     "as_state",
-    "as_state_matrices",
     "bloch_of",
     "from_bloch",
+    "from_spectrum",
     "random_density",
+    "random_density_batch",
     "random_pure",
     "state_matrix",
     "validate_state",
@@ -39,36 +40,39 @@ PAULI = (
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A normalized quantum state: Hermitian, PSD, unit trace.
+    """A normalized quantum state (d, d), or a stack (n, d, d) of them:
+    Hermitian, PSD, unit trace.
 
     Construction validates the invariants, so holding a ``DensityMatrix``
-    is the proof that the wrapped matrix is a state.
+    is the proof that each wrapped matrix is a state.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m, _, _ = _check_state(as_complex_matrix(self.mat), TOL_HERM, TOL_PSD, TOL_TRACE)
+        m, _, _ = _check_state(self.mat, TOL_HERM, TOL_PSD, TOL_TRACE)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     @property
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
+    def purity(self) -> float | np.ndarray:
+        """tr rho^2: a float for one state, an array for a stack."""
+        p = np.einsum("...ij,...ji->...", self.mat, self.mat).real
+        return float(p) if p.ndim == 0 else p
 
 
 def _check_state(m, tol_herm: float, tol_psd: float, tol_trace: float):
     """The one state check: Hermitian, PSD and unit trace within the given
-    tolerances, for one matrix or each matrix of a stack (..., d, d).
+    tolerances, for one matrix (d, d) or each matrix of a stack (n, d, d).
     Returns the symmetrized copy, its ascending eigenvalues and its
     traces."""
     h = as_hermitian(m, tol_herm)
-    if h.shape[-1] == 0:
-        raise ValidationError("a state needs dimension >= 1, got a 0 x 0 matrix")
+    if h.ndim > 3 or h.shape[-1] == 0:
+        raise ValidationError(f"a state is a (d, d) matrix or an (n, d, d) stack, d >= 1, not {h.shape}")
     w = np.linalg.eigvalsh(h)
     low = w[..., 0].min(initial=np.inf)
     if low < -tol_psd:
@@ -81,8 +85,8 @@ def _check_state(m, tol_herm: float, tol_psd: float, tol_trace: float):
 
 
 def _trusted_state(m: np.ndarray) -> DensityMatrix:
-    """Wrap a bit-Hermitian, unit-trace, PSD matrix that this module just
-    built, without checking it again."""
+    """Wrap a bit-Hermitian, unit-trace, PSD matrix or stack that this
+    module just built, without checking it again."""
     m.flags.writeable = False
     state = object.__new__(DensityMatrix)
     object.__setattr__(state, "mat", m)
@@ -92,13 +96,6 @@ def _trusted_state(m: np.ndarray) -> DensityMatrix:
 def as_state(x) -> DensityMatrix:
     """``x`` itself if it is a ``DensityMatrix``, else ``validate_state(x)``."""
     return x if isinstance(x, DensityMatrix) else validate_state(x)
-
-
-def as_state_matrices(x) -> np.ndarray:
-    """The matrix of a ``DensityMatrix``; for a plain matrix or a stack
-    (n, d, d), the matrices ``validate_state`` would return at the default
-    tolerance, checked in one pass for the whole stack."""
-    return x.mat if isinstance(x, DensityMatrix) else _validated(x, default_tol())
 
 
 def state_matrix(x) -> np.ndarray:
@@ -149,9 +146,39 @@ def random_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMatr
     return _trusted_state(hermitian_part(m / np.trace(m).real))
 
 
+def random_density_batch(dim: int, ranks, rng: np.random.Generator) -> DensityMatrix:
+    """A stack of random states, one per entry of ``ranks``, from the
+    measure ``random_density`` samples (but not its draws): G†G / tr(G†G)
+    for a Ginibre G whose rows beyond the rank are zero, in one masked draw.
+    """
+    ranks = np.asarray(ranks)
+    if dim < 1 or ranks.ndim != 1 or not ((1 <= ranks) & (ranks <= dim)).all():
+        raise ValidationError(f"ranks must be a 1-D array with 1 <= rank <= dim = {dim}")
+    g = complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
+    mats = hermitian_part(g.conj().transpose(0, 2, 1) @ g)
+    return _trusted_state(mats / np.einsum("nii->n", mats).real[:, None, None])
+
+
+def from_spectrum(vectors, weights) -> DensityMatrix:
+    """The state V diag(w) V† of columns V orthonormal within ``TOL_ORTHO``
+    and weights w >= 0 that sum to 1 within ``TOL_TRACE``: w is the
+    spectrum, so the check needs no eigendecomposition."""
+    v = np.asarray(vectors, dtype=np.complex128)
+    w = np.asarray(weights, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] < 1 or w.shape != v.shape[1:]:
+        raise ValidationError(f"need a (d, k) matrix of columns and k weights, got {v.shape} and {w.shape}")
+    dev = float(np.abs(v.conj().T @ v - np.eye(w.size)).max(initial=0.0))
+    if not dev <= TOL_ORTHO:
+        raise ValidationError(f"vectors are not orthonormal: Gram deviation {dev:.3e} > {TOL_ORTHO:.1e}")
+    if not ((w >= 0.0).all() and abs(w.sum() - 1.0) <= TOL_TRACE):
+        raise ValidationError(f"weights must be >= 0 and sum to 1 within {TOL_TRACE:.1e}, got {w}")
+    return _trusted_state(hermitian_part((v * w) @ v.conj().T))
+
+
 def validate_state(m: np.ndarray, tol: float | None = None) -> DensityMatrix:
     """Check Hermiticity, PSD and unit trace within ``tol``; normalize
-    drift below it.
+    drift below it.  Takes one matrix or a stack (n, d, d), checked in one
+    pass.
 
     A trace within rounding of 1 (``4 * dim * eps``: a few ulps on each
     diagonal entry) is left as it is, so any state this package built
@@ -159,7 +186,7 @@ def validate_state(m: np.ndarray, tol: float | None = None) -> DensityMatrix:
     ``DensityMatrix`` cut are clamped to zero.  Raises ``ValidationError``
     naming the offending quantity otherwise.
     """
-    return _trusted_state(_validated(as_complex_matrix(m), resolve_tol(tol)))
+    return _trusted_state(_validated(m, resolve_tol(tol)))
 
 
 def _validated(m, tol: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .config import resolve_tol
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
-from .states import DensityMatrix, validate_state
+from .states import from_spectrum
 
 __all__ = [
     "BoundKind",
@@ -207,9 +207,9 @@ def run_trials(
         d_norm = np.empty(n_trials)
         d_sub = np.empty(n_trials)
         for i in range(n_trials):
-            rho = (basis * w_rho[i]) @ basis.conj().T
-            sig = (basis * w_sig[i]) @ basis.conj().T
-            d_in[i] = trace_distance(validate_state(rho), validate_state(sig))
+            rho = from_spectrum(basis, w_rho[i])
+            sig = from_spectrum(basis, w_sig[i])
+            d_in[i] = trace_distance(rho, sig)
             out_r = apply(E, rho)
             out_s = apply(E, sig)
             d_sub[i] = trace_distance(out_r, out_s)

@@ -31,15 +31,15 @@ from .channels import (
 )
 from .config import resolve_tol
 from .errors import ReportParseError, ValidationError
-from .linalg import random_hermitian
+from .linalg import complex_normals, random_hermitian
 from .maximizers import (
     MaximizerMode,
     build_maximizing_operation,
     extremal_trace_product,
     maximizing_projector,
 )
-from .metrics import fidelity, max_qubit_gap, sine_distance, trace_distance
-from .states import random_density, random_pure
+from .metrics import check_fvdg_bounds, fidelity, max_qubit_gap, trace_distance
+from .states import random_density, random_density_batch, random_pure
 from .statlab import BoundKind, cdf_moment, dominance_implies_moments, empirical_cdf, moment_check
 
 __all__ = [
@@ -143,24 +143,6 @@ def _distinct_pair(dim: int, rng: np.random.Generator):
             return rho, sig
 
 
-def _complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A block of rows of ``dim`` complex normals (real and imaginary parts
-    i.i.d. N(0, 1)) where ``keep`` is True, and zero rows where it is not."""
-    g = np.zeros(keep.shape + (dim,), dtype=np.complex128)
-    g[keep] = rng.standard_normal((int(keep.sum()), 2 * dim)).view(np.complex128)
-    return g
-
-
-def _ginibre_batch(dim: int, ranks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One state per entry of ``ranks``, drawn as ``random_density`` draws
-    them: G†G / tr(G†G), symmetrized, for a Ginibre G whose rows beyond
-    the rank are zero."""
-    g = _complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
-    mats = g.conj().transpose(0, 2, 1) @ g
-    mats = mats + mats.conj().transpose(0, 2, 1)
-    return mats / np.einsum("nii->n", mats).real[:, None, None]
-
-
 def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """tr(M delta) for each matrix M of a stack."""
     return np.einsum("nij,ji->n", mats, delta).real
@@ -185,7 +167,7 @@ def _operation_block(dim: int, count: int, rng: np.random.Generator):
     keep = (np.arange(_MAX_KRAUS) < n_kraus[:, None])[:, :, None] & (
         np.arange(dim) < dim_out[:, None]
     )[:, None, :]
-    g = _complex_normals(keep, dim, rng) / SQRT2
+    g = complex_normals(keep, dim, rng) / SQRT2
     rows = g.reshape(count, _MAX_KRAUS * dim, dim)
     t = rows.conj().transpose(0, 2, 1) @ rows
     scale = 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
@@ -279,9 +261,9 @@ def run_thm2(rng, n_cases, slack):
         attain = abs(e_distance(op, ext.rho_star, ext.sigma_star) - ext.value)
         t = op.t_op
         ranks = rng.integers(1, dim + 1, size=n_pairs)
-        rhos = _ginibre_batch(dim, ranks, rng)
-        sigs = _ginibre_batch(dim, ranks, rng)
-        vals = np.abs(_trace_products(rhos - sigs, t))
+        rhos = random_density_batch(dim, ranks, rng)
+        sigs = random_density_batch(dim, ranks, rng)
+        vals = np.abs(_trace_products(rhos.mat - sigs.mat, t))
         excess = float(vals.max() - ext.value)
         details.append(
             _detail(
@@ -360,7 +342,8 @@ def run_thm5(rng, n_cases, slack):
     ]
     rho = np.diag([1.0, 0.0]).astype(np.complex128)
     sig = np.diag([0.75, 0.25]).astype(np.complex128)
-    gap = sine_distance(rho, sig) - trace_distance(rho, sig)
+    witness = check_fvdg_bounds(rho, sig)
+    gap = witness.sine_dist - witness.trace_dist
     resid = abs(gap - 0.25)
     details.append(_detail("witness-pair-gap", resid, resid < 1e-10, value=float(gap)))
     dims = rng.integers(2, 7, size=n_cases)
@@ -372,11 +355,10 @@ def run_thm5(rng, n_cases, slack):
         count = int(np.sum(dims == dim))
         if count == 0:
             continue
-        rhos = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
-        sigs = _ginibre_batch(dim, rng.integers(1, dim + 1, size=count), rng)
-        d = trace_distance(rhos, sigs)
-        f = fidelity(rhos, sigs)
-        c = np.sqrt(np.maximum(1.0 - f * f, 0.0))
+        rhos = random_density_batch(dim, rng.integers(1, dim + 1, size=count), rng)
+        sigs = random_density_batch(dim, rng.integers(1, dim + 1, size=count), rng)
+        fvdg = check_fvdg_bounds(rhos, sigs)
+        d, f, c = fvdg.trace_dist, fvdg.fid, fvdg.sine_dist
         gap = c - d
         chain = gap - (c + f - 1.0)
         angle_excess = (c + f) - SQRT2

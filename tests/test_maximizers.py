@@ -3,6 +3,8 @@ contraction reports."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopdist.channels import QuantumOperation, apply, e_distance, random_operation, t_operator
 from qopdist.errors import (
@@ -23,7 +25,7 @@ from qopdist.maximizers import (
     theorem4_report,
 )
 from qopdist.metrics import trace_distance
-from qopdist.states import random_density
+from qopdist.states import DensityMatrix, random_density
 
 E0 = np.diag([1.0, 0.0]).astype(complex)
 E1 = np.diag([0.0, 1.0]).astype(complex)
@@ -125,6 +127,93 @@ def test_certify_rejects_identical_states():
     op = build_maximizing_operation(E0, E1, 1)
     with pytest.raises(DegenerateInputError):
         certify_maximizer(op, E0, E0)
+
+
+@pytest.mark.parametrize("gap, coincide", [(1e-11, True), (1e-8, False)])
+def test_one_coincide_cut_for_construction_and_certificate(monkeypatch, gap, coincide):
+    """A pair at trace distance 1e-11 coincides for both functions, one at
+    1e-8 is distinct for both (default tolerance 1e-9)."""
+    monkeypatch.delenv("QOPDIST_DEFAULT_TOL", raising=False)
+    rho = np.diag([0.5 - gap, 0.5 + gap]).astype(complex)
+    sig = np.diag([0.5, 0.5]).astype(complex)
+    assert abs(trace_distance(rho, sig) - gap) < 1e-15
+    if coincide:
+        with pytest.raises(DegenerateInputError):
+            build_maximizing_operation(rho, sig, 1)
+        with pytest.raises(DegenerateInputError):
+            certify_maximizer(build_maximizing_operation(E0, E1, 1), rho, sig)
+    else:
+        op = build_maximizing_operation(rho, sig, 1)
+        assert certify_maximizer(op, rho, sig).mode is MaximizerMode.ON_Q
+
+
+# Corruptions of valid build_state_pair weights and the check each must trip.
+CORRUPTIONS = {
+    "lambda-nonpositive": "strictly positive",
+    "kappa-nonpositive": "strictly positive",
+    "delta-negative": "weights must be >= 0",
+    "lambda-sum": "must each sum",
+    "delta-sum": "sum to 1",
+    "lambda-length": "lambda lists",
+    "kappa-length": "kappa lists",
+}
+
+
+def _matched_setup(seed, n_unit, n_zero, d):
+    """An operation whose T projects onto n_unit random orthonormal vectors
+    of C^(n_unit + n_zero), and valid weights for target d on random
+    leading subsets of its unit and zero eigenspaces."""
+    rng = np.random.default_rng(seed)
+    dim = n_unit + n_zero
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    op = QuantumOperation([np.outer(np.eye(1, dim, i), u[:, i].conj()) for i in range(n_unit)])
+    nq, nr = int(rng.integers(1, n_unit + 1)), int(rng.integers(1, n_zero + 1))
+    split = float(rng.uniform(0.0, 1.0))
+
+    def parts(n, total):
+        x = rng.uniform(0.05, 1.0, size=n)
+        return total * x / x.sum()
+
+    weights = [parts(nq, d), parts(nr, d), parts(nq, split * (1 - d)), parts(nr, (1 - split) * (1 - d))]
+    return op, weights
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_unit=st.integers(1, 3),
+    n_zero=st.integers(1, 3),
+    d=st.floats(0.01, 0.99),
+    kind=st.sampled_from([None] + sorted(CORRUPTIONS)),
+)
+def test_build_state_pair_weights(seed, n_unit, n_zero, d, kind):
+    """Valid weights give a pair of states whose trace distance and
+    probability gap both equal d; each corruption raises ValidationError
+    from the check that names it."""
+    op, (lam, kap, dlam, dkap) = _matched_setup(seed, n_unit, n_zero, d)
+    if kind is None:
+        rho, sig = build_state_pair(op, d, lam, kap, dlam, dkap)
+        assert abs(trace_distance(rho, sig) - d) <= 1e-10
+        assert abs(e_distance(op, rho, sig) - d) <= 1e-10
+        for s in (rho, sig):
+            assert np.array_equal(DensityMatrix(s.mat).mat, s.mat)
+        return
+    if kind == "lambda-nonpositive":
+        lam[0] = -lam[0]
+    elif kind == "kappa-nonpositive":
+        kap[-1] = 0.0
+    elif kind == "delta-negative":
+        dlam[0] = -1e-3
+    elif kind == "lambda-sum":
+        lam *= 1.0 + 1e-6
+    elif kind == "delta-sum":
+        dkap = dkap + 1e-6
+    elif kind == "lambda-length":
+        lam = np.append(lam, d)
+    else:
+        dkap = dkap[:-1]
+    with pytest.raises(ValidationError, match=CORRUPTIONS[kind]):
+        build_state_pair(op, d, lam, kap, dlam, dkap)
 
 
 def test_build_state_pair_defaults():

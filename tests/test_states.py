@@ -8,7 +8,9 @@ from qopdist.states import (
     DensityMatrix,
     bloch_of,
     from_bloch,
+    from_spectrum,
     random_density,
+    random_density_batch,
     random_pure,
     validate_state,
 )
@@ -98,3 +100,49 @@ def test_validate_state_rejects_beyond_tol():
         validate_state(np.diag([0.7, 0.5]).astype(complex))
     with pytest.raises(ValidationError):
         validate_state(np.diag([1.2, -0.2]).astype(complex))
+
+
+def test_a_stack_of_states_has_dim_and_purity_per_state():
+    rng = np.random.default_rng(11)
+    mats = np.stack([random_density(3, r, rng).mat for r in (1, 2, 3)])
+    stack = DensityMatrix(mats)
+    assert stack.dim == 3
+    purities = stack.purity
+    assert purities.shape == (3,)
+    for p, m in zip(purities, mats):
+        assert abs(p - DensityMatrix(m).purity) < 1e-15
+    assert abs(purities[0] - 1.0) < 1e-12
+
+
+def test_random_density_batch_rejects_bad_ranks():
+    rng = np.random.default_rng(0)
+    for dim, ranks in ((3, [1, 0]), (3, [4]), (3, [[1]]), (0, [])):
+        with pytest.raises(ValidationError):
+            random_density_batch(dim, ranks, rng)
+
+
+def test_from_spectrum_builds_the_state_of_its_weights():
+    rng = np.random.default_rng(12)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    w = np.array([0.5, 0.3, 0.2])
+    rho = from_spectrum(q[:, :3], w)
+    assert not rho.mat.flags.writeable
+    assert np.array_equal(DensityMatrix(rho.mat).mat, rho.mat)
+    assert np.allclose(np.linalg.eigvalsh(rho.mat), [0.0, 0.2, 0.3, 0.5], atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "vectors, weights, match",
+    [
+        (np.eye(3)[:, :2], [0.5, 0.6], "weights must"),
+        (np.eye(3)[:, :2], [1.1, -0.1], "weights must"),
+        (np.eye(3)[:, :2], [1.0], "columns"),
+        (np.eye(3)[:, :0], [], "weights must"),
+        (np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5], "orthonormal"),
+        (np.full((2, 1), np.nan), [1.0], "orthonormal"),
+        (np.eye(2)[:, :1], [np.nan], "weights must"),
+    ],
+)
+def test_from_spectrum_rejects(vectors, weights, match):
+    with pytest.raises(ValidationError, match=match):
+        from_spectrum(vectors, weights)

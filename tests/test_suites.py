@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopdist import statlab, suites
+from qopdist import metrics, statlab, suites
 from qopdist.channels import QuantumOperation, e_distance
 from qopdist.errors import ReportParseError, ValidationError
 from qopdist.linalg import random_hermitian
 from qopdist.metrics import trace_distance
-from qopdist.states import DensityMatrix, random_density
+from qopdist.states import DensityMatrix, random_density, random_density_batch
 from qopdist.statlab import TrialColumns
 from qopdist.suites import (
     SUITE_NAMES,
@@ -161,11 +161,15 @@ def test_oracle_block_holds_public_operations(seed, dim):
 @given(seed=SEEDS, dim=DIMS)
 def test_ginibre_batch_holds_public_states(seed, dim):
     """Each state of a thm2/thm5 batch has the rank it was drawn with, from
-    rank 1 to full, and passes the public state check unchanged."""
+    rank 1 to full, and passes the public state check unchanged, alone and
+    as the whole stack."""
     rng = np.random.default_rng(seed)
     ranks = rng.integers(1, dim + 1, size=12)
     ranks[:2] = 1, dim
-    for rank, m in zip(ranks, suites._ginibre_batch(dim, ranks, rng)):
+    batch = random_density_batch(dim, ranks, rng)
+    assert batch.mat.shape == (12, dim, dim) and not batch.mat.flags.writeable
+    assert np.array_equal(DensityMatrix(batch.mat).mat, batch.mat)
+    for rank, m in zip(ranks, batch.mat):
         assert np.linalg.matrix_rank(m, tol=1e-10, hermitian=True) == rank
         assert np.array_equal(DensityMatrix(m).mat, m)
 
@@ -204,9 +208,16 @@ def test_thm1_fails_when_the_construction_misses(monkeypatch):
 
 
 def test_thm5_slack_below_the_chain_excess_fails(monkeypatch):
-    """With every fidelity set to 1 - D - 1e-6, each pair exceeds the chain
-    1 - F <= D by 1e-6: a slack above that passes, a slack below fails."""
-    monkeypatch.setattr(suites, "fidelity", lambda r, s: 1.0 - suites.trace_distance(r, s) - 1e-6)
+    """With every fidelity of the random stacks set to 1 - D - 1e-6, each
+    pair exceeds the chain 1 - F <= D by 1e-6: a slack above that passes, a
+    slack below fails.  The witness pair keeps its true fidelity."""
+    real = metrics.fidelity
+
+    def short(r, s):
+        stacked = isinstance(r, DensityMatrix) and r.mat.ndim == 3
+        return 1.0 - metrics.trace_distance(r, s) - 1e-6 if stacked else real(r, s)
+
+    monkeypatch.setattr(metrics, "fidelity", short)
     above = suites.run_thm5(7, 50, slack=1e-5)
     assert above.n_failures == 0
     assert abs(above.details[-1]["worst_chain_excess"] - 1e-6) < 1e-12

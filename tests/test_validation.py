@@ -6,6 +6,7 @@ bit-identical results; work counts pin how many eigendecompositions a
 validation costs; edge inputs must raise the documented ValidationError.
 """
 
+import dataclasses
 import importlib
 import inspect
 import math
@@ -19,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qopdist
-from qopdist import config, linalg, metrics, states, suites
+from qopdist import channels, config, linalg, metrics, states, suites
 from qopdist.channels import QuantumOperation, cloner_outputs, is_trace_preserving, random_operation
 from qopdist.config import resolve_tol
 from qopdist.errors import DimensionMismatchError, ValidationError
@@ -84,17 +85,17 @@ def test_random_operations_pass_the_public_check_unchanged(seed, dim_in, dim_out
 @settings(max_examples=60, deadline=None)
 @given(seed=SEEDS, dim=st.integers(1, 6))
 def test_a_stack_is_checked_as_each_of_its_matrices(seed, dim):
-    """as_state_matrices on a stack returns what validate_state returns for
-    each matrix at the default tolerance, bit for bit, with both repairs
-    running; one bad matrix rejects the stack."""
+    """validate_state on a stack returns what it returns for each matrix at
+    the default tolerance, bit for bit, with both repairs running; one bad
+    matrix rejects the stack."""
     rng = np.random.default_rng(seed)
     mats = np.stack([_drifted(rng, dim) for _ in range(6)] + [random_density(dim, dim, rng).mat])
     with mock.patch.dict(os.environ, {"QOPDIST_DEFAULT_TOL": "1e-8"}):
         expected = np.stack([validate_state(m).mat for m in mats])
-        assert np.array_equal(states.as_state_matrices(mats), expected)
+        assert np.array_equal(validate_state(mats).mat, expected)
         mats[3] *= 1.5
         with pytest.raises(ValidationError, match="state trace"):
-            states.as_state_matrices(mats)
+            validate_state(mats)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -181,9 +182,9 @@ def test_check_fvdg_bounds_computes_the_fidelity_once(lapack_calls):
     assert report.sine_dist == metrics.sine_distance(r, s)
 
 
-def test_appendixB_checks_each_instance_at_most_five_times(monkeypatch):
-    """One stacked trace_distance call (two checks) and maximizing_projector
-    (three) per instance; every binding of as_hermitian is counted."""
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """Calls of as_hermitian, through every binding of it in the package."""
     calls = []
     real = linalg.as_hermitian
 
@@ -194,8 +195,40 @@ def test_appendixB_checks_each_instance_at_most_five_times(monkeypatch):
     for module in vars(qopdist).values():
         if getattr(module, "__name__", "").startswith("qopdist.") and hasattr(module, "as_hermitian"):
             monkeypatch.setattr(module, "as_hermitian", counted)
+    return calls
+
+
+def test_appendixB_checks_each_instance_at_most_five_times(hermitian_checks):
+    """One stacked trace_distance call (two checks) and maximizing_projector
+    (three) per instance."""
     assert suites.run_appendixB(7, 3).n_failures == 0
-    assert 0 < len(calls) <= 5 * 3
+    assert 0 < len(hermitian_checks) <= 5 * 3
+
+
+def test_thm5_checks_its_sampled_stacks_only_in_psd_sqrt(hermitian_checks):
+    """Per dimension block, the two psd_sqrt calls of the fidelity are the
+    only checks (5 blocks); the plain-array witness pair costs four: its
+    two state checks and its two roots."""
+    assert suites.run_thm5(7, 50).n_failures == 0
+    assert 0 < len(hermitian_checks) <= 2 * 5 + 4
+
+
+def test_thm2_does_not_recheck_the_states_it_builds(monkeypatch):
+    """The sampled stacks and the extremal pairs are trusted states: no
+    _check_state call in the whole suite, while the spy does see an
+    outside matrix."""
+    calls = []
+    real = states._check_state
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(states, "_check_state", counted)
+    assert suites.run_thm2(7, 20).n_failures == 0
+    assert calls == []
+    validate_state(np.eye(2) / 2)
+    assert calls == [1]
 
 
 def test_library_samplers_do_not_recheck(lapack_calls):
@@ -277,6 +310,42 @@ def test_every_public_tolerance_is_checked():
 # -- edge inputs ----------------------------------------------------------------
 
 
+# 1 + m * 2**-26 squares exactly in floating point for m < 2**13, so a
+# Kraus operator with that diagonal entry gives exactly that T eigenvalue.
+UNIT_STEPS = st.integers(0, 2**13 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=UNIT_STEPS, dim=st.integers(1, 4))
+def test_operation_accepts_t_eigenvalues_up_to_one_plus_tol(m, dim):
+    """T eigenvalues 0 and 1 + tol (1 itself for m = 0) pass with tol set
+    exactly to the excess; one ulp of 1 less tolerance rejects the top."""
+    top = (1.0 + m * 2.0**-26) ** 2
+    kraus = np.diag([1.0 + m * 2.0**-26] + [0.0] * dim).astype(np.complex128)
+    tol = top - 1.0
+    op = QuantumOperation([kraus], tol=tol)
+    assert np.array_equal(np.diag(op.t_op).real, [top] + [0.0] * dim)
+    if m:
+        with pytest.raises(ValidationError, match="outside"):
+            QuantumOperation([kraus], tol=tol - 2.0**-52)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tol=st.floats(0.0, 1e-6))
+def test_operation_rejects_t_below_minus_tol(tol):
+    """T = sum E^dag E is PSD for any Kraus set, so the lower edge of the
+    check is reached by handing it T directly: an eigenvalue at -tol passes,
+    the next float below fails."""
+    for low, accepted in ((-tol, True), (np.nextafter(-tol, -1.0), False)):
+        t = np.diag([low, 0.5]).astype(np.complex128)
+        with mock.patch.object(channels, "_t_sum", lambda ops, t=t: t):
+            if accepted:
+                QuantumOperation([EYE2 / 2], tol=tol)
+            else:
+                with pytest.raises(ValidationError, match="outside"):
+                    QuantumOperation([EYE2 / 2], tol=tol)
+
+
 @pytest.mark.parametrize(
     "build",
     [DensityMatrix, validate_state, lambda m: QuantumOperation([m]), lambda m: extremal_trace_product(m, 0.5)],
@@ -308,11 +377,31 @@ PAIR_STACK = np.stack([np.diag([0.9, 0.1]), np.diag([0.5, 0.5])]).astype(np.comp
 OTHER_STACK = PAIR_STACK[::-1].copy()
 METRICS = {"trace_distance": trace_distance, "fidelity": fidelity, "sine_distance": sine_distance, "angle": angle}
 EMPTY = "empty"  # accepted: an empty stack (0, d, d) gives an empty array of values
+LOOP = "loop"  # accepted: (stacked result, the same from a loop over the pairs) agree bit for bit
+
+
+def _fvdg_fields(report):
+    return np.array(dataclasses.astuple(report), dtype=float)
+
 
 STACK_CASES = {
+    # State constructors and the bound report take a stack as well.
+    "DensityMatrix": (
+        lambda: (DensityMatrix(PAIR_STACK).mat, [DensityMatrix(m).mat for m in PAIR_STACK]),
+        LOOP,
+    ),
+    "validate_state": (
+        lambda: (validate_state(PAIR_STACK).mat, [validate_state(m).mat for m in PAIR_STACK]),
+        LOOP,
+    ),
+    "check_fvdg_bounds": (
+        lambda: (
+            _fvdg_fields(check_fvdg_bounds(PAIR_STACK, OTHER_STACK)).T,
+            [_fvdg_fields(check_fvdg_bounds(a, b)) for a, b in zip(PAIR_STACK, OTHER_STACK)],
+        ),
+        LOOP,
+    ),
     # Functions that take one matrix reject a stack with ValidationError.
-    "DensityMatrix": (lambda: DensityMatrix(PAIR_STACK), ValidationError),
-    "validate_state": (lambda: validate_state(PAIR_STACK), ValidationError),
     "spectral_split": (lambda: spectral_split(PAIR_STACK), ValidationError),
     "eig_hermitian": (lambda: eig_hermitian(PAIR_STACK), ValidationError),
     "maximizing_projector": (lambda: maximizing_projector(PAIR_STACK, OTHER_STACK), ValidationError),
@@ -325,8 +414,12 @@ STACK_CASES = {
         lambda: certify_maximizer(QuantumOperation([EYE2]), PAIR_STACK, OTHER_STACK),
         ValidationError,
     ),
-    "check_fvdg_bounds": (lambda: check_fvdg_bounds(PAIR_STACK, OTHER_STACK), ValidationError),
     "cloner_outputs": (lambda: cloner_outputs(PAIR_STACK, OTHER_STACK), ValidationError),
+    "cloner_outputs-DensityMatrix": (
+        lambda: cloner_outputs(DensityMatrix(PAIR_STACK), DensityMatrix(OTHER_STACK)),
+        ValidationError,
+    ),
+    "save_state-DensityMatrix": (lambda: save_state(os.devnull, DensityMatrix(PAIR_STACK)), ValidationError),
 }
 for _name, _metric in METRICS.items():
     STACK_CASES.update(
@@ -351,6 +444,9 @@ def test_stack_edge_cases(name):
     call, outcome = STACK_CASES[name]
     if outcome is EMPTY:
         assert call().shape == (0,)
+    elif outcome is LOOP:
+        stacked, looped = call()
+        assert np.array_equal(stacked, np.stack(looped))
     else:
         with pytest.raises(outcome):
             call()
