@@ -65,7 +65,7 @@ def cmd_maximize(args) -> int:
     rho = load_state(args.file_rho)
     sigma = load_state(args.file_sigma)
     op = build_maximizing_operation(rho, sigma, args.dim_out, MaximizerMode(args.mode), tol=tol)
-    cert = certify_maximizer(op, rho, sigma)
+    cert = certify_maximizer(op, rho, sigma, tol=tol)
     if cert.mode != MaximizerMode(args.mode):
         raise QopdistError(
             f"constructed operation certified as {cert.mode.value}, expected {args.mode}"

@@ -190,7 +190,7 @@ def projector_onto(vectors, dim: int) -> np.ndarray:
     if cols.shape[1]:
         gram = cols.conj().T @ cols
         dev = float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
-        if dev > TOL_ORTHO:
+        if not dev <= TOL_ORTHO:  # also catches a NaN deviation
             raise ValidationError(f"vectors are not orthonormal: Gram deviation {dev:.3e} > {TOL_ORTHO:.1e}")
     return hermitian_part(cols @ cols.conj().T)
 

@@ -122,17 +122,18 @@ class MaximizerCertificate:
     diagnostics: dict
 
 
-def certify_maximizer(E: QuantumOperation, rho, sigma) -> MaximizerCertificate:
+def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float | None = None) -> MaximizerCertificate:
     """Decide whether T = P_supp + M with the unit block on either support
     of rho - sigma and a kernel-supported M between 0 and 1.
 
     Works in the (q, r, kernel) eigenbasis of rho - sigma; every block must
     match within TOL_UNIT_ZERO, and all block residuals land in the
     diagnostics record.  Returns NOT_MAXIMIZER with m_op None otherwise.
-    States within the default tolerance in trace distance coincide
-    (DegenerateInputError), as for ``build_maximizing_operation``.
+    States within ``tol`` (default ``QOPDIST_DEFAULT_TOL``) in trace
+    distance coincide (DegenerateInputError), as for
+    ``build_maximizing_operation``.
     """
-    split = _distinct_split(rho, sigma, None)
+    split = _distinct_split(rho, sigma, tol)
     t = E.t_op
     if t.shape[0] != split.dim:
         raise DimensionMismatchError(

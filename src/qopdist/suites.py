@@ -13,7 +13,9 @@ registry fixes the public ``run_<name>`` functions and ``SUITE_NAMES``.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -97,13 +99,8 @@ def _suite(name: str, salt: int, default_cases: int):
     def register(body):
         def run(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> SuiteReport:
             t0 = time.perf_counter()
-            if seed < 0:
-                raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-            if n_cases is None:
-                n_cases = default_cases
-            if n_cases < 1:
-                raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
-            slack = resolve_tol(slack)
+            slack = _checked_args(seed, n_cases, slack)
+            n_cases = default_cases if n_cases is None else n_cases
             n_counted, details = body(np.random.default_rng([seed, salt]), n_cases, slack)
             return SuiteReport(
                 suite_name=name,
@@ -121,6 +118,15 @@ def _suite(name: str, salt: int, default_cases: int):
         return run
 
     return register
+
+
+def _checked_args(seed: int, n_cases: int | None, slack) -> float:
+    """Reject a negative seed or fewer than one case; return the resolved slack."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    if n_cases is not None and n_cases < 1:
+        raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
+    return resolve_tol(slack)
 
 
 def _detail(case: str, residual, ok, **extra) -> dict:
@@ -598,11 +604,60 @@ def run_section3(rng, n_cases, slack):
 
 SUITE_NAMES = tuple(_SUITES)
 
+# The suites by their run time at seed 7, longest first: appendixB 1.0 s,
+# thm1 0.74 s, thm2 0.57 s, section3 0.30 s, thm5 0.26 s, cloning 0.12 s,
+# lemma1 0.10 s, the rest under 0.05 s each.  Workers take them in this
+# order, so the longest suite does not start last.
+_LONGEST_FIRST = (
+    "appendixB",
+    "thm1",
+    "thm2",
+    "section3",
+    "thm5",
+    "cloning",
+    "lemma1",
+    "thm3",
+    "thm4",
+    "lemma2",
+)
+
+
+def _run_named(name: str, seed: int, n_cases: int | None, slack: float) -> SuiteReport:
+    return _SUITES[name](seed, n_cases, slack)
+
+
+def _run_every_suite(seed: int, n_cases: int | None, slack: float) -> list[SuiteReport]:
+    """Every suite's report, in SUITE_NAMES order.
+
+    The suites share no state, so they run in a pool of forked worker
+    processes, one per CPU this process may use (at most one per suite).
+    They run in this process instead when there is one CPU, no fork start
+    method, or another live thread, because fork copies only the calling
+    thread.  A suite's exception is re-raised here with its own type, the
+    suites not yet started are cancelled, and the pool is shut down before
+    this returns or raises.  Each report's elapsed_seconds is measured
+    where the suite ran.
+    """
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    job = functools.partial(_run_named, seed=seed, n_cases=n_cases, slack=slack)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(SUITE_NAMES))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        reports = dict(zip(_LONGEST_FIRST, map(job, _LONGEST_FIRST)))
+    else:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            reports = dict(zip(_LONGEST_FIRST, pool.map(job, _LONGEST_FIRST)))
+    return [reports[name] for name in SUITE_NAMES]
+
 
 def run_suite(name: str, seed: int, n_cases: int | None = None, slack: float = 1e-9) -> list[SuiteReport]:
-    """Run one named suite, or every suite for name 'all'."""
+    """Run one named suite, or every suite for name 'all' (see
+    ``_run_every_suite``: in worker processes where that is safe)."""
     if name == "all":
-        return [_SUITES[s](seed, n_cases, slack) for s in SUITE_NAMES]
+        return _run_every_suite(seed, n_cases, _checked_args(seed, n_cases, slack))
     if name not in _SUITES:
         raise ValidationError(f"unknown suite {name!r}; choose from {('all',) + SUITE_NAMES}")
     return [_SUITES[name](seed, n_cases, slack)]

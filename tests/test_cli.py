@@ -101,6 +101,18 @@ def test_maximize_tol_is_degenerate_cut(files, monkeypatch):
     assert (files / "kept.json").exists()
 
 
+def test_maximize_tol_reaches_certificate(files, monkeypatch):
+    """A --tol below the default admits a closer pair to the certificate
+    as well as to the construction."""
+    monkeypatch.delenv("QOPDIST_DEFAULT_TOL", raising=False)
+    save_state(files / "a.json", np.diag([0.5 - 5e-11, 0.5 + 5e-11]).astype(complex))
+    save_state(files / "b.json", np.diag([0.5, 0.5]).astype(complex))
+    args = ["maximize", str(files / "a.json"), str(files / "b.json"), "2", str(files / "op-out.json")]
+    assert main(args) == 4
+    assert main(args + ["--tol", "1e-12"]) == 0
+    assert (files / "op-out.json").exists()
+
+
 def test_pairs(files, capsys):
     out_dir = files / "pairs"
     code = main(["pairs", str(files / "op.json"), "0.5", "3", str(out_dir), "--seed", "5"])

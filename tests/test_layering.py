@@ -7,6 +7,9 @@ the helper should be made public or stay where it is.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "qopdist"
@@ -61,3 +64,13 @@ def test_detects_private_attribute(tmp_path):
         "sl._cdf_moment(sl.run_trials, _kernels.__name__)\n"
     )
     assert list(_private_uses(bad)) == ["bad.py:4: sl._cdf_moment"]
+
+
+def test_import_starts_no_process_machinery():
+    """``import qopdist`` loads neither concurrent.futures nor
+    multiprocessing: the suite runner imports them when it runs."""
+    probe = "import sys, qopdist; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

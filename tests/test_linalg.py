@@ -120,6 +120,12 @@ def test_projector_onto_rejects_nonorthonormal():
         projector_onto(vecs, 3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_projector_onto_rejects_non_finite_vectors(bad):
+    with pytest.raises(ValidationError, match="not orthonormal"):
+        projector_onto(np.full((2, 1), bad), 2)
+
+
 def test_trace_norm_half():
     """Half the trace norm is half the summed magnitudes of the split's two parts."""
     for delta, expected in ((np.diag([1.0, -1.0]), 1.0), (np.diag([0.5, -0.25]), 0.375)):

@@ -4,7 +4,11 @@ Suites run here at reduced scale; the full-scale runs live in
 test_acceptance.py.
 """
 
+import dataclasses
 import inspect
+import multiprocessing
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -13,7 +17,8 @@ from hypothesis import strategies as st
 
 from qopdist import metrics, statlab, suites
 from qopdist.channels import QuantumOperation, e_distance
-from qopdist.errors import ReportParseError, ValidationError
+from qopdist.cli import main
+from qopdist.errors import DegenerateInputError, ReportParseError, ValidationError
 from qopdist.linalg import random_hermitian
 from qopdist.metrics import trace_distance
 from qopdist.states import DensityMatrix, random_density, random_density_batch
@@ -74,8 +79,98 @@ def test_suite_passes_at_reduced_scale(name):
 def test_run_all_order():
     """run_all covers every suite once, in the canonical order."""
     assert SUITE_NAMES == CANONICAL
+    assert sorted(suites._LONGEST_FIRST) == sorted(CANONICAL)
     reports = run_all(3, 150)
     assert tuple(r.suite_name for r in reports) == CANONICAL
+
+
+# -- verify all in worker processes ---------------------------------------------
+
+
+def _without_timing(report):
+    return dataclasses.replace(report, elapsed_seconds=0.0)
+
+
+@pytest.mark.parametrize("seed", [5, 11])
+def test_run_all_matches_in_process_suites(tmp_path, seed):
+    """run_all gives, field by field except the timing, and in the report
+    file byte for byte, what each suite gives alone in this process."""
+    together = run_all(seed, 100)
+    alone = [run_suite(name, seed, 100)[0] for name in CANONICAL]
+    assert [_without_timing(r) for r in together] == [_without_timing(r) for r in alone]
+    write_report(tmp_path / "together.jsonl", together)
+    write_report(tmp_path / "alone.jsonl", alone)
+    assert (tmp_path / "together.jsonl").read_bytes() == (tmp_path / "alone.jsonl").read_bytes()
+
+
+def _pid_suite(name):
+    """Stand-in suite whose one detail records the process it ran in."""
+
+    def run(seed, n_cases=None, slack=1e-9):
+        detail = {"case": "pid", "pid": os.getpid(), "residual": 0.0, "ok": True}
+        return SuiteReport(name, 1, 0, 0.0, seed, 0.0, (detail,))
+
+    return run
+
+
+@pytest.fixture
+def pid_suites(monkeypatch):
+    for name in SUITE_NAMES:
+        monkeypatch.setitem(suites._SUITES, name, _pid_suite(name))
+
+
+def _pids(reports):
+    return {r.details[0]["pid"] for r in reports}
+
+
+def test_run_all_uses_worker_processes(pid_suites):
+    if len(os.sched_getaffinity(0)) < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs two CPUs and the fork start method")
+    if threading.active_count() > 1:
+        pytest.skip("other live threads keep the suites in this process")
+    reports = run_all(3)
+    assert [r.suite_name for r in reports] == list(CANONICAL)
+    assert os.getpid() not in _pids(reports)
+    assert multiprocessing.active_children() == []
+
+
+def test_run_all_stays_in_process_on_one_cpu(pid_suites, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    reports = run_all(3)
+    assert [r.suite_name for r in reports] == list(CANONICAL)
+    assert _pids(reports) == {os.getpid()}
+
+
+def test_suite_error_in_worker_keeps_exit_code(pid_suites, monkeypatch, capsys):
+    """A suite raising DegenerateInputError makes verify all exit 4, as in
+    this process, and leaves no worker process behind."""
+
+    def degenerate(seed, n_cases=None, slack=1e-9):
+        raise DegenerateInputError("states coincide")
+
+    monkeypatch.setitem(suites._SUITES, "thm2", degenerate)
+    assert main(["verify", "all", "--seed", "3"]) == 4
+    assert "states coincide" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def no_workers(monkeypatch):
+    """Fail if run_suite('all') gets as far as starting the suites."""
+
+    def started(*args):
+        raise AssertionError("suites started before the arguments were checked")
+
+    monkeypatch.setattr(suites, "_run_every_suite", started)
+
+
+@pytest.mark.parametrize(
+    "n_cases, slack, message",
+    [(0, 1e-9, "n_cases must be >= 1, got 0"), (1, float("nan"), "tolerance must be a finite number >= 0")],
+)
+def test_all_rejects_bad_arguments_before_any_worker(no_workers, n_cases, slack, message):
+    with pytest.raises(ValidationError, match=message):
+        run_suite("all", 0, n_cases, slack)
 
 
 @pytest.mark.parametrize("name", CANONICAL)
@@ -234,7 +329,7 @@ def test_too_few_cases_rejected(name, n_cases):
         run_suite(name, 0, n_cases)
 
 
-def test_negative_seed_rejected():
+def test_negative_seed_rejected(no_workers):
     with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
         run_suite("all", -1, 1)
 

@@ -263,6 +263,9 @@ TOL_TAKERS = {
     "build_maximizing_operation": lambda tol: build_maximizing_operation(
         np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 1, tol=tol
     ),
+    "certify_maximizer": lambda tol: certify_maximizer(
+        QuantumOperation([EYE2]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), tol=tol
+    ),
     "as_hermitian": lambda tol: linalg.as_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=tol),
     "run_thm3": lambda tol: run_thm3(0, 1, slack=tol),
     "run_suite": lambda tol: run_suite("thm3", 0, 1, slack=tol),
