@@ -1,8 +1,10 @@
-"""Package-wide tolerances and the QOPDIST_DEFAULT_TOL override."""
+"""Package-wide tolerances, the QOPDIST_DEFAULT_TOL override and the
+checks of tolerance and count arguments."""
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import ValidationError
@@ -55,3 +57,15 @@ def resolve_tol(tol) -> float:
     if checked is None:
         raise ValidationError(f"tolerance must be a finite number >= 0, got {tol!r}")
     return checked
+
+
+def checked_index(name: str, value) -> int:
+    """``value`` as an int when it is one (NumPy integers included).
+
+    Anything else, such as 2.5, NaN or "3", raises ValidationError naming
+    the argument, because a count or seed must not be truncated or parsed.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None

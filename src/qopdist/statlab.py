@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import QuantumOperation, apply
-from .config import resolve_tol
+from .config import checked_index, resolve_tol
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
@@ -110,7 +110,7 @@ class TrialRecord:
     relative_increase: float | None
 
     def __post_init__(self):
-        if abs(self.d_in - (self.point.p_m - self.point.p_n)) > 1e-9:
+        if not abs(self.d_in - (self.point.p_m - self.point.p_n)) <= 1e-9:
             raise ValidationError(
                 f"d_in {self.d_in!r} != p_m - p_n = {self.point.p_m - self.point.p_n!r}"
             )
@@ -137,10 +137,12 @@ class TrialColumns:
     """Monte Carlo trials as one array per quantity, one entry per trial.
 
     ``relative_increase`` is NaN where the normalized outputs did not drift
-    apart.  Both trial invariants (the point lies in the triangle, and the
-    input distance equals p_m - p_n) are checked once for the whole batch.
-    Iterating yields one TrialRecord per trial, with ``relative_increase``
-    None where the column is NaN.
+    apart.  Each column is stored as a read-only float64 copy, and both
+    trial invariants (the point lies in the triangle, and the input distance
+    equals p_m - p_n) are checked once for the whole batch.  Iterating
+    yields one TrialRecord per trial, with ``relative_increase`` None where
+    the column is NaN; the batch check already covers every record, so the
+    records are built without running their own checks.
     """
 
     p_m: np.ndarray
@@ -151,7 +153,11 @@ class TrialColumns:
     relative_increase: np.ndarray
 
     def __post_init__(self):
-        if len({np.shape(col) for col in vars(self).values()}) != 1 or np.ndim(self.d_in) != 1:
+        for name, col in vars(self).items():
+            col = np.array(col, dtype=np.float64)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if len({col.shape for col in vars(self).values()}) != 1 or self.d_in.ndim != 1:
             raise ValidationError("trial columns must be 1-D arrays of one length")
         pm, pn, d_in = self.p_m, self.p_n, self.d_in
         outside = np.flatnonzero(~((0.0 <= pn) & (pn < pm) & (pm <= 1.0)))
@@ -167,15 +173,21 @@ class TrialColumns:
         return len(self.d_in)
 
     def __iter__(self):
+        # The fields are set in constructor order, so each record equals,
+        # hashes and prints like one built by TrialRecord(...).
+        new, set_field = object.__new__, object.__setattr__
         columns = (col.tolist() for col in vars(self).values())
         for pm, pn, d_in, d_norm, d_sub, rel in zip(*columns):
-            yield TrialRecord(
-                point=TrianglePoint(p_m=pm, p_n=pn),
-                d_in=d_in,
-                d_out_normalized=d_norm,
-                d_out_subnormalized=d_sub,
-                relative_increase=None if math.isnan(rel) else rel,
-            )
+            point = new(TrianglePoint)
+            set_field(point, "p_m", pm)
+            set_field(point, "p_n", pn)
+            record = new(TrialRecord)
+            set_field(record, "point", point)
+            set_field(record, "d_in", d_in)
+            set_field(record, "d_out_normalized", d_norm)
+            set_field(record, "d_out_subnormalized", d_sub)
+            set_field(record, "relative_increase", None if math.isnan(rel) else rel)
+            yield record
 
 
 def run_trials(
@@ -191,6 +203,7 @@ def run_trials(
     rebuilds every state and output matrix through the high-level API.
     Both consume identical random draws, so they agree to rounding.
     """
+    n_trials = checked_index("n_trials", n_trials)
     if n_trials < 1:
         raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
     if path not in ("auto", "object"):
@@ -251,7 +264,7 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
         raise ValidationError("moment_check needs at least one sample")
     if n < 1:
         raise ValidationError(f"moment order must be >= 1, got {n}")
-    if x.min() < -1e-12 or x.max() > 1.0 + 1e-12:
+    if not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
         raise ValidationError(f"samples outside [0,1]: range [{x.min()}, {x.max()}]")
     if bound_kind is BoundKind.UNIFORM:
         bound = 1.0 / (n + 1)
@@ -268,6 +281,8 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
 def empirical_cdf(samples, grid) -> np.ndarray:
     """P[X <= xi] for each xi of the grid."""
     x = np.sort(np.asarray(samples, dtype=float))
+    if x.size == 0:
+        raise ValidationError("empirical_cdf needs at least one sample")
     g = np.asarray(grid, dtype=float)
     return np.searchsorted(x, g, side="right") / x.size
 

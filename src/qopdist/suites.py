@@ -31,7 +31,7 @@ from .channels import (
     max_e_distance_over_states,
     random_operation,
 )
-from .config import resolve_tol
+from .config import checked_index, resolve_tol
 from .errors import ReportParseError, ValidationError
 from .linalg import complex_normals, random_hermitian
 from .maximizers import (
@@ -92,8 +92,9 @@ def _suite(name: str, salt: int, default_cases: int):
 
     The wrapper owns the timer, the default case count, the suite's
     generator ``default_rng([seed, salt])`` and the report assembly.  A
-    negative seed, fewer than one case or a slack that is not a finite
-    number >= 0 raises ValidationError.
+    seed or case count that is not an integer, a negative seed, fewer than
+    one case or a slack that is not a finite number >= 0 raises
+    ValidationError.
     """
 
     def register(body):
@@ -121,10 +122,11 @@ def _suite(name: str, salt: int, default_cases: int):
 
 
 def _checked_args(seed: int, n_cases: int | None, slack) -> float:
-    """Reject a negative seed or fewer than one case; return the resolved slack."""
-    if seed < 0:
+    """Reject a seed or case count that is not an integer, a negative seed or
+    fewer than one case; return the resolved slack."""
+    if checked_index("seed", seed) < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    if n_cases is not None and n_cases < 1:
+    if n_cases is not None and checked_index("n_cases", n_cases) < 1:
         raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
     return resolve_tol(slack)
 

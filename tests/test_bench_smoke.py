@@ -1,0 +1,38 @@
+"""The benchmark's workloads still run on the library's public API.
+
+``perfbench/workloads.py`` is loaded by path, as ``perfbench/run.py`` would
+import it, and one unit of each fast workload runs with its correctness
+re-checks: a library change that breaks how the benchmark uses the API
+(record iteration, the object path, file round trips) fails here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """The workloads module, loaded without writing bytecode into perfbench/."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+@pytest.mark.parametrize("name", ["triangle_trials", "api_roundtrip"])
+def test_one_unit_passes_every_gate(workloads, tmp_path, name):
+    wl = workloads.WORKLOADS[name](7, str(tmp_path))
+    wl.unit(0)
+    wl.finish()
+    assert wl.errors == []
+    assert wl.attempted > 0 and wl.failed == 0
+    assert wl.gates and all(wl.gates.values()), wl.gates

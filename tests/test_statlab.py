@@ -1,5 +1,6 @@
 """Tests for triangle sampling, trial columns and the moment machinery."""
 
+import collections
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from qopdist.statlab import (
 MEASURE0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
 
 DISTANCES = ("d_in", "d_out_normalized", "d_out_subnormalized")
+# The three operation shapes (dim_in, n_unit, dim_out) of the triangle_trials benchmark.
+SHAPES = [(2, 1, 1), (5, 2, 2), (16, 8, 8)]
 
 
 def _maximizer_shaped(dim_in, n_unit, dim_out):
@@ -84,14 +87,15 @@ def test_pair_for_point_probabilities():
 
 
 def test_trial_record_consistency_check():
-    with pytest.raises(ValidationError):
-        TrialRecord(
-            point=TrianglePoint(0.8, 0.2),
-            d_in=0.3,  # should equal p_m - p_n = 0.6
-            d_out_normalized=0.1,
-            d_out_subnormalized=0.1,
-            relative_increase=None,
-        )
+    for d_in in (0.3, math.nan):  # should equal p_m - p_n = 0.6
+        with pytest.raises(ValidationError, match="d_in"):
+            TrialRecord(
+                point=TrianglePoint(0.8, 0.2),
+                d_in=d_in,
+                d_out_normalized=0.1,
+                d_out_subnormalized=0.1,
+                relative_increase=None,
+            )
 
 
 def test_run_trials_invariants():
@@ -149,22 +153,61 @@ def test_trial_columns_lengths_must_agree():
 
 
 def test_trial_columns_len_and_iteration():
-    """Iteration yields one TrialRecord per trial with exactly the column
-    values, and None exactly where relative_increase is NaN."""
-    trials = run_trials(_maximizer_shaped(5, 2, 2), 300, np.random.default_rng(58))
+    """Iteration yields one TrialRecord per trial that equals, hashes and
+    prints like the record the public constructors build from the column
+    values, with relative_increase None exactly where the column is NaN."""
+    seen_nan = set()
+    for shape in SHAPES:
+        trials = run_trials(_maximizer_shaped(*shape), 300, np.random.default_rng(58))
+        records = list(trials)
+        assert len(trials) == len(records) == 300
+        columns = zip(*(col.tolist() for col in vars(trials).values()))
+        for r, (pm, pn, d_in, d_norm, d_sub, rel) in zip(records, columns):
+            built = TrialRecord(
+                point=TrianglePoint(p_m=pm, p_n=pn),
+                d_in=d_in,
+                d_out_normalized=d_norm,
+                d_out_subnormalized=d_sub,
+                relative_increase=None if math.isnan(rel) else rel,
+            )
+            assert type(r) is TrialRecord and type(r.point) is TrianglePoint
+            assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+            seen_nan.add(r.relative_increase is None)
+    assert seen_nan == {True, False}
+
+
+def test_iteration_runs_no_per_record_check(monkeypatch):
+    """The batch check covers every record, so iterating runs neither
+    record's __post_init__; the public constructors still run theirs."""
+    calls = collections.Counter()
+    for cls in (TrialRecord, TrianglePoint):
+
+        def spy(self, check=cls.__post_init__, name=cls.__name__):
+            calls[name] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", spy)
+    records = list(run_trials(_maximizer_shaped(5, 2, 2), 2000, np.random.default_rng(60)))
+    assert len(records) == 2000 and calls == {}
+    TrialRecord(TrianglePoint(0.8, 0.2), 0.6, 0.7, 0.3, None)
+    assert calls == {"TrialRecord": 1, "TrianglePoint": 1}
+
+
+def test_trial_columns_are_read_only_copies():
+    """No column can be written, and the caller keeps its arrays: writing
+    into them changes neither the columns nor the records."""
+    caller = {name: col.copy() for name, col in vars(_columns()).items()}
+    trials = TrialColumns(**caller)
     records = list(trials)
-    assert len(trials) == len(records) == 300
-    nan = np.isnan(trials.relative_increase)
-    assert nan.any() and not nan.all()
-    for i, r in enumerate(records):
-        assert isinstance(r, TrialRecord)
-        assert r.point.p_m == trials.p_m[i] and r.point.p_n == trials.p_n[i]
-        for name in DISTANCES:
-            assert getattr(r, name) == getattr(trials, name)[i]
-        if nan[i]:
-            assert r.relative_increase is None
-        else:
-            assert r.relative_increase == trials.relative_increase[i]
+    for col in vars(trials).values():
+        assert col.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            col[0] = 0.5
+    for arr in caller.values():
+        arr[:] = 0.5
+        assert arr.flags.writeable
+    assert trials.p_m.tolist() == [0.8, 0.5]
+    assert list(trials) == records
 
 
 def test_run_trials_validation():
@@ -190,8 +233,9 @@ def test_moment_check_validation():
         moment_check(np.array([]), 1, BoundKind.UNIFORM)
     with pytest.raises(ValidationError):
         moment_check(np.array([0.5]), 0, BoundKind.UNIFORM)
-    with pytest.raises(ValidationError):
-        moment_check(np.array([1.5]), 1, BoundKind.UNIFORM)
+    for outside in ([1.5], [math.nan], [0.5, math.nan]):
+        with pytest.raises(ValidationError, match="outside"):
+            moment_check(np.array(outside), 1, BoundKind.UNIFORM)
 
 
 def test_empirical_cdf_frozen():
@@ -199,6 +243,11 @@ def test_empirical_cdf_frozen():
     grid = np.array([0.15, 0.5, 1.0])
     cdf = empirical_cdf(samples, grid)
     assert np.max(np.abs(cdf - np.array([1 / 3, 2 / 3, 1.0]))) < 1e-15
+
+
+def test_empirical_cdf_needs_a_sample():
+    with pytest.raises(ValidationError, match="at least one sample"):
+        empirical_cdf([], np.array([0.5]))
 
 
 def test_cdf_moment_closed_forms():

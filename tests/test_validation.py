@@ -34,7 +34,7 @@ from qopdist.maximizers import (
 )
 from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, trace_distance
 from qopdist.states import DensityMatrix, random_density, random_pure, validate_state
-from qopdist.statlab import dominance_implies_moments
+from qopdist.statlab import dominance_implies_moments, run_trials
 from qopdist.suites import run_all, run_suite, run_thm3
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -252,6 +252,29 @@ def test_resolve_tol_default_and_value(monkeypatch):
 def test_resolve_tol_rejects(tol):
     with pytest.raises(ValidationError, match="tolerance must be a finite number >= 0"):
         resolve_tol(tol)
+
+
+# -- counts and seeds -------------------------------------------------------------
+
+MEASURE0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
+COUNT_TAKERS = {
+    "n_trials": lambda v: run_trials(MEASURE0, v, np.random.default_rng(0)),
+    "n_cases": lambda v: run_suite("lemma2", 7, v),
+    "seed": lambda v: run_suite("lemma2", v, 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, math.nan, "3"])
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_non_integral_counts_and_seeds_rejected(name, value):
+    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
+        COUNT_TAKERS[name](value)
+
+
+def test_numpy_integer_counts_and_seeds_accepted():
+    assert len(COUNT_TAKERS["n_trials"](np.int64(3))) == 3
+    (report,) = run_suite("lemma2", np.int64(7), np.int32(1))
+    assert report.n_failures == 0
 
 
 EYE2 = np.eye(2, dtype=np.complex128)
