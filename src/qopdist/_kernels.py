@@ -22,16 +22,19 @@ def kernel_backend() -> str:
 
 # -- qubit gap surface -------------------------------------------------------
 
-def gap_values(u, v, eta) -> np.ndarray:
-    """Gap surface, sine distance minus trace distance, per (u, v, eta) point."""
-    u = np.ascontiguousarray(u, dtype=np.float64).reshape(-1)
-    v = np.ascontiguousarray(v, dtype=np.float64).reshape(-1)
-    eta = np.ascontiguousarray(eta, dtype=np.float64).reshape(-1)
+def _gap(u, v, eta) -> np.ndarray:
+    """Gap surface, sine distance minus trace distance, on the broadcast of
+    the float64 arrays u, v and eta."""
     a = 1.0 - u * v * eta - np.sqrt((1.0 - u * u) * (1.0 - v * v))
     np.clip(a, 0.0, None, out=a)
     b = u * u + v * v - 2.0 * u * v * eta
     np.clip(b, 0.0, None, out=b)
     return _SQRT_HALF * np.sqrt(a) - 0.5 * np.sqrt(b)
+
+
+def gap_values(u, v, eta) -> np.ndarray:
+    """Gap surface per (u, v, eta) point."""
+    return _gap(*(np.asarray(x, dtype=np.float64).reshape(-1) for x in (u, v, eta)))
 
 
 def gap_grid_max(us, vs, etas):
@@ -40,20 +43,9 @@ def gap_grid_max(us, vs, etas):
     Ties resolve to the first maximum in (u, v, eta) index order, as a
     first-strictly-greater scan over the grid would find it.
     """
-    us = np.ascontiguousarray(us, dtype=np.float64)
-    vs = np.ascontiguousarray(vs, dtype=np.float64)
-    etas = np.ascontiguousarray(etas, dtype=np.float64)
-    u = us[:, None, None]
-    v = vs[None, :, None]
-    e = etas[None, None, :]
-    cross = np.sqrt((1.0 - u * u) * (1.0 - v * v))
-    a = 1.0 - u * v * e - cross
-    np.clip(a, 0.0, None, out=a)
-    b = u * u + v * v - 2.0 * u * v * e
-    np.clip(b, 0.0, None, out=b)
-    vals = _SQRT_HALF * np.sqrt(a) - 0.5 * np.sqrt(b)
-    flat = int(np.argmax(vals))
-    i, j, k = np.unravel_index(flat, vals.shape)
+    us, vs, etas = (np.asarray(x, dtype=np.float64) for x in (us, vs, etas))
+    vals = _gap(us[:, None, None], vs[None, :, None], etas[None, None, :])
+    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
     return float(vals[i, j, k]), float(us[i]), float(vs[j]), float(etas[k])
 
 

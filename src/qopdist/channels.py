@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_BOUND, TOL_PROB, resolve_tol
+from .config import TOL_BOUND, TOL_PROB, checked_index, checked_indices, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_complex_matrix, hermitian_part
+from .linalg import as_complex_matrix, complex_normals, hermitian_part
 from .metrics import fidelity, trace_distance
 from .states import DensityMatrix, as_state, from_spectrum, validate_state
 
@@ -40,6 +40,7 @@ __all__ = [
     "normalize_output",
     "occurrence_probability",
     "random_operation",
+    "random_operations",
     "t_operator",
 ]
 
@@ -272,24 +273,43 @@ def cloner_distance_factor(omega: float) -> float:
     return float(np.sqrt(1.0 + omega * omega) / (1.0 + omega))
 
 
-def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> QuantumOperation:
-    """Random operation: complex-normal Kraus draws rescaled so that T <= 1.
+def random_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
+    """Random operations on ``dim_in``-dimensional inputs, one per entry of
+    the 1-D integer arrays ``dim_out`` and ``n_kraus``: complex-normal Kraus
+    operators, each set divided by sqrt(||T|| + 1e-9).
 
-    The whole set is divided by sqrt(||T|| + eps), which keeps the top of
-    the T spectrum strictly below 1 and covers the non-trace-preserving
-    regime the extremal-pair machinery cares about.  That scaling is the
-    proof that 0 <= T <= 1, so the constructor's check is not repeated.
+    That scaling keeps the top of each T spectrum strictly below 1 and
+    covers the non-trace-preserving regime the extremal-pair machinery
+    cares about.  One padded draw: the Kraus block has shape
+    (n, max(n_kraus), max(dim_out), dim_in) and is zero beyond each
+    operation's Kraus count and output dimension, so an operation draws the
+    same normals whatever the others' shapes.  Returns the Kraus block and
+    the stacked T (n, dim_in, dim_in).
     """
-    if dim_in < 1 or dim_out < 1 or n_kraus < 1:
-        raise ValidationError(
-            f"dim_in, dim_out and n_kraus must be >= 1, got {dim_in}, {dim_out}, {n_kraus}"
-        )
-    draws = [
-        (rng.standard_normal((dim_out, dim_in)) + 1j * rng.standard_normal((dim_out, dim_in)))
-        / np.sqrt(2.0)
-        for _ in range(n_kraus)
-    ]
-    top = float(np.linalg.eigvalsh(_t_sum(draws))[-1])
-    scale = 1.0 / np.sqrt(top + 1e-9)
-    ops = tuple(scale * e for e in draws)
+    dim_in = checked_index("dim_in", dim_in)
+    dim_out = checked_indices("dim_out", dim_out)
+    n_kraus = checked_indices("n_kraus", n_kraus)
+    if dim_out.shape != n_kraus.shape:
+        raise DimensionMismatchError(f"dim_out and n_kraus differ in length: {dim_out.size} vs {n_kraus.size}")
+    if dim_in < 1 or (dim_out < 1).any() or (n_kraus < 1).any():
+        raise ValidationError(f"dim_in, dim_out and n_kraus must be >= 1, got {dim_in}, {dim_out}, {n_kraus}")
+    n_max, out_max = int(n_kraus.max(initial=1)), int(dim_out.max(initial=1))
+    keep = (np.arange(n_max) < n_kraus[:, None])[:, :, None] & (np.arange(out_max) < dim_out[:, None])[:, None, :]
+    g = complex_normals(keep, dim_in, rng) / np.sqrt(2.0)
+    rows = g.reshape(len(g), n_max * out_max, dim_in)
+    t = rows.conj().transpose(0, 2, 1) @ rows
+    scale = 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
+    return g * np.sqrt(scale)[:, None, None, None], t * scale[:, None, None]
+
+
+def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> QuantumOperation:
+    """One random operation: ``random_operations`` for n = 1.
+
+    Its scaling is the proof that 0 <= T <= 1, so the constructor's check
+    is not repeated.
+    """
+    dim_out = np.array([checked_index("dim_out", dim_out)])
+    n_kraus = np.array([checked_index("n_kraus", n_kraus)])
+    kraus, _ = random_operations(dim_in, dim_out, n_kraus, rng)
+    ops = tuple(kraus[0])
     return _trusted_operation(ops, _t_sum(ops))

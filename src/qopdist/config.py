@@ -7,6 +7,8 @@ import math
 import operator
 import os
 
+import numpy as np
+
 from .errors import ValidationError
 
 # Hermiticity / positivity / normalization cuts used by the type validators.
@@ -62,10 +64,27 @@ def resolve_tol(tol) -> float:
 def checked_index(name: str, value) -> int:
     """``value`` as an int when it is one (NumPy integers included).
 
-    Anything else, such as 2.5, NaN or "3", raises ValidationError naming
-    the argument, because a count or seed must not be truncated or parsed.
+    Anything else, such as 2.5, NaN, "3" or True, raises ValidationError
+    naming the argument, because a count or seed must not be truncated,
+    parsed or taken from a flag.
     """
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def checked_indices(name: str, values) -> np.ndarray:
+    """``values`` as a 1-D array when its dtype is a signed or unsigned
+    integer type.
+
+    Anything else, such as [2.5], [True] or a 2-D array, raises
+    ValidationError naming the argument, as ``checked_index`` does for one
+    value.
+    """
+    a = np.asarray(values)
+    if a.ndim != 1 or a.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be a 1-D array of integers, got {values!r}")
+    return a

@@ -75,10 +75,10 @@ def as_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return hermitian_part(m)
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """GUE-style random Hermitian matrix with entries of typical size ``scale``."""
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """GUE-style random Hermitian matrix with entries of typical size 1."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return hermitian_part(scale * g / np.sqrt(2.0))
+    return hermitian_part(g / np.sqrt(2.0))
 
 
 def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Density matrices, qubit constructors and random-state sampling.
 
 Random states are drawn from the Hilbert-Schmidt-induced measure (Ginibre
-construction); all samplers take an explicit ``numpy.random.Generator`` so
-every suite is reproducible from its seed.
+construction) by ``random_density``, which takes an explicit
+``numpy.random.Generator`` so every suite is reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, TOL_TRACE, resolve_tol
+from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, TOL_TRACE, checked_index, checked_indices, resolve_tol
 from .errors import ValidationError
 from .linalg import as_hermitian, complex_normals, hermitian_part
 
@@ -23,8 +23,6 @@ __all__ = [
     "from_bloch",
     "from_spectrum",
     "random_density",
-    "random_density_batch",
-    "random_pure",
     "state_matrix",
     "validate_state",
 ]
@@ -124,39 +122,25 @@ def bloch_of(rho: DensityMatrix) -> np.ndarray:
     return np.array([float(np.trace(m @ s).real) for s in PAULI])
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> DensityMatrix:
-    """Rank-1 projector onto a Haar-uniform random ket."""
-    if dim < 1:
-        raise ValidationError("dimension must be >= 1")
-    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    psi /= np.linalg.norm(psi)
-    # The outer product is not bit-Hermitian; the symmetrized copy is.
-    return _trusted_state(hermitian_part(np.outer(psi, psi.conj())))
+def random_density(dim: int, rank, rng: np.random.Generator) -> DensityMatrix:
+    """Random state of the given rank from the Hilbert-Schmidt-induced
+    measure: G†G / tr(G†G) for a ``rank x dim`` Ginibre matrix G (Zyczkowski
+    and Sommers 2001).  Rank 1 gives a Haar-random pure state.
 
-
-def random_density(dim: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
-    """Random state of the given rank, Hilbert-Schmidt-induced measure.
-
-    Draws a ``rank x dim`` Ginibre matrix G and returns G†G / tr(G†G).
+    An integer ``rank`` gives one state (dim, dim); a 1-D integer array of
+    ranks gives a stack (n, dim, dim), one state per rank, in one masked
+    draw: each G is padded with zero rows to ``dim`` rows.  One state is
+    drawn as a stack of one, so both forms share the draw order.
     """
-    if not 1 <= rank <= dim:
+    dim = checked_index("dim", dim)
+    one = np.ndim(rank) == 0
+    ranks = np.array([checked_index("rank", rank)]) if one else checked_indices("rank", rank)
+    if not (dim >= 1 and ((1 <= ranks) & (ranks <= dim)).all()):
         raise ValidationError(f"rank must satisfy 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    g = rng.standard_normal((rank, dim)) + 1j * rng.standard_normal((rank, dim))
-    m = g.conj().T @ g
-    return _trusted_state(hermitian_part(m / np.trace(m).real))
-
-
-def random_density_batch(dim: int, ranks, rng: np.random.Generator) -> DensityMatrix:
-    """A stack of random states, one per entry of ``ranks``, from the
-    measure ``random_density`` samples (but not its draws): G†G / tr(G†G)
-    for a Ginibre G whose rows beyond the rank are zero, in one masked draw.
-    """
-    ranks = np.asarray(ranks)
-    if dim < 1 or ranks.ndim != 1 or not ((1 <= ranks) & (ranks <= dim)).all():
-        raise ValidationError(f"ranks must be a 1-D array with 1 <= rank <= dim = {dim}")
     g = complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
     mats = hermitian_part(g.conj().transpose(0, 2, 1) @ g)
-    return _trusted_state(mats / np.einsum("nii->n", mats).real[:, None, None])
+    mats = mats / np.einsum("nii->n", mats).real[:, None, None]
+    return _trusted_state(mats[0] if one else mats)
 
 
 def from_spectrum(vectors, weights) -> DensityMatrix:

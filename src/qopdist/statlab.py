@@ -41,7 +41,6 @@ __all__ = [
     "moment_check",
     "pair_for_point",
     "run_trials",
-    "sample_triangle",
     "sample_triangle_batch",
 ]
 
@@ -58,24 +57,16 @@ class TrianglePoint:
             raise ValidationError(f"(p_m, p_n) = ({self.p_m}, {self.p_n}) outside the triangle")
 
 
-def sample_triangle(rng: np.random.Generator) -> TrianglePoint:
-    """One point uniform on the open triangle (two sorted uniforms, ties rejected)."""
-    while True:
-        a, b = rng.random(2)
-        if a != b:
-            return TrianglePoint(p_m=max(a, b), p_n=min(a, b))
-
-
 def sample_triangle_batch(rng: np.random.Generator, n: int):
-    """Arrays (p_m, p_n) of n uniform triangle points."""
+    """Arrays (p_m, p_n) of n points uniform on the open triangle: the
+    larger and the smaller of two uniforms, with tied pairs (measure zero)
+    drawn again."""
     draws = rng.random((n, 2))
-    pm = draws.max(axis=1)
-    pn = draws.min(axis=1)
-    bad = np.flatnonzero(pm == pn)
-    for i in bad:  # pragma: no cover - measure-zero resample
-        pt = sample_triangle(rng)
-        pm[i], pn[i] = pt.p_m, pt.p_n
-    return pm, pn
+    tied = draws[:, 0] == draws[:, 1]
+    while tied.any():
+        draws[tied] = rng.random((int(tied.sum()), 2))
+        tied = draws[:, 0] == draws[:, 1]
+    return draws.max(axis=1), draws.min(axis=1)
 
 
 def pair_for_point(E: QuantumOperation, point: TrianglePoint):
@@ -137,12 +128,16 @@ class TrialColumns:
     """Monte Carlo trials as one array per quantity, one entry per trial.
 
     ``relative_increase`` is NaN where the normalized outputs did not drift
-    apart.  Each column is stored as a read-only float64 copy, and both
-    trial invariants (the point lies in the triangle, and the input distance
-    equals p_m - p_n) are checked once for the whole batch.  Iterating
-    yields one TrialRecord per trial, with ``relative_increase`` None where
-    the column is NaN; the batch check already covers every record, so the
-    records are built without running their own checks.
+    apart.  Each column is stored as a read-only float64 copy, and the
+    trial invariants are checked once for the whole batch: the point lies
+    in the triangle, the input distance equals p_m - p_n, both output
+    distances lie in [0, 1] within 1e-9, and ``relative_increase`` is NaN
+    or lies in [0, 1).  These ranges follow from the definitions; the
+    bounds of Theorems 3 and 4 are left to the suites, which report a
+    violation instead of raising.  Iterating yields one TrialRecord per
+    trial, with ``relative_increase`` None where the column is NaN; the
+    batch check already covers every record, so the records are built
+    without running their own checks.
     """
 
     p_m: np.ndarray
@@ -160,14 +155,21 @@ class TrialColumns:
         if len({col.shape for col in vars(self).values()}) != 1 or self.d_in.ndim != 1:
             raise ValidationError("trial columns must be 1-D arrays of one length")
         pm, pn, d_in = self.p_m, self.p_n, self.d_in
-        outside = np.flatnonzero(~((0.0 <= pn) & (pn < pm) & (pm <= 1.0)))
-        if outside.size:
-            i = outside[0]
-            raise ValidationError(f"trial {i}: (p_m, p_n) = ({pm[i]}, {pn[i]}) outside the triangle")
-        mismatch = np.flatnonzero(~(np.abs(d_in - (pm - pn)) <= 1e-9))
-        if mismatch.size:
-            i = mismatch[0]
-            raise ValidationError(f"trial {i}: d_in {d_in[i]!r} != p_m - p_n = {pm[i] - pn[i]!r}")
+        d_norm, d_sub, rel = self.d_out_normalized, self.d_out_subnormalized, self.relative_increase
+        # Each check is written so that NaN fails it, except that
+        # relative_increase is NaN where the outputs did not drift apart.
+        in_unit = (np.abs(d_norm - 0.5) <= 0.5 + 1e-9) & (np.abs(d_sub - 0.5) <= 0.5 + 1e-9)
+        checks = (
+            ("(p_m, p_n) outside the triangle", (0.0 <= pn) & (pn < pm) & (pm <= 1.0)),
+            ("d_in != p_m - p_n", np.abs(d_in - (pm - pn)) <= 1e-9),
+            ("an output distance outside [0, 1]", in_unit),
+            ("relative_increase outside [0, 1)", ~((rel < 0.0) | (rel >= 1.0))),
+        )
+        for what, ok in checks:
+            if not ok.all():
+                i = int(np.argmin(ok))  # the first failing trial
+                row = ", ".join(f"{name}={float(col[i])!r}" for name, col in vars(self).items())
+                raise ValidationError(f"trial {i}: {what}: {row}")
 
     def __len__(self) -> int:
         return len(self.d_in)
@@ -279,10 +281,13 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
 
 
 def empirical_cdf(samples, grid) -> np.ndarray:
-    """P[X <= xi] for each xi of the grid."""
+    """P[X <= xi] for each xi of the grid; a NaN sample raises
+    ValidationError, because it would count as above every grid point."""
     x = np.sort(np.asarray(samples, dtype=float))
     if x.size == 0:
         raise ValidationError("empirical_cdf needs at least one sample")
+    if np.isnan(x[-1]):  # sorting puts NaN last
+        raise ValidationError("empirical_cdf samples contain NaN")
     g = np.asarray(grid, dtype=float)
     return np.searchsorted(x, g, side="right") / x.size
 

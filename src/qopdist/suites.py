@@ -30,10 +30,11 @@ from .channels import (
     e_distance,
     max_e_distance_over_states,
     random_operation,
+    random_operations,
 )
 from .config import checked_index, resolve_tol
 from .errors import ReportParseError, ValidationError
-from .linalg import complex_normals, random_hermitian
+from .linalg import random_hermitian
 from .maximizers import (
     MaximizerMode,
     build_maximizing_operation,
@@ -41,7 +42,7 @@ from .maximizers import (
     maximizing_projector,
 )
 from .metrics import check_fvdg_bounds, fidelity, max_qubit_gap, trace_distance
-from .states import random_density, random_density_batch, random_pure
+from .states import random_density
 from .statlab import BoundKind, cdf_moment, dominance_implies_moments, empirical_cdf, moment_check
 
 __all__ = [
@@ -156,32 +157,6 @@ def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return np.einsum("nij,ji->n", mats, delta).real
 
 
-_MAX_KRAUS = 4  # the oracle operations have 1 to _MAX_KRAUS Kraus operators
-
-
-def _operation_block(dim: int, count: int, rng: np.random.Generator):
-    """``count`` random operations on ``dim``-dimensional inputs, drawn as
-    ``random_operation`` draws them: output dimension in [1, dim], 1 to
-    ``_MAX_KRAUS`` complex-normal Kraus operators, all scaled by
-    1/sqrt(top eigenvalue of T + 1e-9).
-
-    One padded draw: the Kraus block has shape (count, _MAX_KRAUS, dim, dim)
-    and is zero beyond each operation's Kraus count and output dimension.
-    Returns the Kraus block, the stacked T, the Kraus counts and the output
-    dimensions.
-    """
-    dim_out = rng.integers(1, dim + 1, size=count)
-    n_kraus = rng.integers(1, _MAX_KRAUS + 1, size=count)
-    keep = (np.arange(_MAX_KRAUS) < n_kraus[:, None])[:, :, None] & (
-        np.arange(dim) < dim_out[:, None]
-    )[:, None, :]
-    g = complex_normals(keep, dim, rng) / SQRT2
-    rows = g.reshape(count, _MAX_KRAUS * dim, dim)
-    t = rows.conj().transpose(0, 2, 1) @ rows
-    scale = 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
-    return g * np.sqrt(scale)[:, None, None, None], t * scale[:, None, None], n_kraus, dim_out
-
-
 def _probe_block(dim: int, count: int, rng: np.random.Generator):
     """``count`` random probes 0 <= P <= 1 of rank 0 to ``dim``: each spans
     the first ``rank`` columns of a Ginibre draw, with weight 1 on each
@@ -241,7 +216,10 @@ def run_thm1(rng, n_cases, slack):
         dim_out = int(rng.integers(1, 5))
         op = build_maximizing_operation(rho, sig, dim_out, mode)
         attain = abs(e_distance(op, rho, sig) - d)
-        _, t, _, _ = _operation_block(dim, n_oracle, rng)
+        # Oracle operations: output dimension 1 to dim, 1 to 4 Kraus operators.
+        oracle_out = rng.integers(1, dim + 1, size=n_oracle)
+        oracle_kraus = rng.integers(1, 5, size=n_oracle)
+        _, t = random_operations(dim, oracle_out, oracle_kraus, rng)
         gaps = np.abs(_trace_products(t, rho.mat - sig.mat))
         excess = float(gaps.max()) - d
         details.append(
@@ -269,8 +247,8 @@ def run_thm2(rng, n_cases, slack):
         attain = abs(e_distance(op, ext.rho_star, ext.sigma_star) - ext.value)
         t = op.t_op
         ranks = rng.integers(1, dim + 1, size=n_pairs)
-        rhos = random_density_batch(dim, ranks, rng)
-        sigs = random_density_batch(dim, ranks, rng)
+        rhos = random_density(dim, ranks, rng)
+        sigs = random_density(dim, ranks, rng)
         vals = np.abs(_trace_products(rhos.mat - sigs.mat, t))
         excess = float(vals.max() - ext.value)
         details.append(
@@ -363,8 +341,8 @@ def run_thm5(rng, n_cases, slack):
         count = int(np.sum(dims == dim))
         if count == 0:
             continue
-        rhos = random_density_batch(dim, rng.integers(1, dim + 1, size=count), rng)
-        sigs = random_density_batch(dim, rng.integers(1, dim + 1, size=count), rng)
+        rhos = random_density(dim, rng.integers(1, dim + 1, size=count), rng)
+        sigs = random_density(dim, rng.integers(1, dim + 1, size=count), rng)
         fvdg = check_fvdg_bounds(rhos, sigs)
         d, f, c = fvdg.trace_dist, fvdg.fid, fvdg.sine_dist
         gap = c - d
@@ -401,8 +379,8 @@ def run_cloning(rng, n_cases, slack):
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
         while True:
-            w1 = random_pure(dim, rng)
-            w2 = random_pure(dim, rng)
+            w1 = random_density(dim, 1, rng)
+            w2 = random_density(dim, 1, rng)
             if fidelity(w1, w2) < 1.0 - 1e-6:
                 break
         out = cloner_outputs(w1, w2)
@@ -435,10 +413,7 @@ def run_lemma1(rng, n_cases, slack):
             abs(float(np.trace(t @ ext.q_max).real) - ext.max_val),
             abs(float(np.trace(t @ ext.q_min).real) - ext.min_val),
         )
-        rank = int(rng.integers(1, dim + 1))
-        gq = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        q = gq @ gq.conj().T
-        q *= d_frak / float(np.trace(q).real)
+        q = d_frak * random_density(dim, int(rng.integers(1, dim + 1)), rng).mat
         val = float(np.trace(t @ q).real)
         escape = max(ext.min_val - val, val - ext.max_val)
         details.append(

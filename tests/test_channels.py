@@ -15,6 +15,7 @@ from qopdist.channels import (
     normalize_output,
     occurrence_probability,
     random_operation,
+    random_operations,
     t_operator,
 )
 from qopdist.errors import (
@@ -142,6 +143,29 @@ def test_random_operation_t_below_identity():
         op = random_operation(int(rng.integers(2, 6)), int(rng.integers(1, 5)), int(rng.integers(1, 4)), rng)
         w = np.linalg.eigvalsh(op.t_op)
         assert w[0] > -1e-12 and w[-1] <= 1.0 + 1e-9
+
+
+def test_random_operation_is_the_first_of_a_block():
+    """random_operation(d, o, k) draws the n = 1 block of random_operations,
+    and a block draws the same normals for an operation whatever the other
+    operations' shapes: padding changes no kept entry."""
+    op = random_operation(3, 2, 3, np.random.default_rng(35))
+    kraus, t = random_operations(3, [2], [3], np.random.default_rng(35))
+    assert kraus.shape == (1, 3, 2, 3) and t.shape == (1, 3, 3)
+    assert all(np.array_equal(a, b) for a, b in zip(op.kraus, kraus[0]))
+    wide, _ = random_operations(3, [2, 4], [3, 1], np.random.default_rng(35))
+    assert wide.shape == (2, 3, 4, 3)
+    assert not wide[0, :, 2:].any() and not wide[1, 1:].any()
+    assert np.allclose(wide[0, :, :2], kraus[0], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "dim_out, n_kraus",
+    [([2, 2], [1]), ([2, 0], [1, 1]), ([2, 2], [1, -1]), ([[2]], [[1]]), ([2.0], [1]), ([2], [True])],
+)
+def test_random_operations_rejects_bad_shapes(dim_out, n_kraus):
+    with pytest.raises(ValidationError):
+        random_operations(3, dim_out, n_kraus, np.random.default_rng(0))
 
 
 def test_cloner_orthogonal_pair():

@@ -61,6 +61,17 @@ def test_gap_grid_max_paths_agree():
     assert _kernels.gap_grid_max(us, vs, etas) == best
 
 
+def test_gap_grid_max_is_the_max_of_gap_values():
+    """On a 50^3 grid the grid maximum is bit-equal to the largest of the
+    per-point values, at the first index in (u, v, eta) order."""
+    us = np.linspace(0.0, 1.0, 50)
+    etas = np.linspace(-1.0, 1.0, 50)
+    u, v, e = np.meshgrid(us, us, etas, indexing="ij")
+    vals = _kernels.gap_values(u, v, e)
+    k = int(np.argmax(vals))
+    assert _kernels.gap_grid_max(us, us, etas) == (vals[k], u.flat[k], v.flat[k], e.flat[k])
+
+
 def _maximizer_shaped(dim_out, rng):
     """Kraus operators |f_i><i| on C^4 for i = 0, 1 with random unit f_i:
     T = diag(1, 1, 0, 0) and non-diagonal outputs."""

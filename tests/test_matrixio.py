@@ -1,7 +1,11 @@
-"""Tests for the JSON matrix-file format."""
+"""Tests for the JSON matrix-file format, and the README examples run as
+written."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +136,17 @@ def test_entries_are_row_major():
     doc = matrix_to_doc(m)
     assert doc["entries"][1] == [2.0, 0.0]
     assert doc["entries"][2] == [3.0, 0.0]
+
+
+def test_readme_python_example_runs():
+    """The Python API example in README.md runs as written."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_readme_example_loads(tmp_path):

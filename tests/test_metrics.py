@@ -17,7 +17,7 @@ from qopdist.metrics import (
     sine_distance,
     trace_distance,
 )
-from qopdist.states import PAULI, from_bloch, random_density, random_pure
+from qopdist.states import PAULI, from_bloch, random_density
 
 E0 = np.diag([1.0, 0.0]).astype(complex)
 E1 = np.diag([0.0, 1.0]).astype(complex)
@@ -52,8 +52,8 @@ def test_fidelity_commuting():
 def test_fidelity_pure_overlap():
     rng = np.random.default_rng(21)
     for _ in range(25):
-        a = random_pure(4, rng)
-        b = random_pure(4, rng)
+        a = random_density(4, 1, rng)
+        b = random_density(4, 1, rng)
         va = np.linalg.eigh(a.mat)[1][:, -1]
         vb = np.linalg.eigh(b.mat)[1][:, -1]
         assert abs(fidelity(a, b) - abs(np.vdot(va, vb))) < 1e-12
@@ -77,8 +77,8 @@ def test_sine_angle_consistency():
 def test_sine_equals_trace_on_pure_pairs():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        a = random_pure(3, rng)
-        b = random_pure(3, rng)
+        a = random_density(3, 1, rng)
+        b = random_density(3, 1, rng)
         assert abs(sine_distance(a, b) - trace_distance(a, b)) < 1e-10
 
 
@@ -89,7 +89,7 @@ def test_fidelity_exact_on_pure_against_full_rank():
     rng = np.random.default_rng(26)
     for dim in range(2, 7):
         for _ in range(100):
-            rho = random_pure(dim, rng)
+            rho = random_density(dim, 1, rng)
             sig = random_density(dim, dim, rng)
             psi = np.linalg.eigh(rho.mat)[1][:, -1]
             exact = np.sqrt(np.vdot(psi, sig.mat @ psi).real)

@@ -10,8 +10,6 @@ from qopdist.states import (
     from_bloch,
     from_spectrum,
     random_density,
-    random_density_batch,
-    random_pure,
     validate_state,
 )
 
@@ -69,7 +67,7 @@ def test_bloch_round_trip():
 def test_random_pure_is_pure():
     rng = np.random.default_rng(9)
     for dim in (2, 3, 5):
-        psi = random_pure(dim, rng)
+        psi = random_density(dim, 1, rng)
         assert abs(psi.purity - 1.0) < 1e-12
 
 
@@ -116,9 +114,35 @@ def test_a_stack_of_states_has_dim_and_purity_per_state():
 
 def test_random_density_batch_rejects_bad_ranks():
     rng = np.random.default_rng(0)
-    for dim, ranks in ((3, [1, 0]), (3, [4]), (3, [[1]]), (0, [])):
+    for dim, ranks in ((3, [1, 0]), (3, [4]), (3, [[1]]), (0, np.array([], dtype=int))):
         with pytest.raises(ValidationError):
-            random_density_batch(dim, ranks, rng)
+            random_density(dim, ranks, rng)
+
+
+def test_random_density_takes_one_rank_or_an_array_of_them():
+    """An integer rank gives one state (d, d); an array of ranks gives a
+    stack (n, d, d).  Both forms share one body, so one state is drawn as
+    the first row of a stack."""
+    one = random_density(5, np.int64(3), np.random.default_rng(14))
+    stack = random_density(5, np.array([3, 1]), np.random.default_rng(14))
+    assert one.mat.shape == (5, 5) and stack.mat.shape == (2, 5, 5)
+    assert not one.mat.flags.writeable and not stack.mat.flags.writeable
+    assert np.array_equal(one.mat, stack.mat[0])
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_random_density_purity_matches_the_induced_measure(dim):
+    """Under the rank-k Hilbert-Schmidt-induced measure, E[tr rho^2] =
+    (d + k) / (dk + 1) (Zyczkowski and Sommers 2001); rank 1 is pure."""
+    rng = np.random.default_rng(dim)
+    for k in range(1, dim + 1):
+        purity = random_density(dim, np.full(4000, k), rng).purity
+        expected = (dim + k) / (dim * k + 1)
+        if k == 1:
+            assert np.max(np.abs(purity - 1.0)) < 1e-12
+        else:
+            sem = purity.std(ddof=1) / np.sqrt(purity.size)
+            assert abs(purity.mean() - expected) <= 4.0 * sem
 
 
 def test_from_spectrum_builds_the_state_of_its_weights():

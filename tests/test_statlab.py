@@ -22,7 +22,6 @@ from qopdist.statlab import (
     moment_check,
     pair_for_point,
     run_trials,
-    sample_triangle,
     sample_triangle_batch,
 )
 
@@ -52,11 +51,30 @@ def test_triangle_point_validation():
         TrianglePoint(1.2, 0.1)
 
 
+class _TiedDraws:
+    """A generator stand-in whose ``random`` hands out fixed blocks in turn."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.array(b, dtype=float) for b in blocks]
+
+    def random(self, shape):
+        block = self.blocks.pop(0)
+        assert block.shape == shape
+        return block
+
+
 def test_sample_triangle_in_region():
-    rng = np.random.default_rng(51)
-    for _ in range(500):
-        p = sample_triangle(rng)
-        assert 0.0 <= p.p_n < p.p_m <= 1.0
+    """Tied pairs are drawn again, batch by batch, until every point lies in
+    the open triangle; untied pairs keep their first draw."""
+    rng = _TiedDraws(
+        [[0.5, 0.5], [0.1, 0.7], [0.3, 0.3], [0.9, 0.2]],
+        [[0.4, 0.4], [0.6, 0.2]],
+        [[0.25, 0.75]],
+    )
+    pm, pn = sample_triangle_batch(rng, 4)
+    assert pm.tolist() == [0.75, 0.7, 0.6, 0.9]
+    assert pn.tolist() == [0.25, 0.1, 0.2, 0.2]
+    assert rng.blocks == []
 
 
 def test_sample_triangle_batch():
@@ -78,8 +96,8 @@ def test_pair_for_point_frozen():
 def test_pair_for_point_probabilities():
     """tr(T rho) = p_m and tr(T sigma) = p_n by construction."""
     rng = np.random.default_rng(53)
-    for _ in range(20):
-        point = sample_triangle(rng)
+    for pm, pn in zip(*sample_triangle_batch(rng, 20)):
+        point = TrianglePoint(float(pm), float(pn))
         rho, sig = pair_for_point(MEASURE0, point)
         t = MEASURE0.t_op
         assert abs(float(np.trace(t @ rho.mat).real) - point.p_m) < 1e-10
@@ -145,6 +163,40 @@ def test_trial_columns_d_in_mismatch():
 def test_trial_columns_point_outside_triangle(p_m, p_n):
     with pytest.raises(ValidationError, match="trial 1: .* outside the triangle"):
         _columns(p_m=[0.8, p_m], p_n=[0.2, p_n], d_in=[0.6, p_m - p_n])
+
+
+@pytest.mark.parametrize(
+    "override, what",
+    [
+        ({"d_out_normalized": [0.7, math.nan]}, "output distance"),
+        ({"d_out_subnormalized": [0.3, -5.0]}, "output distance"),
+        ({"d_out_normalized": [0.7, 1.0 + 1e-8]}, "output distance"),
+        ({"relative_increase": [0.1 / 0.7, math.inf]}, "relative_increase"),
+        ({"relative_increase": [0.1 / 0.7, 1.0]}, "relative_increase"),
+        ({"relative_increase": [0.1 / 0.7, -0.1]}, "relative_increase"),
+    ],
+)
+def test_trial_columns_output_ranges(override, what):
+    """Both output distances lie in [0, 1] within 1e-9 and the relative
+    increase is NaN or lies in [0, 1), by definition; NaN fails."""
+    with pytest.raises(ValidationError, match=f"trial 1: .*{what}"):
+        _columns(**override)
+
+
+def test_trial_columns_output_ranges_reach_the_mean_bound():
+    """Columns with a NaN and a negative output distance are refused, so
+    mean_output_distance_bound cannot report holds=True on them."""
+    with pytest.raises(ValidationError, match="trial 0: an output distance"):
+        mean_output_distance_bound(
+            TrialColumns(
+                p_m=[0.8],
+                p_n=[0.2],
+                d_in=[0.6],
+                d_out_normalized=[math.nan],
+                d_out_subnormalized=[-5.0],
+                relative_increase=[math.inf],
+            )
+        )
 
 
 def test_trial_columns_lengths_must_agree():
@@ -248,6 +300,13 @@ def test_empirical_cdf_frozen():
 def test_empirical_cdf_needs_a_sample():
     with pytest.raises(ValidationError, match="at least one sample"):
         empirical_cdf([], np.array([0.5]))
+
+
+@pytest.mark.parametrize("samples", [[0.1, math.nan], [math.nan], [math.nan, 0.3, 0.2]])
+def test_empirical_cdf_rejects_nan(samples):
+    """A NaN sample would count as above every grid point."""
+    with pytest.raises(ValidationError, match="NaN"):
+        empirical_cdf(samples, [0.5, 2.0])
 
 
 def test_cdf_moment_closed_forms():

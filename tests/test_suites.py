@@ -16,12 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qopdist import metrics, statlab, suites
-from qopdist.channels import QuantumOperation, e_distance
+from qopdist.channels import QuantumOperation, e_distance, random_operations
 from qopdist.cli import main
 from qopdist.errors import DegenerateInputError, ReportParseError, ValidationError
 from qopdist.linalg import random_hermitian
 from qopdist.metrics import trace_distance
-from qopdist.states import DensityMatrix, random_density, random_density_batch
+from qopdist.states import DensityMatrix, random_density
 from qopdist.statlab import TrialColumns
 from qopdist.suites import (
     SUITE_NAMES,
@@ -243,7 +243,9 @@ def test_oracle_block_holds_public_operations(seed, dim):
     output dimension, passes the public QuantumOperation check (0 <= T <= 1)
     and its e_distance is the block's stacked value."""
     rng = np.random.default_rng(seed)
-    kraus, t, n_kraus, dim_out = suites._operation_block(dim, 40, rng)
+    dim_out = rng.integers(1, dim + 1, size=40)
+    n_kraus = rng.integers(1, 5, size=40)
+    kraus, t = random_operations(dim, dim_out, n_kraus, rng)
     rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
     sig = random_density(dim, int(rng.integers(1, dim + 1)), rng)
     gaps = np.abs(suites._trace_products(t, rho.mat - sig.mat))
@@ -261,7 +263,7 @@ def test_ginibre_batch_holds_public_states(seed, dim):
     rng = np.random.default_rng(seed)
     ranks = rng.integers(1, dim + 1, size=12)
     ranks[:2] = 1, dim
-    batch = random_density_batch(dim, ranks, rng)
+    batch = random_density(dim, ranks, rng)
     assert batch.mat.shape == (12, dim, dim) and not batch.mat.flags.writeable
     assert np.array_equal(DensityMatrix(batch.mat).mat, batch.mat)
     for rank, m in zip(ranks, batch.mat):

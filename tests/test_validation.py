@@ -33,7 +33,7 @@ from qopdist.maximizers import (
     maximizing_projector,
 )
 from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, trace_distance
-from qopdist.states import DensityMatrix, random_density, random_pure, validate_state
+from qopdist.states import DensityMatrix, random_density, validate_state
 from qopdist.statlab import dominance_implies_moments, run_trials
 from qopdist.suites import run_all, run_suite, run_thm3
 
@@ -55,7 +55,7 @@ def _drifted(rng, dim):
 def _library_states(seed, dim):
     rng = np.random.default_rng(seed)
     return [
-        random_pure(dim, rng),
+        random_density(dim, 1, rng),
         random_density(dim, int(rng.integers(1, dim + 1)), rng),
         validate_state(_drifted(rng, dim), tol=1e-8),
     ]
@@ -233,8 +233,9 @@ def test_thm2_does_not_recheck_the_states_it_builds(monkeypatch):
 
 def test_library_samplers_do_not_recheck(lapack_calls):
     rng = np.random.default_rng(5)
-    random_pure(4, rng)
+    random_density(4, 1, rng)
     random_density(4, 2, rng)
+    random_density(4, np.array([1, 3]), rng)
     assert lapack_calls == []
 
 
@@ -264,11 +265,33 @@ COUNT_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("value", [2.5, math.nan, "3"])
+@pytest.mark.parametrize("value", [2.5, math.nan, "3", True])
 @pytest.mark.parametrize("name", COUNT_TAKERS)
 def test_non_integral_counts_and_seeds_rejected(name, value):
     with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
         COUNT_TAKERS[name](value)
+
+
+SAMPLER_COUNTS = [
+    ("rank", lambda rng: random_density(3, 2.5, rng)),
+    ("rank", lambda rng: random_density(3, True, rng)),
+    ("rank", lambda rng: random_density(3, [2.5], rng)),
+    ("rank", lambda rng: random_density(3, [True], rng)),
+    ("rank", lambda rng: random_density(3, np.array([[1]]), rng)),
+    ("dim", lambda rng: random_density(2.5, 1, rng)),
+    ("dim_out", lambda rng: random_operation(2, 1.5, 1, rng)),
+    ("n_kraus", lambda rng: random_operation(2, 2, 1.5, rng)),
+    ("dim_in", lambda rng: random_operation(2.5, 2, 1, rng)),
+]
+
+
+@pytest.mark.parametrize("name, draw", SAMPLER_COUNTS, ids=[f"{n}-{i}" for i, (n, _) in enumerate(SAMPLER_COUNTS)])
+def test_sampler_counts_and_ranks_must_be_integers(name, draw):
+    """A rank, dimension or Kraus count that is not an integer (or an array
+    of ranks that is not of an integer dtype) raises ValidationError naming
+    the argument, instead of being truncated or ending in a TypeError."""
+    with pytest.raises(ValidationError, match=f"^{name} must be "):
+        draw(np.random.default_rng(0))
 
 
 def test_numpy_integer_counts_and_seeds_accepted():
