@@ -3,6 +3,18 @@
 Two loops dominate runtime: evaluation of the qubit sine-minus-trace gap
 surface over large grids, and the Monte Carlo trial pipeline that turns
 sampled probability points into input/output trace distances.
+
+Every trial output is a real combination sum_j w_j A_j of the same few
+matrices A_j.  When the A_j commute, one eigenbasis U diagonalizes them
+all, and each trial's trace distance is half the 1-norm of w @ Lambda,
+with Lambda[j] the diagonal of U^H A_j U: ``trial_stats`` then runs one
+``eigh`` per batch and builds no per-trial matrix.  U is accepted only
+when every off-diagonal entry of every U^H A_j U is at most
+16 d eps max|A| (d the output dimension), the order of the backward error
+of a per-trial ``eigvalsh``.  By Weyl's inequality each eigenvalue of a
+trial output then moves by at most d sum_j |w_j| times that bound.
+Otherwise, as for operations whose outputs do not commute, the kernel
+runs one batched ``eigvalsh`` per output kind and chunk of trials.
 """
 
 from __future__ import annotations
@@ -10,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 _SQRT_HALF = np.sqrt(0.5)
+_EPS = np.finfo(np.float64).eps
 # Trials per batched eigvalsh call in trial_stats; bounds the (chunk, d, d)
 # temporaries for large trial counts.
 _CHUNK = 32768
@@ -51,23 +64,82 @@ def gap_grid_max(us, vs, etas):
 
 # -- Monte Carlo trial pipeline ----------------------------------------------
 
+def _jacobi_rotate(dj, k, l):
+    """Rotate basis vectors k and l of every matrix of the Hermitian stack
+    dj in place, by the Jacobi rotation that diagonalizes the (k, l) block
+    of the matrix whose block is farthest from a multiple of the identity.
+    For commuting matrices that rotation diagonalizes every block."""
+    a, b, e = dj[:, k, k].real, dj[:, l, l].real, dj[:, k, l]
+    j = int(np.argmax((a - b) ** 2 + 4.0 * np.abs(e) ** 2))
+    m = abs(e[j])
+    if m == 0.0:
+        return
+    tau = (b[j] - a[j]) / (2.0 * m)
+    t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
+    c = 1.0 / np.hypot(1.0, t)
+    phase = np.conj(e[j]) / m
+    rot = np.array([[c, t * c], [-t * c * phase, c * phase]])
+    kl = [k, l]
+    dj[:, :, kl] = dj[:, :, kl] @ rot
+    dj[:, kl, :] = rot.conj().T @ dj[:, kl, :]
+
+
+def _shared_spectra(op_mats):
+    """Eigenvalues of every op_mats[j] in one shared eigenbasis, as an
+    (nb, d) array, or None when the matrices do not commute to within
+    16 d eps max|A| in every off-diagonal entry.
+
+    The basis is the eigenbasis of sum_j cos(j + 1) op_mats[j]; 1, cos 1,
+    cos 2, ... have no rational relation, so distinct integer spectra do
+    not meet in it.  Where two of its eigenvalues are close, eigh mixes
+    their vectors by about eps max|A| / gap, which can exceed the bound
+    (about one in twenty random commuting families with d up to 8).  So
+    when no off-diagonal entry exceeds sqrt(eps) max|A|, one Jacobi
+    rotation per pair above the bound removes that mixing; larger entries
+    mean the matrices do not commute.
+    """
+    nb, d = op_mats.shape[:2]
+    scale = np.abs(op_mats).max(initial=0.0)
+    tol = 16.0 * d * _EPS * scale
+    _, u = np.linalg.eigh(np.tensordot(np.cos(np.arange(1.0, nb + 1.0)), op_mats, axes=1))
+    dj = u.conj().T @ op_mats @ u
+    mag = np.abs(dj).max(axis=0, initial=0.0)
+    np.fill_diagonal(mag, 0.0)
+    if tol < mag.max() <= np.sqrt(_EPS) * scale:
+        for k, l in zip(*np.nonzero(np.triu(mag > tol))):
+            _jacobi_rotate(dj, k, l)
+        mag = np.abs(dj).max(axis=0, initial=0.0)
+        np.fill_diagonal(mag, 0.0)
+    if not mag.max() <= tol:
+        return None
+    return np.diagonal(dj, axis1=1, axis2=2).real
+
+
 def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     """Batched trial statistics.
 
     ``op_mats[j]`` is the operation's output matrix for the j-th basis
     state; ``w_rho``/``w_sig`` hold the input spectra in that basis.
     Returns per-trial input distance, normalized-output distance and
-    subnormalized-output distance.
+    subnormalized-output distance.  Commuting ``op_mats`` take one shared
+    eigenbasis for the whole batch (see the module docstring); otherwise
+    every trial's two output matrices are built and passed to
+    ``eigvalsh``, ``_CHUNK`` trials at a time.
     """
     op_mats = np.ascontiguousarray(op_mats, dtype=np.complex128)
     w_rho = np.ascontiguousarray(w_rho, dtype=np.float64)
     w_sig = np.ascontiguousarray(w_sig, dtype=np.float64)
     pm = np.ascontiguousarray(pm, dtype=np.float64)
     pn = np.ascontiguousarray(pn, dtype=np.float64)
+    d_in = 0.5 * np.abs(w_rho - w_sig).sum(axis=1)
+    lam = _shared_spectra(op_mats)
+    if lam is not None:
+        d_sub = 0.5 * np.abs((w_rho - w_sig) @ lam).sum(axis=1)
+        d_norm = 0.5 * np.abs((w_rho / pm[:, None] - w_sig / pn[:, None]) @ lam).sum(axis=1)
+        return d_in, d_norm, d_sub
     n = w_rho.shape[0]
     d = op_mats.shape[1]
     flat = op_mats.reshape(op_mats.shape[0], d * d)
-    d_in = 0.5 * np.abs(w_rho - w_sig).sum(axis=1)
     d_norm = np.empty(n)
     d_sub = np.empty(n)
     for lo in range(0, n, _CHUNK):

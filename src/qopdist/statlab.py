@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrianglePoint:
     """A pair of occurrence probabilities with 0 <= p_n < p_m <= 1."""
 
@@ -60,7 +60,10 @@ class TrianglePoint:
 def sample_triangle_batch(rng: np.random.Generator, n: int):
     """Arrays (p_m, p_n) of n points uniform on the open triangle: the
     larger and the smaller of two uniforms, with tied pairs (measure zero)
-    drawn again."""
+    drawn again.  n must be an integer >= 0."""
+    n = checked_index("n", n)
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
     draws = rng.random((n, 2))
     tied = draws[:, 0] == draws[:, 1]
     while tied.any():
@@ -89,7 +92,7 @@ def pair_for_point(E: QuantumOperation, point: TrianglePoint):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     """One Monte Carlo trial: input distance, both output distances, and the
     relative increase when the normalized outputs drifted apart."""
@@ -175,20 +178,26 @@ class TrialColumns:
         return len(self.d_in)
 
     def __iter__(self):
-        # The fields are set in constructor order, so each record equals,
-        # hashes and prints like one built by TrialRecord(...).
-        new, set_field = object.__new__, object.__setattr__
+        # Each field is set through its slot's member descriptor, in
+        # constructor order, so each record equals, hashes and prints like
+        # one built by TrialRecord(...).
+        new = object.__new__
+        set_pm, set_pn = TrianglePoint.p_m.__set__, TrianglePoint.p_n.__set__
+        set_point, set_d_in = TrialRecord.point.__set__, TrialRecord.d_in.__set__
+        set_d_norm = TrialRecord.d_out_normalized.__set__
+        set_d_sub = TrialRecord.d_out_subnormalized.__set__
+        set_rel = TrialRecord.relative_increase.__set__
         columns = (col.tolist() for col in vars(self).values())
         for pm, pn, d_in, d_norm, d_sub, rel in zip(*columns):
             point = new(TrianglePoint)
-            set_field(point, "p_m", pm)
-            set_field(point, "p_n", pn)
+            set_pm(point, pm)
+            set_pn(point, pn)
             record = new(TrialRecord)
-            set_field(record, "point", point)
-            set_field(record, "d_in", d_in)
-            set_field(record, "d_out_normalized", d_norm)
-            set_field(record, "d_out_subnormalized", d_sub)
-            set_field(record, "relative_increase", None if math.isnan(rel) else rel)
+            set_point(record, point)
+            set_d_in(record, d_in)
+            set_d_norm(record, d_norm)
+            set_d_sub(record, d_sub)
+            set_rel(record, None if math.isnan(rel) else rel)
             yield record
 
 
@@ -240,6 +249,14 @@ def run_trials(
     )
 
 
+def _checked_order(n) -> int:
+    """A moment order: an integer >= 1."""
+    n = checked_index("moment order", n)
+    if n < 1:
+        raise ValidationError(f"moment order must be >= 1, got {n}")
+    return n
+
+
 class BoundKind(enum.Enum):
     """Dominating density for a moment bound: flat or downward wedge 2-2x."""
 
@@ -259,13 +276,13 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
     """Compare the n-th empirical moment against its dominating-density value.
 
     Flat density on [0,1] gives 1/(n+1); the wedge density 2-2x gives
-    2/(n^2+3n+2).  The check allows three standard errors of slack.
+    2/(n^2+3n+2).  The check allows three standard errors of slack.  The
+    order n must be an integer >= 1.
     """
+    n = _checked_order(n)
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValidationError("moment_check needs at least one sample")
-    if n < 1:
-        raise ValidationError(f"moment order must be >= 1, got {n}")
     if not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
         raise ValidationError(f"samples outside [0,1]: range [{x.min()}, {x.max()}]")
     if bound_kind is BoundKind.UNIFORM:
@@ -313,8 +330,9 @@ def cdf_moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
     ``cdf`` holds F at the points of ``grid``, which starts at 0 (or where
     F is still 0) and ends at R with F(R) = 1.  Integration by parts gives
     E[X^n] = R^n - n * integral of x^(n-1) F(x) dx over [0, R], evaluated
-    with the trapezoid rule on the grid.
+    with the trapezoid rule on the grid.  n must be an integer >= 1.
     """
+    n = _checked_order(n)
     r = grid[-1]
     return float(r**n - n * np.trapezoid(grid ** (n - 1) * cdf, grid))
 
@@ -325,7 +343,8 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
 
     Each CDF is a (grid, values) pair on a shared grid ending where both
     reach 1.  Moments come from integrating the CDFs, so the ordering is
-    inherited from dominance exactly up to quadrature arithmetic.
+    inherited from dominance exactly up to quadrature arithmetic.  Each
+    order must be an integer >= 1.
     """
     tol = resolve_tol(tol)
     grid_g, fg = (np.asarray(a, dtype=float) for a in cdf_g)
@@ -341,7 +360,7 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
             raise ValidationError(f"{name} CDF does not reach 1 at the grid end")
     gaps = fg - fh
     dominance = bool(np.all(gaps >= -tol))
-    orders = tuple(int(n) for n in orders)
+    orders = tuple(map(_checked_order, orders))
     mg = tuple(cdf_moment(grid_g, fg, n) for n in orders)
     mh = tuple(cdf_moment(grid_h, fh, n) for n in orders)
     moments_ok = dominance and all(a <= b + tol for a, b in zip(mg, mh))

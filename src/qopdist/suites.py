@@ -581,18 +581,19 @@ def run_section3(rng, n_cases, slack):
 
 SUITE_NAMES = tuple(_SUITES)
 
-# The suites by their run time at seed 7, longest first: appendixB 1.0 s,
-# thm1 0.74 s, thm2 0.57 s, section3 0.30 s, thm5 0.26 s, cloning 0.12 s,
-# lemma1 0.10 s, the rest under 0.05 s each.  Workers take them in this
-# order, so the longest suite does not start last.
+# The suites by their run time at seed 7 (minimum of 5 in-process runs on
+# one CPU of a 2-vCPU host), longest first: appendixB 0.61 s and thm1
+# 0.63 s (a tie within noise), thm2 0.50 s, thm5 0.22 s, cloning 0.12 s,
+# lemma1 0.08 s, section3 0.06 s, the rest under 0.01 s each.  Workers
+# take them in this order, so the longest suite does not start last.
 _LONGEST_FIRST = (
     "appendixB",
     "thm1",
     "thm2",
-    "section3",
     "thm5",
     "cloning",
     "lemma1",
+    "section3",
     "thm3",
     "thm4",
     "lemma2",

@@ -1,12 +1,20 @@
 """Tests for the numeric kernels against scalar and object-path oracles."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qopdist
 from qopdist import _kernels
 from qopdist.channels import QuantumOperation
+from qopdist.maximizers import build_maximizing_operation
 from qopdist.metrics import qubit_gap, sine_distance, trace_distance
 from qopdist.statlab import run_trials
+from qopdist.suites import _maximizer_shaped_op
 
 
 def test_backend_reported():
@@ -83,17 +91,54 @@ def _maximizer_shaped(dim_out, rng):
     return QuantumOperation(kraus)
 
 
-def _random_trial_inputs(n, dim_out, rng):
-    nb = 4
-    mats = rng.standard_normal((nb, dim_out, dim_out)) + 1j * rng.standard_normal(
-        (nb, dim_out, dim_out)
-    )
-    mats = 0.5 * (mats + mats.conj().transpose(0, 2, 1))
+def _trial_weights(n, nb, rng):
     w_rho = rng.dirichlet(np.ones(nb), size=n)
     w_sig = rng.dirichlet(np.ones(nb), size=n)
     pm = rng.uniform(0.3, 1.0, size=n)
     pn = rng.uniform(0.05, 0.29, size=n)
-    return mats, w_rho, w_sig, pm, pn
+    return w_rho, w_sig, pm, pn
+
+
+def _random_hermitian(shape, rng):
+    mats = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (mats + np.swapaxes(mats, -1, -2).conj())
+
+
+def _random_trial_inputs(n, dim_out, rng):
+    nb = 4
+    return (_random_hermitian((nb, dim_out, dim_out), rng), *_trial_weights(n, nb, rng))
+
+
+def _commuting_family(rng, d, nb, kind):
+    """nb matrices U diag(lambda_j) U^H sharing one random unitary U, with
+    spectra uniform on [0, 1] ("distinct"), drawn from {0, 1/2, 1} so that
+    eigenvalues repeat ("repeated"), or all zero ("zero")."""
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    if kind == "distinct":
+        lam = rng.uniform(0.0, 1.0, size=(nb, d))
+    elif kind == "repeated":
+        lam = rng.choice([0.0, 0.5, 1.0], size=(nb, d))
+    else:
+        lam = np.zeros((nb, d))
+    return np.einsum("ik,jk,lk->jil", u, lam, u.conj())
+
+
+def _stats_and_eigvalsh_calls(mats, w_rho, w_sig, pm, pn):
+    with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as spy:
+        stats = _kernels.trial_stats(mats, w_rho, w_sig, pm, pn)
+    return stats, spy.call_count
+
+
+def _assert_matches_per_trial(stats, mats, w_rho, w_sig, pm, pn):
+    """Each trial's distances equal trace distances of its two output
+    matrices, built one trial at a time, within 1e-12."""
+    d_in, d_norm, d_sub = stats
+    for t in range(len(pm)):
+        out_rho = np.tensordot(w_rho[t], mats, axes=1)
+        out_sig = np.tensordot(w_sig[t], mats, axes=1)
+        assert abs(d_in[t] - 0.5 * np.abs(w_rho[t] - w_sig[t]).sum()) < 1e-12
+        assert abs(d_sub[t] - trace_distance(out_rho, out_sig)) < 1e-12
+        assert abs(d_norm[t] - trace_distance(out_rho / pm[t], out_sig / pn[t])) < 1e-12
 
 
 def test_trial_stats_paths_agree():
@@ -101,14 +146,79 @@ def test_trial_stats_paths_agree():
     output matrices."""
     rng = np.random.default_rng(62)
     for dim_out in (1, 2, 3):
-        mats, w_rho, w_sig, pm, pn = _random_trial_inputs(100, dim_out, rng)
-        d_in, d_norm, d_sub = _kernels.trial_stats(mats, w_rho, w_sig, pm, pn)
-        for t in range(100):
-            out_rho = np.tensordot(w_rho[t], mats, axes=1)
-            out_sig = np.tensordot(w_sig[t], mats, axes=1)
-            assert abs(d_in[t] - 0.5 * np.abs(w_rho[t] - w_sig[t]).sum()) < 1e-12
-            assert abs(d_sub[t] - trace_distance(out_rho, out_sig)) < 1e-12
-            assert abs(d_norm[t] - trace_distance(out_rho / pm[t], out_sig / pn[t])) < 1e-12
+        inputs = _random_trial_inputs(100, dim_out, rng)
+        _assert_matches_per_trial(_kernels.trial_stats(*inputs), *inputs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 8),
+    nb=st.integers(1, 16),
+    kind=st.sampled_from(["distinct", "repeated", "zero"]),
+)
+def test_commuting_outputs_share_one_eigenbasis(seed, d, nb, kind):
+    """Commuting output matrices, with distinct, repeated or zero spectra,
+    take the shared-eigenbasis path: no eigvalsh at all, and the per-trial
+    distances still agree."""
+    rng = np.random.default_rng(seed)
+    mats = _commuting_family(rng, d, nb, kind)
+    inputs = (mats, *_trial_weights(20, nb, rng))
+    stats, calls = _stats_and_eigvalsh_calls(*inputs)
+    assert calls == 0
+    _assert_matches_per_trial(stats, *inputs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 8),
+    family=st.sampled_from(["random", "commuting + 1e-9"]),
+)
+def test_non_commuting_outputs_fall_back_to_eigvalsh(seed, d, family):
+    """Random Hermitian outputs, and commuting ones with a 1e-9
+    non-commuting term, run one eigvalsh per output kind and agree."""
+    rng = np.random.default_rng(seed)
+    if family == "random":
+        mats = _random_hermitian((4, d, d), rng)
+    else:
+        mats = _commuting_family(rng, d, 4, "distinct")
+        mats[0] += 1e-9 * _random_hermitian((d, d), rng)
+    inputs = (mats, *_trial_weights(20, 4, rng))
+    stats, calls = _stats_and_eigvalsh_calls(*inputs)
+    assert calls == 2
+    _assert_matches_per_trial(stats, *inputs)
+
+
+def _lapack_calls(fn):
+    """Number of np.linalg eigvalsh, eigh, svd and qr calls made by fn()."""
+    with contextlib.ExitStack() as stack:
+        spies = [
+            stack.enter_context(mock.patch.object(np.linalg, name, wraps=getattr(np.linalg, name)))
+            for name in ("eigvalsh", "eigh", "svd", "qr")
+        ]
+        fn()
+    return sum(spy.call_count for spy in spies)
+
+
+OPERATIONS_WITH_COMMUTING_OUTPUTS = {
+    "suites-5-2-2": lambda: _maximizer_shaped_op(5, 2, 2),
+    "suites-2-1-1": lambda: _maximizer_shaped_op(2, 1, 1),
+    "readme-measure": lambda: build_maximizing_operation(
+        np.diag([0.9, 0.1]), np.diag([0.3, 0.7]), dim_out=1
+    ),
+}
+
+
+@pytest.mark.parametrize("name", OPERATIONS_WITH_COMMUTING_OUTPUTS)
+def test_trial_lapack_calls_do_not_grow_with_trials(name):
+    """On operations whose outputs commute, run_trials makes as many
+    LAPACK calls for 50 000 trials (more than one kernel chunk) as for 10."""
+    op = OPERATIONS_WITH_COMMUTING_OUTPUTS[name]()
+    counts = [
+        _lapack_calls(lambda: run_trials(op, n, np.random.default_rng(7))) for n in (10, 50_000)
+    ]
+    assert 50_000 > _kernels._CHUNK and counts[0] == counts[1]
 
 
 def test_trial_stats_numpy_chunking(monkeypatch):

@@ -1,7 +1,9 @@
 """Tests for triangle sampling, trial columns and the moment machinery."""
 
 import collections
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -226,6 +228,22 @@ def test_trial_columns_len_and_iteration():
             assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
             seen_nan.add(r.relative_increase is None)
     assert seen_nan == {True, False}
+
+
+def test_records_are_slot_backed():
+    """Records and their points keep their fields in slots, with no
+    __dict__; they survive a pickle round trip unchanged and stay frozen,
+    and dataclasses.replace still runs the record's check."""
+    records = list(run_trials(_maximizer_shaped(5, 2, 2), 50, np.random.default_rng(59)))
+    r = records[0]
+    assert not hasattr(r, "__dict__") and not hasattr(r.point, "__dict__")
+    back = pickle.loads(pickle.dumps(records))
+    assert back == records and list(map(repr, back)) == list(map(repr, records))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        r.d_in = 0.0
+    assert dataclasses.replace(r, d_in=r.d_in) == r
+    with pytest.raises(ValidationError, match="d_in"):
+        dataclasses.replace(r, d_in=r.d_in + 0.1)
 
 
 def test_iteration_runs_no_per_record_check(monkeypatch):

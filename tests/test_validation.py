@@ -34,7 +34,14 @@ from qopdist.maximizers import (
 )
 from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, trace_distance
 from qopdist.states import DensityMatrix, random_density, validate_state
-from qopdist.statlab import dominance_implies_moments, run_trials
+from qopdist.statlab import (
+    BoundKind,
+    cdf_moment,
+    dominance_implies_moments,
+    moment_check,
+    run_trials,
+    sample_triangle_batch,
+)
 from qopdist.suites import run_all, run_suite, run_thm3
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -258,18 +265,50 @@ def test_resolve_tol_rejects(tol):
 # -- counts and seeds -------------------------------------------------------------
 
 MEASURE0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
+FLAT_CDF = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
+# test id: (the argument the error names, a call that passes the value there)
 COUNT_TAKERS = {
-    "n_trials": lambda v: run_trials(MEASURE0, v, np.random.default_rng(0)),
-    "n_cases": lambda v: run_suite("lemma2", 7, v),
-    "seed": lambda v: run_suite("lemma2", v, 1),
+    "n_trials": ("n_trials", lambda v: run_trials(MEASURE0, v, np.random.default_rng(0))),
+    "n_cases": ("n_cases", lambda v: run_suite("lemma2", 7, v)),
+    "seed": ("seed", lambda v: run_suite("lemma2", v, 1)),
+    "n": ("n", lambda v: sample_triangle_batch(np.random.default_rng(0), v)),
+    "moment_check": ("moment order", lambda v: moment_check([0.5], v, BoundKind.UNIFORM)),
+    "cdf_moment": ("moment order", lambda v: cdf_moment(*FLAT_CDF, v)),
+    "dominance_implies_moments": (
+        "moment order",
+        lambda v: dominance_implies_moments(FLAT_CDF, FLAT_CDF, (1, v)),
+    ),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, math.nan, "3", True])
 @pytest.mark.parametrize("name", COUNT_TAKERS)
 def test_non_integral_counts_and_seeds_rejected(name, value):
-    with pytest.raises(ValidationError, match=f"{name} must be an integer, got {value!r}"):
-        COUNT_TAKERS[name](value)
+    """A count, seed or moment order that is not an integer raises
+    ValidationError naming the argument; none is truncated."""
+    arg, take = COUNT_TAKERS[name]
+    with pytest.raises(ValidationError, match=f"{arg} must be an integer, got {value!r}"):
+        take(value)
+
+
+ORDER_TAKERS = ("moment_check", "cdf_moment", "dominance_implies_moments")
+OUT_OF_RANGE = [("n", -1, "n must be >= 0")] + [
+    (name, v, "moment order must be >= 1") for name in ORDER_TAKERS for v in (0, -1)
+]
+
+
+@pytest.mark.parametrize("name, value, message", OUT_OF_RANGE)
+def test_negative_counts_and_orders_rejected(name, value, message):
+    """A negative sample count, or a moment order below 1, raises
+    ValidationError instead of a ValueError, a RuntimeWarning, or a moment
+    of 1 or inf."""
+    with pytest.raises(ValidationError, match=message):
+        COUNT_TAKERS[name][1](value)
+
+
+def test_sample_triangle_batch_of_zero_points():
+    pm, pn = sample_triangle_batch(np.random.default_rng(0), 0)
+    assert pm.shape == pn.shape == (0,)
 
 
 SAMPLER_COUNTS = [
@@ -295,7 +334,7 @@ def test_sampler_counts_and_ranks_must_be_integers(name, draw):
 
 
 def test_numpy_integer_counts_and_seeds_accepted():
-    assert len(COUNT_TAKERS["n_trials"](np.int64(3))) == 3
+    assert len(COUNT_TAKERS["n_trials"][1](np.int64(3))) == 3
     (report,) = run_suite("lemma2", np.int64(7), np.int32(1))
     assert report.n_failures == 0
 
