@@ -84,6 +84,13 @@ def _jacobi_rotate(dj, k, l):
     dj[:, kl, :] = rot.conj().T @ dj[:, kl, :]
 
 
+def _off_diagonal_magnitudes(dj):
+    """Largest |dj[j, k, l]| over j for each k != l, zero on the diagonal."""
+    mag = np.abs(dj).max(axis=0, initial=0.0)
+    np.fill_diagonal(mag, 0.0)
+    return mag
+
+
 def _shared_spectra(op_mats):
     """Eigenvalues of every op_mats[j] in one shared eigenbasis, as an
     (nb, d) array, or None when the matrices do not commute to within
@@ -103,13 +110,11 @@ def _shared_spectra(op_mats):
     tol = 16.0 * d * _EPS * scale
     _, u = np.linalg.eigh(np.tensordot(np.cos(np.arange(1.0, nb + 1.0)), op_mats, axes=1))
     dj = u.conj().T @ op_mats @ u
-    mag = np.abs(dj).max(axis=0, initial=0.0)
-    np.fill_diagonal(mag, 0.0)
+    mag = _off_diagonal_magnitudes(dj)
     if tol < mag.max() <= np.sqrt(_EPS) * scale:
         for k, l in zip(*np.nonzero(np.triu(mag > tol))):
             _jacobi_rotate(dj, k, l)
-        mag = np.abs(dj).max(axis=0, initial=0.0)
-        np.fill_diagonal(mag, 0.0)
+        mag = _off_diagonal_magnitudes(dj)
     if not mag.max() <= tol:
         return None
     return np.diagonal(dj, axis1=1, axis2=2).real
