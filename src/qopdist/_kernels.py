@@ -13,8 +13,9 @@ when every off-diagonal entry of every U^H A_j U is at most
 16 d eps max|A| (d the output dimension), the order of the backward error
 of a per-trial ``eigvalsh``.  By Weyl's inequality each eigenvalue of a
 trial output then moves by at most d sum_j |w_j| times that bound.
-Otherwise, as for operations whose outputs do not commute, the kernel
-runs one batched ``eigvalsh`` per output kind and chunk of trials.
+Otherwise, as for operations whose outputs do not commute or whose shared
+basis eigh does not resolve to that bound, the kernel runs one batched
+``eigvalsh`` per output kind and chunk of trials.
 """
 
 from __future__ import annotations
@@ -64,58 +65,24 @@ def gap_grid_max(us, vs, etas):
 
 # -- Monte Carlo trial pipeline ----------------------------------------------
 
-def _jacobi_rotate(dj, k, l):
-    """Rotate basis vectors k and l of every matrix of the Hermitian stack
-    dj in place, by the Jacobi rotation that diagonalizes the (k, l) block
-    of the matrix whose block is farthest from a multiple of the identity.
-    For commuting matrices that rotation diagonalizes every block."""
-    a, b, e = dj[:, k, k].real, dj[:, l, l].real, dj[:, k, l]
-    j = int(np.argmax((a - b) ** 2 + 4.0 * np.abs(e) ** 2))
-    m = abs(e[j])
-    if m == 0.0:
-        return
-    tau = (b[j] - a[j]) / (2.0 * m)
-    t = np.copysign(1.0, tau) / (abs(tau) + np.hypot(1.0, tau))
-    c = 1.0 / np.hypot(1.0, t)
-    phase = np.conj(e[j]) / m
-    rot = np.array([[c, t * c], [-t * c * phase, c * phase]])
-    kl = [k, l]
-    dj[:, :, kl] = dj[:, :, kl] @ rot
-    dj[:, kl, :] = rot.conj().T @ dj[:, kl, :]
-
-
-def _off_diagonal_magnitudes(dj):
-    """Largest |dj[j, k, l]| over j for each k != l, zero on the diagonal."""
-    mag = np.abs(dj).max(axis=0, initial=0.0)
-    np.fill_diagonal(mag, 0.0)
-    return mag
-
-
 def _shared_spectra(op_mats):
     """Eigenvalues of every op_mats[j] in one shared eigenbasis, as an
-    (nb, d) array, or None when the matrices do not commute to within
-    16 d eps max|A| in every off-diagonal entry.
+    (nb, d) array, or None when some off-diagonal entry of some
+    U^H op_mats[j] U exceeds 16 d eps max|A|.
 
-    The basis is the eigenbasis of sum_j cos(j + 1) op_mats[j]; 1, cos 1,
-    cos 2, ... have no rational relation, so distinct integer spectra do
-    not meet in it.  Where two of its eigenvalues are close, eigh mixes
-    their vectors by about eps max|A| / gap, which can exceed the bound
-    (about one in twenty random commuting families with d up to 8).  So
-    when no off-diagonal entry exceeds sqrt(eps) max|A|, one Jacobi
-    rotation per pair above the bound removes that mixing; larger entries
-    mean the matrices do not commute.
+    U is the eigenbasis of sum_j cos(j + 1) op_mats[j]; 1, cos 1, cos 2,
+    ... have no rational relation, so distinct integer spectra do not meet
+    in it.  Where two of its eigenvalues are close but the matrices differ
+    on their vectors, eigh mixes those vectors by about eps max|A| / gap,
+    which can exceed the bound; such families take the eigvalsh path.
+    Diagonal op_mats, as every maximizer-shaped operation gives, pass:
+    eigh of a diagonal matrix returns a basis of unit vectors.
     """
     nb, d = op_mats.shape[:2]
-    scale = np.abs(op_mats).max(initial=0.0)
-    tol = 16.0 * d * _EPS * scale
+    tol = 16.0 * d * _EPS * np.abs(op_mats).max(initial=0.0)
     _, u = np.linalg.eigh(np.tensordot(np.cos(np.arange(1.0, nb + 1.0)), op_mats, axes=1))
     dj = u.conj().T @ op_mats @ u
-    mag = _off_diagonal_magnitudes(dj)
-    if tol < mag.max() <= np.sqrt(_EPS) * scale:
-        for k, l in zip(*np.nonzero(np.triu(mag > tol))):
-            _jacobi_rotate(dj, k, l)
-        mag = _off_diagonal_magnitudes(dj)
-    if not mag.max() <= tol:
+    if not np.abs(dj[:, ~np.eye(d, dtype=bool)]).max(initial=0.0) <= tol:
         return None
     return np.diagonal(dj, axis1=1, axis2=2).real
 

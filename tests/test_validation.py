@@ -45,7 +45,6 @@ from qopdist.statlab import (
 from qopdist.suites import run_all, run_suite, run_thm3
 
 SEEDS = st.integers(0, 2**32 - 1)
-LAPACK = ("eigvalsh", "eigh", "svd", "qr")
 BAD_TOLS = [math.nan, math.inf, -1.0, -1e-12, "abc"]
 
 
@@ -115,20 +114,6 @@ def test_state_file_round_trip_is_bit_exact(tmp_path, seed, dim):
 
 
 # -- work counts ----------------------------------------------------------------
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    calls = []
-    for name in LAPACK:
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 @pytest.fixture
