@@ -286,13 +286,11 @@ def random_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
     same normals whatever the others' shapes.  Returns the Kraus block and
     the stacked T (n, dim_in, dim_in).
     """
-    dim_in = checked_index("dim_in", dim_in)
-    dim_out = checked_indices("dim_out", dim_out)
-    n_kraus = checked_indices("n_kraus", n_kraus)
+    dim_in = checked_index("dim_in", dim_in, 1)
+    dim_out = checked_indices("dim_out", dim_out, 1)
+    n_kraus = checked_indices("n_kraus", n_kraus, 1)
     if dim_out.shape != n_kraus.shape:
         raise DimensionMismatchError(f"dim_out and n_kraus differ in length: {dim_out.size} vs {n_kraus.size}")
-    if dim_in < 1 or (dim_out < 1).any() or (n_kraus < 1).any():
-        raise ValidationError(f"dim_in, dim_out and n_kraus must be >= 1, got {dim_in}, {dim_out}, {n_kraus}")
     n_max, out_max = int(n_kraus.max(initial=1)), int(dim_out.max(initial=1))
     keep = (np.arange(n_max) < n_kraus[:, None])[:, :, None] & (np.arange(out_max) < dim_out[:, None])[:, None, :]
     g = complex_normals(keep, dim_in, rng) / np.sqrt(2.0)
@@ -308,8 +306,6 @@ def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Gen
     Its scaling is the proof that 0 <= T <= 1, so the constructor's check
     is not repeated.
     """
-    dim_out = np.array([checked_index("dim_out", dim_out)])
-    n_kraus = np.array([checked_index("n_kraus", n_kraus)])
-    kraus, _ = random_operations(dim_in, dim_out, n_kraus, rng)
+    kraus, _ = random_operations(dim_in, [dim_out], [n_kraus], rng)
     ops = tuple(kraus[0])
     return _trusted_operation(ops, _t_sum(ops))

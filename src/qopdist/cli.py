@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .channels import cloner_distance_factor, cloner_outputs, e_distance
-from .config import resolve_tol
+from .config import checked_index, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -94,10 +94,8 @@ def cmd_pairs(args) -> int:
     op = load_kraus_set(args.kraus_file)
     if not 0.0 < args.d_target < 1.0:
         raise ValidationError(f"target distance {args.d_target} must lie strictly in (0, 1)")
-    if args.count < 1:
-        raise ValidationError("count must be at least 1")
-    if args.seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {args.seed}")
+    checked_index("count", args.count, 1)
+    checked_index("seed", args.seed, 0)
     try:
         unit, zero = matched_eigenspaces(op)
     except NotMaximizingShapeError as exc:

@@ -61,30 +61,39 @@ def resolve_tol(tol) -> float:
     return checked
 
 
-def checked_index(name: str, value) -> int:
-    """``value`` as an int when it is one (NumPy integers included).
+def checked_index(name: str, value, least: int) -> int:
+    """``value`` as an int when it is an integer (NumPy integers included)
+    at or above ``least``: the one check of every count, dimension, rank,
+    seed and moment order.
 
     Anything else, such as 2.5, NaN, "3" or True, raises ValidationError
-    naming the argument, because a count or seed must not be truncated,
-    parsed or taken from a flag.
+    naming the argument, because a count must not be truncated, parsed or
+    taken from a flag; so does an integer below ``least``.
     """
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if n < least:
+                raise ValidationError(f"{name} must be >= {least}, got {n}")
+            return n
     raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
-def checked_indices(name: str, values) -> np.ndarray:
-    """``values`` as a 1-D array when its dtype is a signed or unsigned
-    integer type.
+def checked_indices(name: str, values, least: int) -> np.ndarray:
+    """``values`` as a 1-D array of integers at or above ``least``.
 
-    Anything else, such as [2.5], [True] or a 2-D array, raises
-    ValidationError naming the argument, as ``checked_index`` does for one
-    value.
+    An integer-dtype array passes in one comparison; any other sequence is
+    checked entry by entry with ``checked_index``, so [2.5], [1, True] and,
+    for ``least`` 1, [0] raise its ValidationError.  An array of another
+    shape, an empty list and an entry beyond the integer dtypes raise
+    ValidationError too.
     """
     a = np.asarray(values)
+    if a.ndim == 1 and not (isinstance(values, np.ndarray) and a.dtype.kind in "iu" and (a >= least).all()):
+        a = np.array([checked_index(name, v, least) for v in values])
     if a.ndim != 1 or a.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be a 1-D array of integers, got {values!r}")
     return a

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, resolve_tol
+from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, checked_index, resolve_tol
 from .errors import NumericalError, ValidationError
 
 __all__ = [
@@ -77,6 +77,7 @@ def as_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """GUE-style random Hermitian matrix with entries of typical size 1."""
+    dim = checked_index("dim", dim, 1)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return hermitian_part(g / np.sqrt(2.0))
 
@@ -84,6 +85,7 @@ def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
 def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.ndarray:
     """A block of rows of ``dim`` complex normals (real and imaginary parts
     i.i.d. N(0, 1)) where ``keep`` is True, and zero rows where it is not."""
+    dim = checked_index("dim", dim, 1)
     g = np.zeros(keep.shape + (dim,), dtype=np.complex128)
     g[keep] = rng.standard_normal((int(keep.sum()), 2 * dim)).view(np.complex128)
     return g
@@ -184,25 +186,25 @@ def projector_onto(vectors, dim: int) -> np.ndarray:
     """Projector onto the span of vectors orthonormal within ``TOL_ORTHO``.
 
     ``vectors`` may be a sequence of 1-D arrays or a 2-D array whose
-    columns are the vectors.  An empty list yields the zero matrix.
+    columns are the vectors.  An empty list yields the zero matrix.  A
+    NaN or infinite entry raises ValidationError before any product.
     """
-    cols = _as_columns(vectors, dim)
+    cols = _as_columns(vectors, checked_index("dim", dim, 1))
     if cols.shape[1]:
         gram = cols.conj().T @ cols
         dev = float(np.max(np.abs(gram - np.eye(cols.shape[1]))))
-        if not dev <= TOL_ORTHO:  # also catches a NaN deviation
+        if not dev <= TOL_ORTHO:  # also catches a NaN from overflow
             raise ValidationError(f"vectors are not orthonormal: Gram deviation {dev:.3e} > {TOL_ORTHO:.1e}")
     return hermitian_part(cols @ cols.conj().T)
 
 
 def _as_columns(vectors, dim: int) -> np.ndarray:
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = np.ascontiguousarray(vectors, dtype=np.complex128)
-    else:
+    if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
         vecs = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in vectors]
         if not vecs:
             return np.zeros((dim, 0), dtype=np.complex128)
-        cols = np.stack(vecs, axis=1)
+        vectors = np.stack(vecs, axis=1)
+    cols = _finite_complex(vectors)
     if cols.shape[0] != dim:
         raise ValidationError(f"vectors live in dimension {cols.shape[0]}, expected {dim}")
     return cols

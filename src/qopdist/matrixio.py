@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from .channels import QuantumOperation
+from .config import checked_index
 from .errors import MatrixFileError, ValidationError
 from .linalg import as_complex_matrix, as_hermitian
 from .states import DensityMatrix, validate_state
@@ -54,13 +55,11 @@ def doc_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise MatrixFileError(f"matrix document must be an object, got {type(doc).__name__}")
     try:
-        rows = int(doc["dim_rows"])
-        cols = int(doc["dim_cols"])
+        rows = checked_index("dim_rows", doc["dim_rows"], 1)
+        cols = checked_index("dim_cols", doc["dim_cols"], 1)
         entries = doc["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValidationError) as exc:
         raise MatrixFileError(f"malformed matrix document: {exc!r}") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixFileError(f"bad dimensions {rows} x {cols}")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixFileError(
             f"entry count {len(entries) if isinstance(entries, list) else '?'} "
@@ -71,9 +70,13 @@ def doc_to_matrix(doc) -> np.ndarray:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise MatrixFileError(f"entry {i} is not a [re, im] pair")
         re, im = pair
-        if not (isinstance(re, (int, float)) and isinstance(im, (int, float))):
+        # JSON numbers load as int or float; true and false load as bool.
+        if not (type(re) in (int, float) and type(im) in (int, float)):
             raise MatrixFileError(f"entry {i} has non-numeric parts")
-        flat[i] = complex(re, im)
+        try:
+            flat[i] = complex(re, im)
+        except OverflowError as exc:
+            raise MatrixFileError(f"entry {i} is outside the float range: {exc}") from exc
     if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
         raise MatrixFileError("entries contain non-finite values")
     return flat.reshape(rows, cols)
@@ -153,10 +156,10 @@ def load_kraus_set(path) -> QuantumOperation:
     if doc.get("kind") != KIND_KRAUS_SET:
         raise MatrixFileError(f"{path}: expected kind 'kraus_set', got {doc.get('kind')!r}")
     try:
-        dim_in = int(doc["dim_in"])
-        dim_out = int(doc["dim_out"])
+        dim_in = checked_index("dim_in", doc["dim_in"], 1)
+        dim_out = checked_index("dim_out", doc["dim_out"], 1)
         operators = doc["operators"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, ValidationError) as exc:
         raise MatrixFileError(f"{path}: malformed kraus_set: {exc!r}") from exc
     if not isinstance(operators, list) or not operators:
         raise MatrixFileError(f"{path}: kraus_set needs a nonempty operator list")

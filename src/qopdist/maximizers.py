@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumOperation, apply, e_distance, normalize_output, occurrence_probability
-from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, default_tol, resolve_tol
+from .channels import QuantumOperation, apply, occurrence_probability
+from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, checked_index, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -82,12 +82,12 @@ def build_maximizing_operation(
 
     One Kraus operator |q'><q| per eigenvector of the chosen support of
     rho - sigma (positive part for ON_Q, negative part for ON_R).  The
-    output vectors only need to be normalized; by default the standard
-    basis of the output space is assigned cyclically.  States within
-    ``tol`` in trace distance coincide (DegenerateInputError).
+    output vectors need norms within 1e-9 of 1 and are divided by their
+    norms; by default the standard basis of the output space is assigned
+    cyclically.  States within ``tol`` in trace distance coincide
+    (DegenerateInputError).
     """
-    if dim_out < 1:
-        raise ValidationError(f"dim_out must be >= 1, got {dim_out}")
+    dim_out = checked_index("dim_out", dim_out, 1)
     split = _distinct_split(rho, sigma, tol)
     if mode is MaximizerMode.ON_Q:
         basis = split.q_basis
@@ -106,8 +106,10 @@ def build_maximizing_operation(
         for i, v in enumerate(outs):
             if v.shape != (dim_out,):
                 raise ValidationError(f"output vector {i} has dim {v.shape[0]}, expected {dim_out}")
-            if abs(np.linalg.norm(v) - 1.0) > 1e-9:
+            norm = np.linalg.norm(v)
+            if not abs(norm - 1.0) <= 1e-9:
                 raise ValidationError(f"output vector {i} is not normalized")
+            outs[i] = v / norm
     kraus = [np.outer(outs[i], basis[:, i].conj()) for i in range(n)]
     return QuantumOperation(kraus)
 
@@ -271,28 +273,27 @@ class BoundReport:
     relative_increase: float | None = None
 
 
-def _require_maximizer(E: QuantumOperation, rho, sigma) -> None:
+def _bound_inputs(E: QuantumOperation, rho, sigma):
+    """Certify E as a maximizer for the pair, then evaluate each output and
+    each occurrence probability once: (d_in, out_r, out_s, p_r, p_s)."""
     cert = certify_maximizer(E, rho, sigma)
     if cert.mode is MaximizerMode.NOT_MAXIMIZER:
         raise ValidationError(
             "operation does not maximize the probability difference of this pair; "
             f"residuals {cert.diagnostics}"
         )
+    out_r, out_s = apply(E, rho), apply(E, sigma)
+    p_r, p_s = occurrence_probability(E, rho), occurrence_probability(E, sigma)
+    return trace_distance(rho, sigma), out_r, out_s, p_r, p_s
 
 
 def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Normalized outputs: D(rho', sigma') <= D(rho, sigma) / p_m, and the
     relative increase stays below 1 - p_m, both up to TOL_BOUND."""
-    _require_maximizer(E, rho, sigma)
-    d_in = trace_distance(rho, sigma)
-    p_r = occurrence_probability(E, rho)
-    p_s = occurrence_probability(E, sigma)
+    d_in, out_r, out_s, p_r, p_s = _bound_inputs(E, rho, sigma)
     if min(p_r, p_s) <= TOL_PROB:
         raise ZeroProbabilityError(f"occurrence probabilities ({p_r:.3e}, {p_s:.3e}) too small")
-    out_r, _ = normalize_output(E, rho)
-    out_s, _ = normalize_output(E, sigma)
-    d_out = trace_distance(out_r, out_s)
-    d_sub = trace_distance(apply(E, rho), apply(E, sigma))
+    d_out = trace_distance(out_r / p_r, out_s / p_s)
     p_m, p_n = max(p_r, p_s), min(p_r, p_s)
     bound = d_in / p_m
     holds = d_out <= bound + TOL_BOUND
@@ -303,7 +304,7 @@ def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     return BoundReport(
         d_in=d_in,
         d_out_normalized=d_out,
-        d_out_subnormalized=d_sub,
+        d_out_subnormalized=trace_distance(out_r, out_s),
         p_m=p_m,
         p_n=p_n,
         bound=bound,
@@ -315,11 +316,8 @@ def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
 def theorem4_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Subnormalized outputs under the Hermitian-operator metric:
     D(E(rho), E(sigma)) <= D(rho, sigma) / 2 + TOL_BOUND."""
-    _require_maximizer(E, rho, sigma)
-    d_in = trace_distance(rho, sigma)
-    d_sub = trace_distance(apply(E, rho), apply(E, sigma))
-    p_r = occurrence_probability(E, rho)
-    p_s = occurrence_probability(E, sigma)
+    d_in, out_r, out_s, p_r, p_s = _bound_inputs(E, rho, sigma)
+    d_sub = trace_distance(out_r, out_s)
     bound = 0.5 * d_in
     return BoundReport(
         d_in=d_in,

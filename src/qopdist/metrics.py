@@ -108,25 +108,26 @@ def qubit_gap(u: float, v: float, eta: float) -> float:
     return float(val[0])
 
 
-def max_qubit_gap(coarse_n: int = 50, refine_rounds: int = 6) -> QubitGapPoint:
+_GAP_GRID_N, _GAP_REFINE_ROUNDS = 50, 6  # max_qubit_gap: points per axis, refinements
+
+
+def max_qubit_gap() -> QubitGapPoint:
     """Maximize the qubit gap over the parallelepiped [0,1]^2 x [-1,1].
 
     Deterministic coarse grid followed by shrinking-box refinement around
     the incumbent; ties resolve to the lexicographically smallest point.
     Derivative-free on purpose: the surface has square-root cusps.
     """
-    if coarse_n < 20:
-        raise ValidationError(f"coarse_n must be >= 20, got {coarse_n}")
     full = box = ((0.0, 1.0), (0.0, 1.0), (-1.0, 1.0))
     best_val = -np.inf
     best_pt = (0.0, 0.0, -1.0)
-    for _ in range(refine_rounds + 1):
-        axes = [np.linspace(lo, hi, coarse_n) for lo, hi in box]
+    for _ in range(_GAP_REFINE_ROUNDS + 1):
+        axes = [np.linspace(lo, hi, _GAP_GRID_N) for lo, hi in box]
         val, bu, bv, be = _kernels.gap_grid_max(*axes)
         if val > best_val:
             best_val, best_pt = val, (bu, bv, be)
         # Shrink to a few grid cells around the incumbent, clipped to the full box.
-        halves = [2.0 * (a[-1] - a[0]) / (coarse_n - 1) for a in axes]
+        halves = [2.0 * (a[-1] - a[0]) / (_GAP_GRID_N - 1) for a in axes]
         box = [(max(c - h, lo), min(c + h, hi)) for c, h, (lo, hi) in zip(best_pt, halves, full)]
     u, v, eta = best_pt
     return QubitGapPoint(u=u, v=v, eta=eta, value=best_val)

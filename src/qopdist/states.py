@@ -132,11 +132,11 @@ def random_density(dim: int, rank, rng: np.random.Generator) -> DensityMatrix:
     draw: each G is padded with zero rows to ``dim`` rows.  One state is
     drawn as a stack of one, so both forms share the draw order.
     """
-    dim = checked_index("dim", dim)
+    dim = checked_index("dim", dim, 1)
     one = np.ndim(rank) == 0
-    ranks = np.array([checked_index("rank", rank)]) if one else checked_indices("rank", rank)
-    if not (dim >= 1 and ((1 <= ranks) & (ranks <= dim)).all()):
-        raise ValidationError(f"rank must satisfy 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    ranks = np.array([checked_index("rank", rank, 1)]) if one else checked_indices("rank", rank, 1)
+    if (ranks > dim).any():
+        raise ValidationError(f"rank must be <= dim, got rank={rank}, dim={dim}")
     g = complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
     mats = hermitian_part(g.conj().transpose(0, 2, 1) @ g)
     mats = mats / np.einsum("nii->n", mats).real[:, None, None]

@@ -61,9 +61,7 @@ def sample_triangle_batch(rng: np.random.Generator, n: int):
     """Arrays (p_m, p_n) of n points uniform on the open triangle: the
     larger and the smaller of two uniforms, with tied pairs (measure zero)
     drawn again.  n must be an integer >= 0."""
-    n = checked_index("n", n)
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
+    n = checked_index("n", n, 0)
     draws = rng.random((n, 2))
     tied = draws[:, 0] == draws[:, 1]
     while tied.any():
@@ -214,9 +212,7 @@ def run_trials(
     rebuilds every state and output matrix through the high-level API.
     Both consume identical random draws, so they agree to rounding.
     """
-    n_trials = checked_index("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValidationError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = checked_index("n_trials", n_trials, 1)
     if path not in ("auto", "object"):
         raise ValidationError(f"path must be 'auto' or 'object', got {path!r}")
     basis, w_rho, w_sig, pm, pn = _presample(E, n_trials, rng)
@@ -249,14 +245,6 @@ def run_trials(
     )
 
 
-def _checked_order(n) -> int:
-    """A moment order: an integer >= 1."""
-    n = checked_index("moment order", n)
-    if n < 1:
-        raise ValidationError(f"moment order must be >= 1, got {n}")
-    return n
-
-
 class BoundKind(enum.Enum):
     """Dominating density for a moment bound: flat or downward wedge 2-2x."""
 
@@ -279,7 +267,7 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
     2/(n^2+3n+2).  The check allows three standard errors of slack.  The
     order n must be an integer >= 1.
     """
-    n = _checked_order(n)
+    n = checked_index("moment order", n, 1)
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValidationError("moment_check needs at least one sample")
@@ -332,7 +320,7 @@ def cdf_moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
     E[X^n] = R^n - n * integral of x^(n-1) F(x) dx over [0, R], evaluated
     with the trapezoid rule on the grid.  n must be an integer >= 1.
     """
-    n = _checked_order(n)
+    n = checked_index("moment order", n, 1)
     r = grid[-1]
     return float(r**n - n * np.trapezoid(grid ** (n - 1) * cdf, grid))
 
@@ -349,7 +337,9 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
     tol = resolve_tol(tol)
     grid_g, fg = (np.asarray(a, dtype=float) for a in cdf_g)
     grid_h, fh = (np.asarray(a, dtype=float) for a in cdf_h)
-    if grid_g.shape != grid_h.shape or np.max(np.abs(grid_g - grid_h)) > 1e-12:
+    if not all(np.isfinite(a).all() for a in (grid_g, fg, grid_h, fh)):
+        raise ValidationError("grid and CDF values must be finite")
+    if grid_g.shape != grid_h.shape or not np.all(np.abs(grid_g - grid_h) <= 1e-12):
         raise ValidationError("CDFs must share one grid")
     if grid_g.size < 2:
         raise ValidationError("grid needs at least two points")
@@ -360,7 +350,7 @@ def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> Domina
             raise ValidationError(f"{name} CDF does not reach 1 at the grid end")
     gaps = fg - fh
     dominance = bool(np.all(gaps >= -tol))
-    orders = tuple(map(_checked_order, orders))
+    orders = tuple(checked_index("moment order", n, 1) for n in orders)
     mg = tuple(cdf_moment(grid_g, fg, n) for n in orders)
     mh = tuple(cdf_moment(grid_h, fh, n) for n in orders)
     moments_ok = dominance and all(a <= b + tol for a, b in zip(mg, mh))

@@ -123,12 +123,11 @@ def _suite(name: str, salt: int, default_cases: int):
 
 
 def _checked_args(seed: int, n_cases: int | None, slack) -> float:
-    """Reject a seed or case count that is not an integer, a negative seed or
-    fewer than one case; return the resolved slack."""
-    if checked_index("seed", seed) < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    if n_cases is not None and checked_index("n_cases", n_cases) < 1:
-        raise ValidationError(f"n_cases must be >= 1, got {n_cases}")
+    """Reject a seed below 0 or a case count below 1 (``checked_index``);
+    return the resolved slack."""
+    checked_index("seed", seed, 0)
+    if n_cases is not None:
+        checked_index("n_cases", n_cases, 1)
     return resolve_tol(slack)
 
 
@@ -539,8 +538,7 @@ def run_section3(rng, n_cases, slack):
     mean input distance within 0.01, moment and mean ceilings), so
     ``slack`` does not apply to them.
     """
-    if n_cases < 100:
-        raise ValidationError("section3 needs at least 100 trials")
+    checked_index("section3 n_cases", n_cases, 100)
     trials = statlab.run_trials(_maximizer_shaped_op(5, 2, 2), n_cases, rng)
     d_in, d_norm = trials.d_in, trials.d_out_normalized
     rel = np.nan_to_num(trials.relative_increase, nan=0.0)
@@ -701,10 +699,10 @@ def parse_report(path) -> list[SuiteReport]:
             out.append(
                 SuiteReport(
                     suite_name=rec["suite_name"],
-                    n_cases=int(rec["n_cases"]),
-                    n_failures=int(rec["n_failures"]),
+                    n_cases=checked_index("n_cases", rec["n_cases"], 0),
+                    n_failures=checked_index("n_failures", rec["n_failures"], 0),
                     worst_residual=float(rec["worst_residual"]),
-                    seed=int(rec["seed"]),
+                    seed=checked_index("seed", rec["seed"], 0),
                     elapsed_seconds=0.0,
                     details=tuple(rec["details"]),
                 )

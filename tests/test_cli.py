@@ -60,6 +60,19 @@ def test_dist_dim_mismatch_exit_3(files):
     assert main(["dist", str(files / "e0.json"), str(files / "dim3.json")]) == 3
 
 
+def test_dist_dimension_beyond_float_range_exit_2(files, capsys):
+    """A dimension of 1e400 is rejected as a document error, not an
+    OverflowError traceback."""
+    (files / "huge.json").write_text('{"dim_rows": 1e400, "dim_cols": 1, "entries": [[1, 0]]}')
+    assert main(["dist", str(files / "huge.json"), str(files / "e0.json")]) == 2
+    assert "dim_rows must be an integer, got inf" in capsys.readouterr().err
+
+
+def test_maximize_zero_output_dimension_exit_2(files, capsys):
+    assert main(["maximize", str(files / "e0.json"), str(files / "e1.json"), "0", str(files / "x.json")]) == 2
+    assert "error: dim_out must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_maximize_round_trip(files, capsys):
     out = files / "built.json"
     code = main(
@@ -138,10 +151,17 @@ def test_pairs_trace_preserving_exit_5(files, capsys):
     assert "T spectrum" in capsys.readouterr().err
 
 
+def test_pairs_zero_count_exit_2(files, capsys):
+    out_dir = files / "p5"
+    assert main(["pairs", str(files / "op.json"), "0.5", "0", str(out_dir)]) == 2
+    assert "error: count must be >= 1, got 0" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_pairs_negative_seed_exit_2(files, capsys):
     out_dir = files / "p4"
     assert main(["pairs", str(files / "op.json"), "0.5", "1", str(out_dir), "--seed", "-1"]) == 2
-    assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not out_dir.exists()
 
 
@@ -177,7 +197,7 @@ def test_verify_reports_identical(files):
 def test_verify_negative_seed_exit_2(files, capsys):
     report = files / "r.jsonl"
     assert main(["verify", "lemma1", "--seed", "-1", "--cases", "1", "--report", str(report)]) == 2
-    assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
     assert not report.exists()
 
 

@@ -122,7 +122,7 @@ def test_projector_onto_rejects_nonorthonormal():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_projector_onto_rejects_non_finite_vectors(bad):
-    with pytest.raises(ValidationError, match="not orthonormal"):
+    with pytest.raises(ValidationError, match="NaN or Inf"):
         projector_onto(np.full((2, 1), bad), 2)
 
 

@@ -131,6 +131,45 @@ def test_doc_validation():
         doc_to_matrix({"dim_rows": 0, "dim_cols": 2, "entries": []})
 
 
+def _matrix_text(rows="2", cols="2", entries="[[1, 0], [0, 0], [0, 0], [1, 0]]"):
+    return f'{{"dim_rows": {rows}, "dim_cols": {cols}, "entries": {entries}}}'
+
+
+# JSON text of a document dimension that is not an integer >= 1.
+BAD_DIMS = ("2.9", '"2"', "true", "1e400", "0")
+# test id: (a matrix document as JSON text, what the error says)
+BAD_MATRIX_TEXTS = {
+    **{f"dim_rows={v}": (_matrix_text(rows=v), "dim_rows must be") for v in BAD_DIMS},
+    **{f"dim_cols={v}": (_matrix_text(cols=v), "dim_cols must be") for v in BAD_DIMS},
+    "true-real-part": (_matrix_text(1, 1, "[[true, 0]]"), "non-numeric"),
+    "401-digit-real-part": (_matrix_text(1, 1, f"[[1{'0' * 400}, 0]]"), "float range"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_MATRIX_TEXTS)
+def test_bad_matrix_documents_rejected(tmp_path, name):
+    """A dimension that is not an integer >= 1, and an entry part that is a
+    flag or beyond the float range, raise MatrixFileError: none is
+    truncated, parsed from text or taken from a flag."""
+    text, message = BAD_MATRIX_TEXTS[name]
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    with pytest.raises(MatrixFileError, match=message):
+        load_matrix(path)
+
+
+@pytest.mark.parametrize("field", ["dim_in", "dim_out"])
+@pytest.mark.parametrize("value", [2.9, "2", True, float("inf"), 0])
+def test_bad_kraus_set_dimensions_rejected(tmp_path, field, value):
+    path = tmp_path / "op.json"
+    save_kraus_set(path, QuantumOperation([np.eye(2, dtype=complex)]))
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(MatrixFileError, match=f"{field} must be"):
+        load_kraus_set(path)
+
+
 def test_entries_are_row_major():
     m = np.array([[1.0, 2.0], [3.0, 4.0]])
     doc = matrix_to_doc(m)

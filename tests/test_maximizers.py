@@ -82,6 +82,16 @@ def test_build_explicit_output_vectors():
         build_maximizing_operation(E0, E1, 2, output_vectors=outs * 2)
 
 
+@pytest.mark.parametrize("norm", [1.0 + 9e-10, 1.0 - 9e-10])
+def test_build_normalizes_accepted_output_vectors(norm):
+    """An output vector within 1e-9 of unit norm is divided by its norm, so
+    T keeps unit eigenvalues and the operation still attains D."""
+    rho, sig = np.diag([0.9, 0.1]), np.diag([0.3, 0.7])
+    op = build_maximizing_operation(rho, sig, 2, output_vectors=[[norm, 0.0]])
+    assert abs(e_distance(op, rho, sig) - 0.6) <= 1e-15
+    assert certify_maximizer(op, rho, sig).mode is MaximizerMode.ON_Q
+
+
 def test_certify_constructed_maximizer():
     op = build_maximizing_operation(E0, MIX, 2)
     cert = certify_maximizer(op, E0, MIX)

@@ -246,8 +246,3 @@ def test_max_qubit_gap():
     assert abs(point.value - 0.25) < 1e-4
     # maximizer sits on the pure-state edge
     assert point.u > 0.9 or point.v > 0.9
-
-
-def test_max_qubit_gap_coarse_n_floor():
-    with pytest.raises(ValidationError):
-        max_qubit_gap(coarse_n=10)

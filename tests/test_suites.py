@@ -6,6 +6,7 @@ test_acceptance.py.
 
 import dataclasses
 import inspect
+import json
 import multiprocessing
 import os
 import threading
@@ -332,7 +333,7 @@ def test_too_few_cases_rejected(name, n_cases):
 
 
 def test_negative_seed_rejected(no_workers):
-    with pytest.raises(ValidationError, match="seed must be a non-negative integer"):
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
         run_suite("all", -1, 1)
 
 
@@ -399,3 +400,15 @@ def test_parse_report_rejects_garbage(tmp_path):
         parse_report(path)
     with pytest.raises(ReportParseError):
         parse_report(tmp_path / "missing.jsonl")
+
+
+@pytest.mark.parametrize("field, value", [("n_cases", 2.5), ("n_failures", True), ("seed", "7"), ("seed", -1)])
+def test_parse_report_rejects_bad_counts(tmp_path, field, value):
+    """Counts and seeds in a report file go through the same check as
+    arguments: none is truncated, parsed or taken from a flag."""
+    path = tmp_path / "r.jsonl"
+    write_report(path, run_suite("lemma2", 7, 1))
+    header, record = path.read_text().splitlines()
+    path.write_text(header + "\n" + json.dumps({**json.loads(record), field: value}) + "\n")
+    with pytest.raises(ReportParseError, match=f"{field} must be"):
+        parse_report(path)

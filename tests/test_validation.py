@@ -12,6 +12,7 @@ import inspect
 import math
 import os
 import pkgutil
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,10 +22,16 @@ from hypothesis import strategies as st
 
 import qopdist
 from qopdist import channels, config, linalg, metrics, states, suites
-from qopdist.channels import QuantumOperation, cloner_outputs, is_trace_preserving, random_operation
+from qopdist.channels import (
+    QuantumOperation,
+    cloner_outputs,
+    is_trace_preserving,
+    random_operation,
+    random_operations,
+)
 from qopdist.config import resolve_tol
 from qopdist.errors import DimensionMismatchError, ValidationError
-from qopdist.linalg import eig_hermitian, spectral_split
+from qopdist.linalg import complex_normals, eig_hermitian, projector_onto, random_hermitian, spectral_split
 from qopdist.matrixio import load_state, save_state
 from qopdist.maximizers import (
     build_maximizing_operation,
@@ -251,44 +258,120 @@ def test_resolve_tol_rejects(tol):
 
 MEASURE0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
 FLAT_CDF = (np.linspace(0.0, 1.0, 11), np.linspace(0.0, 1.0, 11))
-# test id: (the argument the error names, a call that passes the value there)
+E0, E1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+# test id: (the function and parameter, the name the error gives it, its
+# floor, a call that passes the value there)
 COUNT_TAKERS = {
-    "n_trials": ("n_trials", lambda v: run_trials(MEASURE0, v, np.random.default_rng(0))),
-    "n_cases": ("n_cases", lambda v: run_suite("lemma2", 7, v)),
-    "seed": ("seed", lambda v: run_suite("lemma2", v, 1)),
-    "n": ("n", lambda v: sample_triangle_batch(np.random.default_rng(0), v)),
-    "moment_check": ("moment order", lambda v: moment_check([0.5], v, BoundKind.UNIFORM)),
-    "cdf_moment": ("moment order", lambda v: cdf_moment(*FLAT_CDF, v)),
+    "n_trials": ("run_trials.n_trials", "n_trials", 1, lambda v: run_trials(MEASURE0, v, _rng())),
+    "n_cases": ("run_suite.n_cases", "n_cases", 1, lambda v: run_suite("lemma2", 7, v)),
+    "seed": ("run_suite.seed", "seed", 0, lambda v: run_suite("lemma2", v, 1)),
+    "run_all.n_cases": ("run_all.n_cases", "n_cases", 1, lambda v: run_all(7, v)),
+    "run_all.seed": ("run_all.seed", "seed", 0, lambda v: run_all(v, 1)),
+    "n": ("sample_triangle_batch.n", "n", 0, lambda v: sample_triangle_batch(_rng(), v)),
+    "moment_check": ("moment_check.n", "moment order", 1, lambda v: moment_check([0.5], v, BoundKind.UNIFORM)),
+    "cdf_moment": ("cdf_moment.n", "moment order", 1, lambda v: cdf_moment(*FLAT_CDF, v)),
     "dominance_implies_moments": (
+        "dominance_implies_moments.orders",
         "moment order",
+        1,
         lambda v: dominance_implies_moments(FLAT_CDF, FLAT_CDF, (1, v)),
+    ),
+    "build_maximizing_operation": (
+        "build_maximizing_operation.dim_out",
+        "dim_out",
+        1,
+        lambda v: build_maximizing_operation(E0, E1, v),
+    ),
+    "random_hermitian": ("random_hermitian.dim", "dim", 1, lambda v: random_hermitian(v, _rng())),
+    "projector_onto": ("projector_onto.dim", "dim", 1, lambda v: projector_onto([], v)),
+    "complex_normals": ("complex_normals.dim", "dim", 1, lambda v: complex_normals(np.ones(2, bool), v, _rng())),
+    "random_density.dim": ("random_density.dim", "dim", 1, lambda v: random_density(v, 1, _rng())),
+    "random_density.rank": ("random_density.rank", "rank", 1, lambda v: random_density(3, v, _rng())),
+    "random_operation.dim_in": ("random_operation.dim_in", "dim_in", 1, lambda v: random_operation(v, 2, 1, _rng())),
+    "random_operation.dim_out": ("random_operation.dim_out", "dim_out", 1, lambda v: random_operation(2, v, 1, _rng())),
+    "random_operation.n_kraus": ("random_operation.n_kraus", "n_kraus", 1, lambda v: random_operation(2, 2, v, _rng())),
+    "random_operations.dim_in": (
+        "random_operations.dim_in",
+        "dim_in",
+        1,
+        lambda v: random_operations(v, [2], [1], _rng()),
+    ),
+    "random_operations.dim_out": (
+        "random_operations.dim_out",
+        "dim_out",
+        1,
+        lambda v: random_operations(2, [1, v], [1, 1], _rng()),
+    ),
+    "random_operations.n_kraus": (
+        "random_operations.n_kraus",
+        "n_kraus",
+        1,
+        lambda v: random_operations(2, [1, 1], [1, v], _rng()),
     ),
 }
 
 
+@pytest.fixture
+def idle_run_all(monkeypatch):
+    """run_all and run_suite("all") check their arguments, then run no suite."""
+    monkeypatch.setattr(suites, "_run_every_suite", lambda seed, n_cases, slack: [])
+
+
 @pytest.mark.parametrize("value", [2.5, math.nan, "3", True])
 @pytest.mark.parametrize("name", COUNT_TAKERS)
-def test_non_integral_counts_and_seeds_rejected(name, value):
-    """A count, seed or moment order that is not an integer raises
-    ValidationError naming the argument; none is truncated."""
-    arg, take = COUNT_TAKERS[name]
+def test_non_integral_counts_and_seeds_rejected(idle_run_all, name, value):
+    """A count, dimension, seed or moment order that is not an integer
+    raises ValidationError naming the argument; none is truncated."""
+    _, arg, _, take = COUNT_TAKERS[name]
     with pytest.raises(ValidationError, match=f"{arg} must be an integer, got {value!r}"):
         take(value)
 
 
 ORDER_TAKERS = ("moment_check", "cdf_moment", "dominance_implies_moments")
-OUT_OF_RANGE = [("n", -1, "n must be >= 0")] + [
-    (name, v, "moment order must be >= 1") for name in ORDER_TAKERS for v in (0, -1)
-]
+OUT_OF_RANGE = [
+    (name, floor - 1, f"{arg} must be >= {floor}") for name, (_, arg, floor, _) in COUNT_TAKERS.items()
+] + [(name, -1, "moment order must be >= 1") for name in ORDER_TAKERS]
 
 
 @pytest.mark.parametrize("name, value, message", OUT_OF_RANGE)
-def test_negative_counts_and_orders_rejected(name, value, message):
-    """A negative sample count, or a moment order below 1, raises
-    ValidationError instead of a ValueError, a RuntimeWarning, or a moment
-    of 1 or inf."""
+def test_negative_counts_and_orders_rejected(idle_run_all, name, value, message):
+    """A count below its floor (one case or sample, one dimension, seed 0,
+    moment order 1) raises ValidationError instead of a ValueError, a
+    RuntimeWarning, or a moment of 1 or inf."""
     with pytest.raises(ValidationError, match=message):
-        COUNT_TAKERS[name][1](value)
+        COUNT_TAKERS[name][-1](value)
+
+
+@pytest.mark.parametrize("name", COUNT_TAKERS)
+def test_numpy_integer_count_accepted_by_every_taker(idle_run_all, name):
+    """np.int64 at the floor (1 for a floor of 0) passes every count check."""
+    _, _, floor, take = COUNT_TAKERS[name]
+    take(np.int64(max(floor, 1)))
+
+
+# A parameter with one of these names counts something.
+COUNT_NAME = re.compile(r"dim.*|n|n_.*|rank|seed|count")
+
+
+def test_every_public_count_is_checked():
+    """Each count parameter of a public function is in COUNT_TAKERS, whose
+    bad values are shown above to raise ValidationError; so is nothing else
+    with a count's name."""
+    counts = {
+        f"{name}.{param}"
+        for name, obj in _public_api().items()
+        if inspect.isfunction(obj)
+        for param in inspect.signature(obj).parameters
+        if COUNT_NAME.fullmatch(param)
+    }
+    listed = {where for where, *_ in COUNT_TAKERS.values()}
+    assert counts == {where for where in listed if COUNT_NAME.fullmatch(where.partition(".")[2])}
 
 
 def test_sample_triangle_batch_of_zero_points():
@@ -306,6 +389,10 @@ SAMPLER_COUNTS = [
     ("dim_out", lambda rng: random_operation(2, 1.5, 1, rng)),
     ("n_kraus", lambda rng: random_operation(2, 2, 1.5, rng)),
     ("dim_in", lambda rng: random_operation(2.5, 2, 1, rng)),
+    ("rank", lambda rng: random_density(3, [1, 0], rng)),
+    ("rank", lambda rng: random_density(3, [4], rng)),
+    ("dim_out", lambda rng: random_operations(2, np.array([[1]]), np.array([[1]]), rng)),
+    ("n_kraus", lambda rng: random_operations(2, [1], [2.5], rng)),
 ]
 
 
@@ -319,7 +406,7 @@ def test_sampler_counts_and_ranks_must_be_integers(name, draw):
 
 
 def test_numpy_integer_counts_and_seeds_accepted():
-    assert len(COUNT_TAKERS["n_trials"][1](np.int64(3))) == 3
+    assert len(COUNT_TAKERS["n_trials"][-1](np.int64(3))) == 3
     (report,) = run_suite("lemma2", np.int64(7), np.int32(1))
     assert report.n_failures == 0
 
@@ -421,12 +508,35 @@ def test_operation_rejects_t_below_minus_tol(tol):
 
 @pytest.mark.parametrize(
     "build",
-    [DensityMatrix, validate_state, lambda m: QuantumOperation([m]), lambda m: extremal_trace_product(m, 0.5)],
-    ids=["DensityMatrix", "validate_state", "QuantumOperation", "extremal_trace_product"],
+    [
+        DensityMatrix,
+        validate_state,
+        lambda m: QuantumOperation([m]),
+        lambda m: extremal_trace_product(m, 0.5),
+        lambda m: maximizing_projector(m, m),
+    ],
+    ids=["DensityMatrix", "validate_state", "QuantumOperation", "extremal_trace_product", "maximizing_projector"],
 )
 def test_zero_dimension_rejected(build):
     with pytest.raises(ValidationError):
         build(np.zeros((0, 0)))
+
+
+UNIT_GRID = np.array([0.0, 1.0])
+# test id: (grid, CDF) pairs whose grid or values are not finite
+NON_FINITE_CDFS = {
+    "nan-grids": ((np.array([0.0, math.nan]), UNIT_GRID),) * 2,
+    "inf-grids": ((np.array([0.0, math.inf]), UNIT_GRID),) * 2,
+    "nan-cdf": ((UNIT_GRID, UNIT_GRID), (UNIT_GRID, np.array([math.nan, 1.0]))),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_CDFS)
+def test_non_finite_cdfs_rejected(name):
+    """A NaN or infinite grid point or CDF value raises ValidationError, so
+    NaN grids cannot pass as one shared grid with dominance holding."""
+    with pytest.raises(ValidationError, match="must be finite"):
+        dominance_implies_moments(*NON_FINITE_CDFS[name], [1])
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
