@@ -3,13 +3,17 @@
 A matrix document carries explicit dimensions and a row-major list of
 [re, im] pairs, plus an optional kind tag ("state", "hermitian") that is
 enforced on load.  A Kraus-set document wraps a list of operator matrices
-together with the input and output dimensions.  Floats are written with
-Python's shortest round-trip repr, so load(save(x)) reproduces x exactly.
+together with the input and output dimensions.  Files are written as one
+line of compact JSON with sorted keys; any JSON whitespace loads.  Floats
+are written with Python's shortest round-trip repr, so load(save(x))
+reproduces x exactly.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,13 +42,17 @@ KIND_STATE = "state"
 KIND_HERMITIAN = "hermitian"
 KIND_KRAUS_SET = "kraus_set"
 
+# JSON numbers load as int or float; true and false load as bool.
+_NUMBER_TYPES = frozenset((int, float))
+
 
 def matrix_to_doc(mat, kind: str | None = None) -> dict:
     m = as_complex_matrix(mat)
     doc = {
         "dim_rows": int(m.shape[0]),
         "dim_cols": int(m.shape[1]),
-        "entries": [[float(z.real), float(z.imag)] for z in m.reshape(-1)],
+        # Each complex128 is its two float64 parts side by side.
+        "entries": m.reshape(-1, 1).view(np.float64).tolist(),
     }
     if kind is not None:
         doc["kind"] = kind
@@ -65,21 +73,35 @@ def doc_to_matrix(doc) -> np.ndarray:
             f"entry count {len(entries) if isinstance(entries, list) else '?'} "
             f"does not match {rows} x {cols}"
         )
-    flat = np.empty(rows * cols, dtype=np.complex128)
+    # One scan of the entries, one type check of all parts, one conversion;
+    # the first bad entry is looked for only when one of them fails.
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in entries):
+        _raise_bad_entry(entries)
+    parts = list(chain.from_iterable(entries))
+    if not _NUMBER_TYPES.issuperset(map(type, parts)):
+        _raise_bad_entry(entries)
+    try:
+        flat = np.array(parts, dtype=np.float64)
+    except OverflowError:
+        _raise_bad_entry(entries)
+    if not np.isfinite(flat).all():
+        raise MatrixFileError("entries contain non-finite values")
+    return flat.view(np.complex128).reshape(rows, cols)
+
+
+def _raise_bad_entry(entries) -> NoReturn:
+    """Raise the error of the first entry that is not a [re, im] pair of
+    JSON numbers within the float range."""
     for i, pair in enumerate(entries):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise MatrixFileError(f"entry {i} is not a [re, im] pair")
-        re, im = pair
-        # JSON numbers load as int or float; true and false load as bool.
-        if not (type(re) in (int, float) and type(im) in (int, float)):
+        if not _NUMBER_TYPES.issuperset(map(type, pair)):
             raise MatrixFileError(f"entry {i} has non-numeric parts")
         try:
-            flat[i] = complex(re, im)
+            complex(*pair)
         except OverflowError as exc:
             raise MatrixFileError(f"entry {i} is outside the float range: {exc}") from exc
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise MatrixFileError("entries contain non-finite values")
-    return flat.reshape(rows, cols)
+    raise MatrixFileError("entries are not [re, im] pairs of JSON numbers")
 
 
 def _read_doc(path) -> dict:
@@ -96,9 +118,11 @@ def _read_doc(path) -> dict:
 
 
 def _write_doc(path, doc: dict) -> None:
+    # The C encoder (no indent) builds the whole text before the file is
+    # opened, so an encoding error cannot leave a truncated file.
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def save_matrix(path, mat, kind: str | None = None) -> None:

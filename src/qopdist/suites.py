@@ -701,12 +701,20 @@ def parse_report(path) -> list[SuiteReport]:
                     suite_name=rec["suite_name"],
                     n_cases=checked_index("n_cases", rec["n_cases"], 0),
                     n_failures=checked_index("n_failures", rec["n_failures"], 0),
-                    worst_residual=float(rec["worst_residual"]),
+                    worst_residual=_json_number("worst_residual", rec["worst_residual"]),
                     seed=checked_index("seed", rec["seed"], 0),
                     elapsed_seconds=0.0,
                     details=tuple(rec["details"]),
                 )
             )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ReportParseError(f"{path}:{i}: bad suite record: {exc!r}") from exc
     return out
+
+
+def _json_number(name: str, value) -> float:
+    """``value`` as a float when it loaded as a JSON number: a flag or a
+    numeric string is not taken for one."""
+    if type(value) not in (int, float):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -28,9 +28,17 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["triangle_trials", "api_roundtrip"])
-def test_one_unit_passes_every_gate(workloads, tmp_path, name):
-    wl = workloads.WORKLOADS[name](7, str(tmp_path))
+@pytest.mark.parametrize(
+    "name, seed",
+    [
+        pytest.param("triangle_trials", 7, id="triangle_trials"),
+        pytest.param("api_roundtrip", 7, id="api_roundtrip"),
+        # a second seed gives the file gates other dimensions and ranks
+        pytest.param("api_roundtrip", 11, id="api_roundtrip-seed11"),
+    ],
+)
+def test_one_unit_passes_every_gate(workloads, tmp_path, name, seed):
+    wl = workloads.WORKLOADS[name](seed, str(tmp_path))
     wl.unit(0)
     wl.finish()
     assert wl.errors == []

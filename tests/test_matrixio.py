@@ -10,9 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qopdist.channels import QuantumOperation
 from qopdist.errors import MatrixFileError
+from qopdist.maximizers import MaximizerMode, build_maximizing_operation
 from qopdist.matrixio import (
     doc_to_matrix,
     load_kraus_set,
@@ -23,6 +27,7 @@ from qopdist.matrixio import (
     save_matrix,
     save_state,
 )
+from qopdist.states import validate_state
 
 
 def test_matrix_round_trip(tmp_path):
@@ -40,7 +45,7 @@ def test_state_round_trip(tmp_path):
     path = tmp_path / "rho.json"
     save_state(path, rho)
     loaded = load_state(path)
-    assert np.max(np.abs(loaded.mat - rho)) < 1e-15
+    assert np.array_equal(loaded.mat, rho)
     # the kind tag is present in the document
     doc = json.loads(path.read_text())
     assert doc["kind"] == "state"
@@ -75,10 +80,15 @@ def test_load_matrix_rejects_kraus_kind(tmp_path):
         load_matrix(path)
 
 
-def test_kraus_round_trip(tmp_path):
+def _kraus_operation():
+    """A 3 -> 2 operation with two Kraus operators |i><i|."""
     eye3 = np.eye(3, dtype=complex)
     eye2 = np.eye(2, dtype=complex)
-    op = QuantumOperation([np.outer(eye2[:, i], eye3[:, i]) for i in range(2)])
+    return QuantumOperation([np.outer(eye2[:, i], eye3[:, i]) for i in range(2)])
+
+
+def test_kraus_round_trip(tmp_path):
+    op = _kraus_operation()
     path = tmp_path / "op.json"
     save_kraus_set(path, op)
     loaded = load_kraus_set(path)
@@ -143,6 +153,15 @@ BAD_MATRIX_TEXTS = {
     **{f"dim_cols={v}": (_matrix_text(cols=v), "dim_cols must be") for v in BAD_DIMS},
     "true-real-part": (_matrix_text(1, 1, "[[true, 0]]"), "non-numeric"),
     "401-digit-real-part": (_matrix_text(1, 1, f"[[1{'0' * 400}, 0]]"), "float range"),
+    **{
+        f"entry-2-{name}": (_matrix_text(entries=f"[[1, 0], [0, 0], {entry}, [1, 0]]"), message)
+        for name, entry, message in (
+            ("string-part", '["0.5", 0]', "entry 2 has non-numeric parts"),
+            ("null-part", "[0, null]", "entry 2 has non-numeric parts"),
+            ("three-parts", "[0, 0, 0]", r"entry 2 is not a \[re, im\] pair"),
+            ("nested-part", "[[0, 0], 0]", "entry 2 has non-numeric parts"),
+        )
+    },
 }
 
 
@@ -197,3 +216,111 @@ def test_readme_example_loads(tmp_path):
     path.write_text(blocks[0], encoding="utf-8")
     rho = load_state(path)
     assert np.max(np.abs(rho.mat - np.diag([0.9, 0.1]))) < 1e-15
+
+
+# -- bit-exact round trips and the file layout ----------------------------------
+
+SEEDS = st.integers(0, 2**32 - 1)
+MODES = [MaximizerMode.ON_Q, MaximizerMode.ON_R]
+# Parts whose bits a text format can lose: signed zeros, the smallest
+# subnormal, the largest finite magnitudes and a tiny normal.
+EDGE_PARTS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e-300, -1e-300])
+RAW_MATRICES = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 4), st.integers(1, 4).map(lambda cols: 2 * cols)),
+    elements=st.one_of(EDGE_PARTS, st.floats(allow_nan=False, allow_infinity=False)),
+).map(lambda parts: parts.view(np.complex128))
+
+
+def _ginibre_state(rng, dim):
+    """A state as a caller outside the library holds it: a random-rank
+    Ginibre matrix divided by its trace."""
+    rank = int(rng.integers(1, dim + 1))
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    m = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=SEEDS, dim=st.integers(1, 6), dim_out=st.integers(1, 4), mode=st.sampled_from(MODES))
+def test_states_and_kraus_sets_round_trip_bit_exactly(tmp_path, seed, dim, dim_out, mode):
+    rng = np.random.default_rng(seed)
+    rho, sigma = (validate_state(_ginibre_state(rng, dim)) for _ in range(2))
+    path = tmp_path / "x.json"
+    save_state(path, rho)
+    assert _same_bits(load_state(path).mat, rho.mat)
+    if dim > 1:  # a 1-dimensional state space holds one state, so no pair
+        op = build_maximizing_operation(rho, sigma, dim_out, mode)
+        save_kraus_set(path, op)
+        back = load_kraus_set(path)
+        assert len(back.kraus) == len(op.kraus)
+        assert all(_same_bits(a, b) for a, b in zip(back.kraus, op.kraus))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(m=RAW_MATRICES)
+def test_raw_matrices_keep_every_bit(tmp_path, m):
+    """Every part keeps its bits through a file, the sign of zero included,
+    and the document holds the floats an entry-by-entry encoder gives."""
+    doc = matrix_to_doc(m)
+    reference = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    assert json.dumps(doc["entries"]) == json.dumps(reference)
+    path = tmp_path / "m.json"
+    save_matrix(path, m)
+    loaded, kind = load_matrix(path)
+    assert kind is None and _same_bits(loaded, m)
+
+
+def _kraus_set_doc(op):
+    return {
+        "kind": "kraus_set",
+        "dim_in": op.dim_in,
+        "dim_out": op.dim_out,
+        "operators": [matrix_to_doc(e) for e in op.kraus],
+    }
+
+
+# save function, its input, the document it must write, the matrices a load gives
+SAVES = {
+    "save_matrix": (
+        save_matrix,
+        np.array([[0.5, -0.0], [1e-300, 1.7e308j]]),
+        matrix_to_doc,
+        lambda path: [load_matrix(path)[0]],
+    ),
+    "save_state": (
+        save_state,
+        np.diag([0.25, 0.75]).astype(complex),
+        lambda m: matrix_to_doc(m, kind="state"),
+        lambda path: [load_state(path).mat],
+    ),
+    "save_kraus_set": (save_kraus_set, _kraus_operation(), _kraus_set_doc, lambda path: load_kraus_set(path).kraus),
+}
+
+
+@pytest.mark.parametrize("name", SAVES)
+def test_saves_write_one_line_of_the_document(tmp_path, name):
+    save, value, expected_doc, _ = SAVES[name]
+    path = tmp_path / "x.json"
+    save(path, value)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == expected_doc(value)
+
+
+@pytest.mark.parametrize("name", SAVES)
+def test_indented_files_load_as_written_ones(tmp_path, name):
+    """A file with the indented layout of earlier releases loads to the
+    same matrices as a file written now."""
+    save, value, expected_doc, load = SAVES[name]
+    new, indented = tmp_path / "new.json", tmp_path / "indented.json"
+    save(new, value)
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(expected_doc(value), fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    pairs = list(zip(load(indented), load(new), strict=True))
+    assert pairs and all(_same_bits(a, b) for a, b in pairs)

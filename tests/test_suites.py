@@ -402,13 +402,35 @@ def test_parse_report_rejects_garbage(tmp_path):
         parse_report(tmp_path / "missing.jsonl")
 
 
-@pytest.mark.parametrize("field, value", [("n_cases", 2.5), ("n_failures", True), ("seed", "7"), ("seed", -1)])
-def test_parse_report_rejects_bad_counts(tmp_path, field, value):
-    """Counts and seeds in a report file go through the same check as
-    arguments: none is truncated, parsed or taken from a flag."""
+def _report_with(tmp_path, field, value):
+    """A one-suite report file whose record has ``field`` set to ``value``."""
     path = tmp_path / "r.jsonl"
     write_report(path, run_suite("lemma2", 7, 1))
     header, record = path.read_text().splitlines()
     path.write_text(header + "\n" + json.dumps({**json.loads(record), field: value}) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_cases", 2.5),
+        ("n_failures", True),
+        ("seed", "7"),
+        ("seed", -1),
+        ("worst_residual", True),
+        ("worst_residual", "0.5"),
+        ("worst_residual", "1e-3"),
+    ],
+)
+def test_parse_report_rejects_bad_counts(tmp_path, field, value):
+    """Counts and seeds in a report file go through the same check as
+    arguments, and the worst residual must be a JSON number: none is
+    truncated, parsed from text or taken from a flag."""
     with pytest.raises(ReportParseError, match=f"{field} must be"):
-        parse_report(path)
+        parse_report(_report_with(tmp_path, field, value))
+
+
+def test_parse_report_rejects_residual_beyond_float_range(tmp_path):
+    with pytest.raises(ReportParseError, match="too large"):
+        parse_report(_report_with(tmp_path, "worst_residual", 10**400))
