@@ -4,7 +4,9 @@ An operation is a finite set of Kraus operators E_mu mapping a dim_in
 space into a dim_out space.  The associated operator T = sum E_mu^† E_mu
 obeys 0 <= T <= 1 and carries everything this package needs: occurrence
 probabilities tr(T rho), the probability-difference distance between two
-inputs, its extremal states, and the exact-cloning example.
+inputs, its extremal states, and the exact-cloning example.  ``apply``
+maps one input matrix or a stack of them; every other function here takes
+one matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_complex_matrix, complex_normals, hermitian_part
+from .linalg import as_complex_array, as_complex_matrix, complex_normals, hermitian_part
 from .metrics import fidelity, trace_distance
 from .states import DensityMatrix, as_state, from_spectrum, validate_state
 
@@ -124,10 +126,29 @@ def _input_matrix(E: QuantumOperation, rho) -> np.ndarray:
     return m
 
 
+def _input_matrices(E: QuantumOperation, rho) -> np.ndarray:
+    """One input matrix through ``_input_matrix``, or a finite stack
+    (n, dim_in, dim_in) of them."""
+    m = rho.mat if isinstance(rho, DensityMatrix) else rho
+    if np.ndim(m) != 3:
+        return _input_matrix(E, rho)
+    m = as_complex_array(m)
+    if m.shape[1:] != (E.dim_in, E.dim_in):
+        raise DimensionMismatchError(
+            f"operand stack shape {m.shape} does not match operation input dim {E.dim_in}"
+        )
+    return m
+
+
 def apply(E: QuantumOperation, rho) -> np.ndarray:
-    """Operator-sum action sum E_mu rho E_mu^†; subnormalized for non-TP E."""
-    m = _input_matrix(E, rho)
-    out = np.zeros((E.dim_out, E.dim_out), dtype=np.complex128)
+    """Operator-sum action sum E_mu rho E_mu^†; subnormalized for non-TP E.
+
+    ``rho`` is one matrix (dim_in, dim_in) or a stack (n, dim_in, dim_in),
+    which gives the stack (n, dim_out, dim_out) of outputs through the same
+    Kraus loop, broadcast over the stack.
+    """
+    m = _input_matrices(E, rho)
+    out = np.zeros(m.shape[:-2] + (E.dim_out, E.dim_out), dtype=np.complex128)
     for e in E.kraus:
         out += e @ m @ e.conj().T
     return hermitian_part(out)

@@ -18,6 +18,7 @@ from .errors import NumericalError, ValidationError
 
 __all__ = [
     "SpectralSplit",
+    "as_complex_array",
     "as_complex_matrix",
     "as_hermitian",
     "complex_normals",
@@ -34,13 +35,14 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
     """Coerce to a finite 2-D complex128 array; a stack of matrices is
     rejected, so this is also the gate of every function that takes one
     matrix."""
-    m = _finite_complex(a)
+    m = as_complex_array(a)
     if m.ndim != 2:
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
 
 
-def _finite_complex(a) -> np.ndarray:
+def as_complex_array(a) -> np.ndarray:
+    """Coerce to a finite C-contiguous complex128 array of any shape."""
     m = np.ascontiguousarray(a, dtype=np.complex128)
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
@@ -66,7 +68,7 @@ def as_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     (``config.resolve_tol``).
     """
     tol = resolve_tol(tol)
-    m = _finite_complex(a)
+    m = as_complex_array(a)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     dev = float(np.abs(m - _dagger(m)).max(initial=0.0))
@@ -204,7 +206,7 @@ def _as_columns(vectors, dim: int) -> np.ndarray:
         if not vecs:
             return np.zeros((dim, 0), dtype=np.complex128)
         vectors = np.stack(vecs, axis=1)
-    cols = _finite_complex(vectors)
+    cols = as_complex_array(vectors)
     if cols.shape[0] != dim:
         raise ValidationError(f"vectors live in dimension {cols.shape[0]}, expected {dim}")
     return cols

@@ -12,8 +12,9 @@ distribution-level bounds those quantities must obey.
 from __future__ import annotations
 
 import enum
-import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -44,6 +45,11 @@ __all__ = [
     "sample_triangle_batch",
 ]
 
+# Records built per pass when iterating a TrialColumns; bounds what one
+# next() call builds and holds.
+_RECORD_BLOCK = 4096
+_consume = deque(maxlen=0).extend
+
 
 @dataclass(frozen=True, slots=True)
 class TrianglePoint:
@@ -67,7 +73,7 @@ def sample_triangle_batch(rng: np.random.Generator, n: int):
     while tied.any():
         draws[tied] = rng.random((int(tied.sum()), 2))
         tied = draws[:, 0] == draws[:, 1]
-    return draws.max(axis=1), draws.min(axis=1)
+    return np.maximum(draws[:, 0], draws[:, 1]), np.minimum(draws[:, 0], draws[:, 1])
 
 
 def pair_for_point(E: QuantumOperation, point: TrianglePoint):
@@ -138,7 +144,7 @@ class TrialColumns:
     violation instead of raising.  Iterating yields one TrialRecord per
     trial, with ``relative_increase`` None where the column is NaN; the
     batch check already covers every record, so the records are built
-    without running their own checks.
+    without running their own checks, ``_RECORD_BLOCK`` at a time.
     """
 
     p_m: np.ndarray
@@ -176,27 +182,30 @@ class TrialColumns:
         return len(self.d_in)
 
     def __iter__(self):
-        # Each field is set through its slot's member descriptor, in
-        # constructor order, so each record equals, hashes and prints like
-        # one built by TrialRecord(...).
-        new = object.__new__
-        set_pm, set_pn = TrianglePoint.p_m.__set__, TrianglePoint.p_n.__set__
-        set_point, set_d_in = TrialRecord.point.__set__, TrialRecord.d_in.__set__
-        set_d_norm = TrialRecord.d_out_normalized.__set__
-        set_d_sub = TrialRecord.d_out_subnormalized.__set__
-        set_rel = TrialRecord.relative_increase.__set__
-        columns = (col.tolist() for col in vars(self).values())
-        for pm, pn, d_in, d_norm, d_sub, rel in zip(*columns):
-            point = new(TrianglePoint)
-            set_pm(point, pm)
-            set_pn(point, pn)
-            record = new(TrialRecord)
-            set_point(record, point)
-            set_d_in(record, d_in)
-            set_d_norm(record, d_norm)
-            set_d_sub(record, d_sub)
-            set_rel(record, None if math.isnan(rel) else rel)
-            yield record
+        # Records are built one block at a time, each field set through its
+        # slot's member descriptor in C-level passes, so each record equals,
+        # hashes and prints like one built by TrialRecord(...).
+        for lo in range(0, len(self), _RECORD_BLOCK):
+            yield from self._records(slice(lo, lo + _RECORD_BLOCK))
+
+    def _records(self, rows: slice) -> list:
+        pm, pn, d_in, d_norm, d_sub, rel = (col[rows] for col in vars(self).values())
+        rel_or_none = rel.astype(object)
+        rel_or_none[np.isnan(rel)] = None
+        k = len(d_in)
+        points = list(map(object.__new__, repeat(TrianglePoint, k)))
+        records = list(map(object.__new__, repeat(TrialRecord, k)))
+        for objs, descriptor, values in (
+            (points, TrianglePoint.p_m, pm.tolist()),
+            (points, TrianglePoint.p_n, pn.tolist()),
+            (records, TrialRecord.point, points),
+            (records, TrialRecord.d_in, d_in.tolist()),
+            (records, TrialRecord.d_out_normalized, d_norm.tolist()),
+            (records, TrialRecord.d_out_subnormalized, d_sub.tolist()),
+            (records, TrialRecord.relative_increase, rel_or_none.tolist()),
+        ):
+            _consume(map(descriptor.__set__, objs, values))
+        return records
 
 
 def run_trials(
@@ -216,10 +225,8 @@ def run_trials(
     if path not in ("auto", "object"):
         raise ValidationError(f"path must be 'auto' or 'object', got {path!r}")
     basis, w_rho, w_sig, pm, pn = _presample(E, n_trials, rng)
-    nb = basis.shape[1]
-    op_mats = np.stack(
-        [apply(E, np.outer(basis[:, j], basis[:, j].conj())) for j in range(nb)]
-    )
+    cols = basis.T
+    op_mats = apply(E, cols[:, :, None] * cols.conj()[:, None, :])
     if path == "auto":
         d_in, d_norm, d_sub = _kernels.trial_stats(op_mats, w_rho, w_sig, pm, pn)
     else:

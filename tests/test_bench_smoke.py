@@ -32,6 +32,8 @@ def workloads():
     "name, seed",
     [
         pytest.param("triangle_trials", 7, id="triangle_trials"),
+        # a second seed draws other trials and re-runs another call through the object path
+        pytest.param("triangle_trials", 11, id="triangle_trials-seed11"),
         pytest.param("api_roundtrip", 7, id="api_roundtrip"),
         # a second seed gives the file gates other dimensions and ranks
         pytest.param("api_roundtrip", 11, id="api_roundtrip-seed11"),

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopdist.channels import (
     QuantumOperation,
@@ -25,8 +27,10 @@ from qopdist.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
+from qopdist.maximizers import matched_eigenspaces
 from qopdist.metrics import trace_distance
 from qopdist.states import random_density
+from qopdist.suites import _maximizer_shaped_op
 
 # measure-|0> branch: a single Kraus row |0><0| into a 1-dim output space
 KEEP0 = QuantumOperation([np.array([[1.0, 0.0]], dtype=complex)])
@@ -215,3 +219,93 @@ def test_cloner_distance_factor():
         cloner_distance_factor(1.0)
     with pytest.raises(ValidationError):
         cloner_distance_factor(-0.1)
+
+
+# -- stacked apply ----------------------------------------------------------------
+
+EPS = np.finfo(np.float64).eps
+
+
+def _projectors(vectors):
+    """The stack of |v><v| for the columns v of ``vectors``."""
+    cols = vectors.T
+    return cols[:, :, None] * cols.conj()[:, None, :]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim_in=st.integers(1, 6),
+    dim_out=st.integers(1, 6),
+    n_kraus=st.integers(1, 4),
+    n=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_apply_matches_one_matrix_at_a_time(dim_in, dim_out, n_kraus, n, seed):
+    """Each matrix of apply(E, stack) is within 4 eps max|entry| of
+    apply(E, stack[i]), on random operations and states and on the
+    projectors of a random basis."""
+    rng = np.random.default_rng(seed)
+    op = random_operation(dim_in, dim_out, n_kraus, rng)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim_in, dim_in)) + 1j * rng.standard_normal((dim_in, dim_in)))
+    ranks = rng.integers(1, dim_in + 1, size=n)
+    for stack in (random_density(dim_in, ranks, rng).mat, _projectors(basis)):
+        out = apply(op, stack)
+        assert out.shape == (len(stack), dim_out, dim_out)
+        for got, m in zip(out, stack):
+            want = apply(op, m)
+            assert np.max(np.abs(got - want)) <= 4 * EPS * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 1), (5, 2, 2), (16, 8, 8)])
+def test_stacked_apply_is_bit_identical_on_maximizer_shapes(shape):
+    """On the maximizer-shaped operations the suites and the benchmark
+    sample, the stacked outputs of the matched-eigenspace projectors are
+    bit-identical to one apply per projector."""
+    op = _maximizer_shaped_op(*shape)
+    stack = _projectors(np.hstack(matched_eigenspaces(op)))
+    assert np.array_equal(apply(op, stack), np.stack([apply(op, m) for m in stack]))
+
+
+def test_apply_to_an_empty_stack():
+    op = random_operation(3, 2, 2, np.random.default_rng(36))
+    out = apply(op, np.zeros((0, 3, 3), dtype=complex))
+    assert out.shape == (0, 2, 2) and out.dtype == np.complex128
+
+
+@pytest.mark.parametrize(
+    "operand",
+    [
+        np.full((4, 2, 2), np.nan),
+        np.where(np.arange(16).reshape(4, 2, 2) == 13, np.nan, 0.25),
+        np.where(np.arange(16).reshape(4, 2, 2) == 0, np.inf, 0.25),
+        np.ones(2),
+        np.ones((1, 1, 2, 2)),
+    ],
+    ids=["nan-stack", "one-nan", "one-inf", "ndim1", "ndim4"],
+)
+def test_apply_rejects_bad_stacks(operand):
+    with pytest.raises(ValidationError) as info:
+        apply(KEEP0, operand)
+    assert not isinstance(info.value, DimensionMismatchError)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (3, 2, 3), (3, 1, 1), (0, 3, 3)])
+def test_apply_rejects_wrong_trailing_shape(shape):
+    with pytest.raises(DimensionMismatchError, match="stack shape"):
+        apply(KEEP0, np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: occurrence_probability(KEEP0, m),
+        lambda m: e_distance(KEEP0, m, m),
+    ],
+    ids=["occurrence_probability", "e_distance"],
+)
+def test_one_matrix_functions_reject_a_stack(call):
+    """Only apply takes a stack; the probability functions still take one
+    matrix."""
+    stack = np.stack([np.diag([0.3, 0.7]), np.diag([1.0, 0.0])]).astype(complex)
+    with pytest.raises(ValidationError):
+        call(stack)

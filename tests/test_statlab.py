@@ -4,12 +4,15 @@ import collections
 import dataclasses
 import math
 import pickle
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qopdist import statlab
 from qopdist.channels import QuantumOperation
 from qopdist.errors import ValidationError
 from qopdist.statlab import (
@@ -261,6 +264,65 @@ def test_iteration_runs_no_per_record_check(monkeypatch):
     assert len(records) == 2000 and calls == {}
     TrialRecord(TrianglePoint(0.8, 0.2), 0.6, 0.7, 0.3, None)
     assert calls == {"TrialRecord": 1, "TrianglePoint": 1}
+
+
+# Edge values first: p_n = 0, p_m = 1, output distances 0.0, -0.0 and 1.0,
+# relative_increase NaN and 0.0.
+P_N = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))
+P_M = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+UNIT = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(0.0, 1.0))
+REL = st.one_of(st.sampled_from([math.nan, 0.0, -0.0]), st.floats(0.0, 1.0, exclude_max=True))
+ROWS = st.lists(st.tuples(P_M, P_N, UNIT, UNIT, REL).filter(lambda row: row[1] < row[0]), max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=ROWS, block=st.integers(1, 5))
+@example(rows=[], block=1)
+def test_iteration_matches_the_public_constructors(rows, block):
+    """On random valid columns, empty ones included, at any block size,
+    every record equals, hashes and prints like the one TrialRecord(...)
+    builds from the same values; relative_increase is None exactly where
+    the column is NaN and otherwise a float, and two passes give equal but
+    distinct records."""
+    pm, pn, d_norm, d_sub, rel = np.array(rows, dtype=float).reshape(-1, 5).T
+    trials = TrialColumns(
+        p_m=pm, p_n=pn, d_in=pm - pn, d_out_normalized=d_norm, d_out_subnormalized=d_sub, relative_increase=rel
+    )
+    with mock.patch.object(statlab, "_RECORD_BLOCK", block):
+        records, again = list(trials), list(trials)
+    assert len(trials) == len(records) == len(again) == len(rows)
+    for i, (r, a) in enumerate(zip(records, again)):
+        built = TrialRecord(
+            point=TrianglePoint(p_m=float(pm[i]), p_n=float(pn[i])),
+            d_in=float(pm[i] - pn[i]),
+            d_out_normalized=float(d_norm[i]),
+            d_out_subnormalized=float(d_sub[i]),
+            relative_increase=None if math.isnan(rel[i]) else float(rel[i]),
+        )
+        assert r == built and hash(r) == hash(built) and repr(r) == repr(built)
+        assert (r.relative_increase is None) == math.isnan(rel[i])
+        assert r.relative_increase is None or type(r.relative_increase) is float
+        assert all(type(getattr(r, name)) is float for name in DISTANCES)
+        assert type(r.point.p_m) is float and type(r.point.p_n) is float
+        assert a == r and a is not r and a.point is not r.point
+
+
+def test_first_record_does_not_build_them_all():
+    """Iteration builds records one block at a time: the allocation peak of
+    the first record is below a tenth of the peak of all of them."""
+    trials = run_trials(_maximizer_shaped(2, 1, 1), 100_000, np.random.default_rng(61))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for take in (lambda t: next(iter(t)), list):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            kept = take(trials)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            del kept
+    finally:
+        tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 10
 
 
 def test_trial_columns_are_read_only_copies():
