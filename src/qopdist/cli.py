@@ -139,7 +139,7 @@ def cmd_verify(args) -> int:
     for r in reports:
         print(
             f"{r.suite_name}: {r.n_cases} cases, {r.n_failures} failures, "
-            f"worst residual {r.worst_residual:.12g}, {r.elapsed_seconds:.2f}s"
+            f"worst margin {r.worst_margin:.12g}, {r.elapsed_seconds:.2f}s"
         )
     if args.report:
         write_report(args.report, reports)

@@ -1,11 +1,15 @@
 """Seeded verification suites and their report plumbing.
 
 Each suite re-checks one cluster of claims at Monte Carlo scale and
-returns a SuiteReport: attainment residuals for the constructions,
-violation counts for the inequalities, and distribution-level checks for
-the triangle statistics.  Reports serialize as line-delimited JSON with a
-schema header; timing stays in memory only, so a fixed seed reproduces a
-report file byte for byte.
+returns a SuiteReport of detail records.  Every check is a value and the
+bound it must not exceed, stored as ``checks: {name: [value, bound]}``; a
+record's ``margin`` is the least ``bound - value`` of its checks and its
+``ok`` is ``margin >= 0``, so a negative margin means a failed check.  A
+check of the form "at least" is stated as a deficit against its floor.
+The report's ``n_failures`` counts the records that are not ok and its
+``worst_margin`` is their least margin.  Reports serialize as
+line-delimited JSON with a schema header; timing stays in memory only, so
+a fixed seed reproduces a report file byte for byte.
 
 Every suite is declared once, as a body registered with ``@_suite``; the
 registry fixes the public ``run_<name>`` functions and ``SUITE_NAMES``.
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -33,7 +38,7 @@ from .channels import (
     random_operations,
 )
 from .config import checked_index, resolve_tol
-from .errors import ReportParseError, ValidationError
+from .errors import NumericalError, ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
     MaximizerMode,
@@ -55,19 +60,20 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "qopdist-suite-report"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
 class SuiteReport:
-    """Result of one suite run; failures count failed detail checks."""
+    """Result of one suite run: n_failures counts the detail records that are
+    not ok, and worst_margin is the least margin of any record."""
 
     suite_name: str
     n_cases: int
     n_failures: int
-    worst_residual: float
+    worst_margin: float
     seed: int
     elapsed_seconds: float
     details: tuple
@@ -77,8 +83,8 @@ class SuiteReport:
             raise ValidationError(
                 f"n_failures {self.n_failures} exceeds n_cases {self.n_cases}"
             )
-        if not np.isfinite(self.worst_residual):
-            raise ValidationError(f"worst_residual {self.worst_residual!r} is not finite")
+        if not np.isfinite(self.worst_margin):
+            raise ValidationError(f"worst_margin {self.worst_margin!r} is not finite")
 
 
 # -- the harness ---------------------------------------------------------------
@@ -107,8 +113,8 @@ def _suite(name: str, salt: int, default_cases: int):
             return SuiteReport(
                 suite_name=name,
                 n_cases=n_counted,
-                n_failures=sum(1 for d in details if not d["ok"]),
-                worst_residual=float(max(d["residual"] for d in details)),
+                n_failures=sum(not d["ok"] for d in details),
+                worst_margin=min(d["margin"] for d in details),
                 seed=seed,
                 elapsed_seconds=time.perf_counter() - t0,
                 details=tuple(details),
@@ -131,16 +137,33 @@ def _checked_args(seed: int, n_cases: int | None, slack) -> float:
     return resolve_tol(slack)
 
 
-def _detail(case: str, residual, ok, **extra) -> dict:
-    """One check record: the case label, any extra fields, then the residual
-    as a float and the verdict as a bool."""
-    return {"case": case, **extra, "residual": float(residual), "ok": bool(ok)}
+def _detail(case: str, checks: dict, **extra) -> dict:
+    """One record: the case label, any extra fields, each check of
+    ``checks = {name: (value, bound)}`` as ``[value, bound]``, the margin
+    ``min(bound - value)`` and the verdict ``margin >= 0``.
+
+    This is the only place a verdict is made.  A check whose value or bound
+    is not finite raises NumericalError naming the case and the check.
+    """
+    pairs = {name: [float(value), float(bound)] for name, (value, bound) in checks.items()}
+    for name, (value, bound) in pairs.items():
+        if not math.isfinite(bound - value):
+            raise NumericalError(f"{case}: check {name} is not finite: value {value!r}, bound {bound!r}")
+    margin = min(bound - value for value, bound in pairs.values())
+    return {"case": case, **extra, "checks": pairs, "margin": margin, "ok": margin >= 0}
 
 
-def _violations(case: str, excess: np.ndarray, slack: float, **extra) -> dict:
-    """Count the entries of ``excess`` (value minus bound) above ``slack``."""
-    bad = int(np.sum(excess > slack))
-    return _detail(case, excess.max(), bad == 0, violations=bad, **extra)
+def _violations(case: str, checks: dict, **extra) -> dict:
+    """A record over arrays, ``checks = {name: (values, bound)}``: each
+    check's value is the largest of its values, and ``violations`` counts
+    the positions where any check's value exceeds its bound."""
+    bad = np.logical_or.reduce([values > bound for values, bound in checks.values()])
+    return _detail(
+        case,
+        {name: (values.max(), bound) for name, (values, bound) in checks.items()},
+        violations=int(np.count_nonzero(bad)),
+        **extra,
+    )
 
 
 def _distinct_pair(dim: int, rng: np.random.Generator):
@@ -220,14 +243,10 @@ def run_thm1(rng, n_cases, slack):
         oracle_kraus = rng.integers(1, 5, size=n_oracle)
         _, t = random_operations(dim, oracle_out, oracle_kraus, rng)
         gaps = np.abs(_trace_products(t, rho.mat - sig.mat))
-        excess = float(gaps.max()) - d
         details.append(
             _detail(
                 f"pair-{i:03d}-dim{dim}-{mode.value}",
-                max(attain, excess),
-                attain < 1e-10 and excess <= slack,
-                attain_residual=float(attain),
-                oracle_excess=float(excess),
+                {"attainment": (attain, 1e-10), "oracle_excess": (gaps.max() - d, slack)},
             )
         )
     return n_cases, details
@@ -249,14 +268,10 @@ def run_thm2(rng, n_cases, slack):
         rhos = random_density(dim, ranks, rng)
         sigs = random_density(dim, ranks, rng)
         vals = np.abs(_trace_products(rhos.mat - sigs.mat, t))
-        excess = float(vals.max() - ext.value)
         details.append(
             _detail(
                 f"op-{i:03d}-dim{dim}",
-                max(attain, excess),
-                attain < 1e-10 and excess <= slack,
-                attain_residual=float(attain),
-                pair_excess=float(excess),
+                {"attainment": (attain, 1e-10), "pair_excess": (vals.max() - ext.value, slack)},
             )
         )
     # Trace-preserving operations: unitary singleton and a complete
@@ -267,8 +282,7 @@ def run_thm2(rng, n_cases, slack):
         ("tp-unitary", QuantumOperation([q])),
         ("tp-projective", QuantumOperation([np.outer(eye[:, k], eye[:, k]) for k in range(3)])),
     ):
-        value = max_e_distance_over_states(op).value
-        details.append(_detail(label, value, value < 1e-10))
+        details.append(_detail(label, {"spread": (max_e_distance_over_states(op).value, 1e-10)}))
     return n_cases + 2, details
 
 
@@ -280,12 +294,14 @@ def run_thm3(rng, n_cases, slack):
     details = []
     for tag, trials in draws:
         gaps = trials.d_out_normalized - trials.d_in / trials.p_m
-        details.append(_violations(f"{tag}-normalized-ratio-bound", gaps, slack))
+        details.append(_violations(f"{tag}-normalized-ratio-bound", {"excess": (gaps, slack)}))
         increasing = ~np.isnan(trials.relative_increase)
         if increasing.any():
             over = trials.relative_increase[increasing] - (1.0 - trials.p_m[increasing])
             details.append(
-                _violations(f"{tag}-relative-increase-bound", over, slack, n_increasing=over.size)
+                _violations(
+                    f"{tag}-relative-increase-bound", {"excess": (over, slack)}, n_increasing=over.size
+                )
             )
     return n_counted, details
 
@@ -298,8 +314,7 @@ def run_thm4(rng, n_cases, slack):
     details = [
         _violations(
             f"{tag}-subnormalized-half-bound",
-            trials.d_out_subnormalized - 0.5 * trials.d_in,
-            slack,
+            {"excess": (trials.d_out_subnormalized - 0.5 * trials.d_in, slack)},
         )
         for tag, trials in draws
     ]
@@ -307,7 +322,7 @@ def run_thm4(rng, n_cases, slack):
     sig = np.diag([0.0, 1.0]).astype(np.complex128)
     op = build_maximizing_operation(rho, sig, 1, MaximizerMode.ON_Q)
     resid = abs(trace_distance(apply(op, rho), apply(op, sig)) - 0.5)
-    details.append(_detail("orthogonal-qubit-saturation", resid, resid < 1e-10))
+    details.append(_detail("orthogonal-qubit-saturation", {"residual": (resid, 1e-10)}))
     return n_counted, details
 
 
@@ -315,12 +330,10 @@ def run_thm4(rng, n_cases, slack):
 def run_thm5(rng, n_cases, slack):
     """Qubit gap maximum, its witness pair, and the global gap ceiling."""
     point = max_qubit_gap()
-    resid = abs(point.value - 0.25)
     details = [
         _detail(
             "qubit-grid-max",
-            resid,
-            resid <= 1e-4,
+            {"residual": (abs(point.value - 0.25), 1e-4)},
             value=point.value,
             at=[point.u, point.v, point.eta],
         )
@@ -329,13 +342,9 @@ def run_thm5(rng, n_cases, slack):
     sig = np.diag([0.75, 0.25]).astype(np.complex128)
     witness = check_fvdg_bounds(rho, sig)
     gap = witness.sine_dist - witness.trace_dist
-    resid = abs(gap - 0.25)
-    details.append(_detail("witness-pair-gap", resid, resid < 1e-10, value=float(gap)))
+    details.append(_detail("witness-pair-gap", {"residual": (abs(gap - 0.25), 1e-10)}, value=float(gap)))
     dims = rng.integers(2, 7, size=n_cases)
-    worst_gap = -np.inf
-    worst_chain = -np.inf
-    worst_angle = -np.inf
-    bad = 0
+    over_ceiling, chain_excess, angle_excess = [], [], []
     for dim in range(2, 7):
         count = int(np.sum(dims == dim))
         if count == 0:
@@ -344,22 +353,17 @@ def run_thm5(rng, n_cases, slack):
         sigs = random_density(dim, rng.integers(1, dim + 1, size=count), rng)
         fvdg = check_fvdg_bounds(rhos, sigs)
         d, f, c = fvdg.trace_dist, fvdg.fid, fvdg.sine_dist
-        gap = c - d
-        chain = gap - (c + f - 1.0)
-        angle_excess = (c + f) - SQRT2
-        worst_gap = max(worst_gap, float(gap.max()) - (SQRT2 - 1.0))
-        worst_chain = max(worst_chain, float(chain.max()))
-        worst_angle = max(worst_angle, float(angle_excess.max()))
-        bad += int(np.sum((gap > SQRT2 - 1.0 + slack) | (chain > slack) | (angle_excess > 1e-12)))
+        over_ceiling.append((c - d) - (SQRT2 - 1.0))
+        chain_excess.append((c - d) - (c + f - 1.0))
+        angle_excess.append((c + f) - SQRT2)
     details.append(
-        _detail(
+        _violations(
             "global-gap-ceiling",
-            max(worst_gap, worst_chain, worst_angle),
-            bad == 0,
-            violations=bad,
-            worst_over_ceiling=float(worst_gap),
-            worst_chain_excess=float(worst_chain),
-            worst_angle_excess=float(worst_angle),
+            {
+                "over_ceiling": (np.concatenate(over_ceiling), slack),
+                "chain_excess": (np.concatenate(chain_excess), slack),
+                "angle_excess": (np.concatenate(angle_excess), 1e-12),
+            },
         )
     )
     return n_cases + 2, details
@@ -368,13 +372,14 @@ def run_thm5(rng, n_cases, slack):
 @_suite("cloning", salt=107, default_cases=200)
 def run_cloning(rng, n_cases, slack):
     """Output/input distance ratio of the exact cloner matches its closed
-    form and stays above 1/sqrt(2)."""
+    form and stays at or above 1/sqrt(2)."""
     omega1 = np.diag([1.0, 0.0]).astype(np.complex128)
     omega2 = np.diag([0.0, 1.0]).astype(np.complex128)
     out = cloner_outputs(omega1, omega2)
     ratio = trace_distance(out.g1, out.g2) / trace_distance(omega1, omega2)
-    resid = abs(ratio - 1.0)
-    details = [_detail("orthogonal-pair-ratio-one", resid, resid < 1e-12, ratio=float(ratio))]
+    details = [
+        _detail("orthogonal-pair-ratio-one", {"residual": (abs(ratio - 1.0), 1e-12)}, ratio=float(ratio))
+    ]
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
         while True:
@@ -384,12 +389,13 @@ def run_cloning(rng, n_cases, slack):
                 break
         out = cloner_outputs(w1, w2)
         ratio = trace_distance(out.g1, out.g2) / trace_distance(w1, w2)
-        resid = abs(ratio - cloner_distance_factor(out.omega))
         details.append(
             _detail(
                 f"pair-{i:03d}-dim{dim}",
-                resid,
-                resid < slack and ratio > 1.0 / SQRT2,
+                {
+                    "from_closed_form": (abs(ratio - cloner_distance_factor(out.omega)), slack),
+                    "ratio_deficit": (1.0 / SQRT2 - ratio, 0.0),
+                },
                 omega=float(out.omega),
                 ratio=float(ratio),
             )
@@ -414,14 +420,10 @@ def run_lemma1(rng, n_cases, slack):
         )
         q = d_frak * random_density(dim, int(rng.integers(1, dim + 1)), rng).mat
         val = float(np.trace(t @ q).real)
-        escape = max(ext.min_val - val, val - ext.max_val)
         details.append(
             _detail(
                 f"T-{i:03d}-dim{dim}",
-                max(attain, escape),
-                attain < 1e-10 and escape <= slack,
-                attain_residual=float(attain),
-                escape=float(escape),
+                {"attainment": (attain, 1e-10), "escape": (max(ext.min_val - val, val - ext.max_val), slack)},
             )
         )
     return n_cases, details
@@ -443,24 +445,16 @@ def run_lemma2(rng, n_cases, slack):
             (f"uniform-moment-{n}", m_u, 1.0 / (n + 1)),
             (f"wedge-moment-{n}", m_w, 2.0 / (n * n + 3 * n + 2)),
         ):
-            resid = abs(m - target)
-            details.append(_detail(label, resid, resid <= 1e-3, value=float(m)))
-    orders = range(1, 6)
-    dom = dominance_implies_moments((grid, cdf_wedge), (grid, cdf_uniform), orders, tol=slack)
-    details.append(
-        _detail(
-            "wedge-dominates-uniform",
-            max(a - b for a, b in zip(dom.moments_g, dom.moments_h)),
-            dom,
-            dominance=dom.dominance_holds,
+            details.append(_detail(label, {"residual": (abs(m - target), 1e-3)}, value=float(m)))
+    for label, cdf in (("wedge-dominates-uniform", cdf_wedge), ("equal-cdfs-equal-moments", cdf_uniform)):
+        dom = dominance_implies_moments((grid, cdf), (grid, cdf_uniform), range(1, 6), tol=slack)
+        moment_excess = max(a - b for a, b in zip(dom.moments_g, dom.moments_h))
+        details.append(
+            _detail(label, {"cdf_deficit": (-dom.worst_gap, slack), "moment_excess": (moment_excess, slack)})
         )
-    )
-    same = dominance_implies_moments((grid, cdf_uniform), (grid, cdf_uniform), orders, tol=slack)
-    resid = max(abs(a - b) for a, b in zip(same.moments_g, same.moments_h))
-    details.append(_detail("equal-cdfs-equal-moments", resid, same))
     alpha = np.linspace(0.0, 2.0 * np.pi, max(n_cases, 1000))
-    excess = float(np.max(np.sin(alpha) + np.cos(alpha)) - SQRT2)
-    details.append(_detail("sin-plus-cos-ceiling", excess, excess <= 1e-12))
+    excess = np.max(np.sin(alpha) + np.cos(alpha)) - SQRT2
+    details.append(_detail("sin-plus-cos-ceiling", {"excess": (excess, 1e-12)}))
     return max(n_cases, len(details)), details
 
 
@@ -477,7 +471,7 @@ def run_appendixB(rng, n_cases, slack):
         c = random_hermitian(dim, rng)
         mp = maximizing_projector(a, b)
         q, weights, _ = _probe_block(dim, n_probes, rng)
-        probe_excess = float(_probe_values(q, weights, a - b).max()) - mp.value
+        probe_excess = _probe_values(q, weights, a - b).max() - mp.value
         probs = rng.dirichlet(np.ones(3))
         a_parts = [random_hermitian(dim, rng) for _ in range(3)]
         b_parts = [random_hermitian(dim, rng) for _ in range(3)]
@@ -489,29 +483,17 @@ def run_appendixB(rng, n_cases, slack):
             np.stack([b, a, a, c, b, mix_b, *b_parts]),
         )
         d_ab = dist[0]
-        sym = abs(d_ab - dist[1])
-        self_zero = dist[2]
-        tri = d_ab - (dist[3] + dist[4])
-        ident = abs(mp.value - (d_ab + 0.5 * float(np.trace(a - b).real)))
-        convex_gap = dist[5] - sum(p * d for p, d in zip(probs, dist[6:]))
-        ok = (
-            sym <= 1e-12
-            and self_zero <= 1e-12
-            and tri <= 1e-12
-            and ident < 1e-10
-            and probe_excess <= slack
-            and convex_gap <= 1e-12
-        )
         details.append(
             _detail(
                 f"instance-{i:03d}-dim{dim}",
-                max(sym, self_zero, tri, ident, probe_excess, convex_gap),
-                ok,
-                symmetry=float(sym),
-                triangle_excess=float(tri),
-                projector_identity=float(ident),
-                probe_excess=float(probe_excess),
-                convexity_excess=float(convex_gap),
+                {
+                    "symmetry": (abs(d_ab - dist[1]), 1e-12),
+                    "self_distance": (dist[2], 1e-12),
+                    "triangle_excess": (d_ab - (dist[3] + dist[4]), 1e-12),
+                    "projector_identity": (abs(mp.value - (d_ab + 0.5 * float(np.trace(a - b).real))), 1e-10),
+                    "probe_excess": (probe_excess, slack),
+                    "convexity_excess": (dist[5] - sum(p * d for p, d in zip(probs, dist[6:])), 1e-12),
+                },
             )
         )
     return n_cases, details
@@ -523,9 +505,9 @@ def _cdf_floor(prefix: str, samples: np.ndarray, grid: np.ndarray, targets: np.n
     n = len(samples)
     details = []
     for x, p, target in zip(grid, empirical_cdf(samples, grid), targets):
-        sem = float(np.sqrt(max(p * (1.0 - p), 1e-12) / n))
+        sem = np.sqrt(max(p * (1.0 - p), 1e-12) / n)
         details.append(
-            _detail(f"{prefix}-cdf-at-{x:.1f}", target - p, p >= target - 3.0 * sem, empirical=float(p))
+            _detail(f"{prefix}-cdf-at-{x:.1f}", {"deficit": (target - p, 3.0 * sem)}, empirical=float(p))
         )
     return details
 
@@ -535,23 +517,22 @@ def run_section3(rng, n_cases, slack):
     """Distribution-level statistics over the uniform triangle.
 
     The checks are statistical (CDF floors within 3 standard errors, the
-    mean input distance within 0.01, moment and mean ceilings), so
-    ``slack`` does not apply to them.
+    mean input distance within 0.01, moment and mean ceilings within 3
+    standard errors), so ``slack`` does not apply to them.
     """
     checked_index("section3 n_cases", n_cases, 100)
     trials = statlab.run_trials(_maximizer_shaped_op(5, 2, 2), n_cases, rng)
     d_in, d_norm = trials.d_in, trials.d_out_normalized
     rel = np.nan_to_num(trials.relative_increase, nan=0.0)
-    resid = abs(d_in.mean() - 1.0 / 3.0)
-    details = [_detail("mean-input-distance", resid, resid <= 0.01, value=float(d_in.mean()))]
+    mean_in = float(d_in.mean())
+    details = [_detail("mean-input-distance", {"residual": (abs(mean_in - 1.0 / 3.0), 0.01)}, value=mean_in)]
     grid = np.round(np.arange(0.1, 0.95, 0.1), 2)
     details += _cdf_floor("output", d_norm, grid, grid)
     mc = moment_check(d_norm, 1, BoundKind.UNIFORM)
     details.append(
         _detail(
             "output-mean-below-half",
-            mc.empirical_moment - mc.bound,
-            mc.holds,
+            {"excess": (mc.empirical_moment - mc.bound, 3.0 * mc.stderr)},
             empirical=mc.empirical_moment,
         )
     )
@@ -560,8 +541,7 @@ def run_section3(rng, n_cases, slack):
     details.append(
         _detail(
             "relative-increase-mean-below-third",
-            wc.empirical_moment - wc.bound,
-            wc.holds,
+            {"excess": (wc.empirical_moment - wc.bound, 3.0 * wc.stderr)},
             empirical=wc.empirical_moment,
         )
     )
@@ -569,8 +549,7 @@ def run_section3(rng, n_cases, slack):
     details.append(
         _detail(
             "mean-subnormalized-output-below-sixth",
-            mb.mean_d_out_sub - 1.0 / 6.0,
-            mb.holds,
+            {"excess": (mb.mean_d_out_sub - 1.0 / 6.0, 3.0 * mb.stderr)},
             empirical=mb.mean_d_out_sub,
         )
     )
@@ -580,10 +559,11 @@ def run_section3(rng, n_cases, slack):
 SUITE_NAMES = tuple(_SUITES)
 
 # The suites by their run time at seed 7 (minimum of 5 in-process runs on
-# one CPU of a 2-vCPU host), longest first: appendixB 0.61 s and thm1
-# 0.63 s (a tie within noise), thm2 0.50 s, thm5 0.22 s, cloning 0.12 s,
-# lemma1 0.08 s, section3 0.06 s, the rest under 0.01 s each.  Workers
-# take them in this order, so the longest suite does not start last.
+# one CPU of a 2-vCPU host, two measurements), longest first: appendixB
+# 0.53-0.57 s and thm1 0.57 s (a tie within noise), thm2 0.44 s, thm5
+# 0.18 s, cloning 0.10 s, lemma1 0.07 s, section3 0.05 s, the rest under
+# 0.01 s each.  Workers take them in this order, so the longest suite does
+# not start last.
 _LONGEST_FIRST = (
     "appendixB",
     "thm1",
@@ -647,69 +627,95 @@ def run_all(seed: int, n_cases: int | None = None, slack: float = 1e-9) -> list[
 
 
 def write_report(path, reports) -> None:
-    """Line-delimited JSON: a schema header, then one record per suite.
+    """Line-delimited JSON: a schema header, then one record per suite, each
+    a compact object with sorted keys.
 
     Timing is deliberately omitted so fixed-seed runs are byte-identical.
+    Each detail record is encoded and written by itself, ahead of the other
+    keys because "details" sorts first: one encoding call for a whole suite
+    record would keep every fragment of it alive until the call returns.
     """
-    lines = [
-        json.dumps(
-            {"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-    ]
-    for r in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "suite_name": r.suite_name,
-                    "n_cases": r.n_cases,
-                    "n_failures": r.n_failures,
-                    "worst_residual": r.worst_residual,
-                    "seed": r.seed,
-                    "details": list(r.details),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+    dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(dumps({"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}) + "\n")
+        for r in reports:
+            fh.write('{"details":[')
+            for k, detail in enumerate(r.details):
+                fh.write(("," if k else "") + dumps(detail))
+            rest = {
+                "n_cases": r.n_cases,
+                "n_failures": r.n_failures,
+                "seed": r.seed,
+                "suite_name": r.suite_name,
+                "worst_margin": r.worst_margin,
+            }
+            fh.write("]," + dumps(rest)[1:] + "\n")
 
 
 def parse_report(path) -> list[SuiteReport]:
-    """Read a report file back; elapsed time is not stored and reads as 0."""
+    """Read a report file back; elapsed time is not stored and reads as 0.
+
+    Lines are parsed as they are read, so the file's text is never held
+    in memory at once.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
+            return _parse_lines(path, (line for line in fh if line.strip()))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReportParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ReportParseError(f"{path}: empty report")
+
+
+def _parse_lines(path, lines) -> list[SuiteReport]:
+    """The suite records of a report's nonblank ``lines`` (an iterator),
+    after its header; ``path`` only names the file in errors."""
     try:
-        header = json.loads(lines[0])
+        header = json.loads(next(lines))
+    except StopIteration:
+        raise ReportParseError(f"{path}: empty report") from None
     except json.JSONDecodeError as exc:
         raise ReportParseError(f"{path}: bad header: {exc}") from exc
-    if header.get("format") != REPORT_FORMAT or header.get("schema_version") != SCHEMA_VERSION:
+    if header != {"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}:
         raise ReportParseError(f"{path}: unrecognized header {header!r}")
     out = []
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in enumerate(lines, start=2):
         try:
             rec = json.loads(line)
-            out.append(
-                SuiteReport(
-                    suite_name=rec["suite_name"],
-                    n_cases=checked_index("n_cases", rec["n_cases"], 0),
-                    n_failures=checked_index("n_failures", rec["n_failures"], 0),
-                    worst_residual=_json_number("worst_residual", rec["worst_residual"]),
-                    seed=checked_index("seed", rec["seed"], 0),
-                    elapsed_seconds=0.0,
-                    details=tuple(rec["details"]),
-                )
+            report = SuiteReport(
+                suite_name=rec["suite_name"],
+                n_cases=checked_index("n_cases", rec["n_cases"], 0),
+                n_failures=checked_index("n_failures", rec["n_failures"], 0),
+                worst_margin=_json_number("worst_margin", rec["worst_margin"]),
+                seed=checked_index("seed", rec["seed"], 0),
+                elapsed_seconds=0.0,
+                details=tuple(rec["details"]),
             )
+            _check_verdicts(report)
+            out.append(report)
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ReportParseError(f"{path}:{i}: bad suite record: {exc!r}") from exc
     return out
+
+
+def _check_verdicts(report: SuiteReport) -> None:
+    """Reject a loaded suite record whose verdicts do not follow from its
+    margins: each detail needs ``checks``, a numeric ``margin`` and an
+    ``ok`` equal to ``margin >= 0``; ``n_failures`` must count the details
+    that are not ok, and ``worst_margin`` must be their least margin."""
+    margins = []
+    for k, d in enumerate(report.details):
+        if not isinstance(d, dict) or not {"checks", "margin", "ok"} <= d.keys():
+            raise ValidationError(f"detail {k} lacks checks, margin or ok")
+        margin = _json_number("margin", d["margin"])
+        if d["ok"] is not (margin >= 0):
+            raise ValidationError(f"detail {k}: ok {d['ok']!r} disagrees with margin {margin!r}")
+        margins.append(margin)
+    n_failed = sum(margin < 0 for margin in margins)
+    if report.n_failures != n_failed:
+        raise ValidationError(f"n_failures {report.n_failures} but {n_failed} details failed")
+    if report.worst_margin != min(margins):
+        raise ValidationError(
+            f"worst_margin {report.worst_margin!r} is not the least detail margin {min(margins)!r}"
+        )
 
 
 def _json_number(name: str, value) -> float:

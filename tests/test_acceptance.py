@@ -110,7 +110,7 @@ def test_criterion_04_normalized_output_bounds(capsys):
 def test_criterion_05_subnormalized_half_bound(capsys):
     r = run_thm4(SEED)
     sat = _detail(r, "orthogonal-qubit-saturation")
-    ok = r.n_cases == 10_000 and r.n_failures == 0 and sat["residual"] < 1e-10
+    ok = r.n_cases == 10_000 and r.n_failures == 0 and sat["checks"]["residual"][0] < 1e-10
     _criterion(capsys, 5, "subnormalized outputs stay within half the input distance; saturation exact", ok)
 
 
@@ -121,8 +121,8 @@ def test_criterion_06_triangle_statistics(capsys):
     ok = (
         r.n_cases == 100_000
         and r.n_failures == 0
-        and mean_in["residual"] <= 0.01
-        and mean_sub["residual"] <= 0.01
+        and mean_in["checks"]["residual"][0] <= 0.01
+        and mean_sub["checks"]["excess"][0] <= 0.01
     )
     _criterion(capsys, 6, "triangle statistics at 100k trials", ok)
 
@@ -130,7 +130,7 @@ def test_criterion_06_triangle_statistics(capsys):
 def test_criterion_07_cloning_factor(capsys):
     r = run_cloning(SEED)
     orth = _detail(r, "orthogonal-pair-ratio-one")
-    ok = r.n_cases == 201 and r.n_failures == 0 and orth["residual"] < 1e-12
+    ok = r.n_cases == 201 and r.n_failures == 0 and orth["checks"]["residual"][0] < 1e-12
     _criterion(capsys, 7, "cloner ratio matches closed form and exceeds 1/sqrt(2)", ok)
 
 
@@ -142,8 +142,8 @@ def test_criterion_08_sine_trace_gap(capsys):
     ok = (
         r.n_cases == 10_002
         and r.n_failures == 0
-        and grid["residual"] <= 1e-4
-        and witness["residual"] < 1e-10
+        and grid["checks"]["residual"][0] <= 1e-4
+        and witness["checks"]["residual"][0] < 1e-10
         and sampled["violations"] == 0
     )
     _criterion(capsys, 8, "qubit gap max is 1/4; global gap stays under sqrt(2)-1", ok)
@@ -153,7 +153,7 @@ def test_criterion_09_trace_product_and_moments(capsys):
     r1 = run_lemma1(SEED)
     r2 = run_lemma2(SEED)
     moments_ok = all(
-        d["residual"] <= 1e-3
+        d["checks"]["residual"][0] <= 1e-3
         for d in r2.details
         if d["case"].startswith(("uniform-moment", "wedge-moment"))
     )
@@ -163,7 +163,7 @@ def test_criterion_09_trace_product_and_moments(capsys):
         and r1.n_failures == 0
         and r2.n_failures == 0
         and moments_ok
-        and trig["residual"] <= 1e-12
+        and trig["checks"]["excess"][0] <= 1e-12
     )
     _criterion(capsys, 9, "trace-product interval, moment identities, sine-plus-cosine ceiling", ok)
 

@@ -2,8 +2,10 @@
 
 ``perfbench/workloads.py`` is loaded by path, as ``perfbench/run.py`` would
 import it, and one unit of each fast workload runs with its correctness
-re-checks: a library change that breaks how the benchmark uses the API
-(record iteration, the object path, file round trips) fails here.
+re-checks (two units of verify_suites, so that two report files are
+compared byte for byte): a library change that breaks how the benchmark
+uses the API (record iteration, the object path, file round trips, report
+parsing) fails here.
 """
 
 import importlib.util
@@ -29,19 +31,22 @@ def workloads():
 
 
 @pytest.mark.parametrize(
-    "name, seed",
+    "name, seed, units",
     [
-        pytest.param("triangle_trials", 7, id="triangle_trials"),
+        pytest.param("triangle_trials", 7, 1, id="triangle_trials"),
         # a second seed draws other trials and re-runs another call through the object path
-        pytest.param("triangle_trials", 11, id="triangle_trials-seed11"),
-        pytest.param("api_roundtrip", 7, id="api_roundtrip"),
+        pytest.param("triangle_trials", 11, 1, id="triangle_trials-seed11"),
+        pytest.param("api_roundtrip", 7, 1, id="api_roundtrip"),
         # a second seed gives the file gates other dimensions and ranks
-        pytest.param("api_roundtrip", 11, id="api_roundtrip-seed11"),
+        pytest.param("api_roundtrip", 11, 1, id="api_roundtrip-seed11"),
+        # verify all through the CLI, its report read back by parse_report
+        pytest.param("verify_suites", 7, 2, id="verify_suites"),
     ],
 )
-def test_one_unit_passes_every_gate(workloads, tmp_path, name, seed):
+def test_one_unit_passes_every_gate(workloads, tmp_path, name, seed, units):
     wl = workloads.WORKLOADS[name](seed, str(tmp_path))
-    wl.unit(0)
+    for i in range(units):
+        wl.unit(i)
     wl.finish()
     assert wl.errors == []
     assert wl.attempted > 0 and wl.failed == 0

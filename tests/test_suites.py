@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from qopdist import metrics, statlab, suites
 from qopdist.channels import QuantumOperation, e_distance, random_operations
 from qopdist.cli import main
-from qopdist.errors import DegenerateInputError, ReportParseError, ValidationError
+from qopdist.errors import DegenerateInputError, NumericalError, ReportParseError, ValidationError
 from qopdist.linalg import random_hermitian
 from qopdist.metrics import trace_distance
 from qopdist.states import DensityMatrix, random_density
@@ -74,7 +74,7 @@ def test_suite_passes_at_reduced_scale(name):
     assert len(r.details) >= 1
     for d in r.details:
         assert d["ok"]
-        assert np.isfinite(d["residual"])
+        assert np.isfinite(d["margin"])
 
 
 def test_run_all_order():
@@ -108,7 +108,7 @@ def _pid_suite(name):
     """Stand-in suite whose one detail records the process it ran in."""
 
     def run(seed, n_cases=None, slack=1e-9):
-        detail = {"case": "pid", "pid": os.getpid(), "residual": 0.0, "ok": True}
+        detail = {"case": "pid", "pid": os.getpid(), "checks": {}, "margin": 0.0, "ok": True}
         return SuiteReport(name, 1, 0, 0.0, seed, 0.0, (detail,))
 
     return run
@@ -302,7 +302,7 @@ def test_thm1_fails_when_the_construction_misses(monkeypatch):
     r = suites.run_thm1(7, 2)
     assert r.n_failures == 2
     for d in r.details:
-        assert abs(d["attain_residual"] - 1e-6) < 1e-12
+        assert abs(d["checks"]["attainment"][0] - 1e-6) < 1e-12
 
 
 def test_thm5_slack_below_the_chain_excess_fails(monkeypatch):
@@ -318,10 +318,38 @@ def test_thm5_slack_below_the_chain_excess_fails(monkeypatch):
     monkeypatch.setattr(metrics, "fidelity", short)
     above = suites.run_thm5(7, 50, slack=1e-5)
     assert above.n_failures == 0
-    assert abs(above.details[-1]["worst_chain_excess"] - 1e-6) < 1e-12
+    assert abs(above.details[-1]["checks"]["chain_excess"][0] - 1e-6) < 1e-12
     below = suites.run_thm5(7, 50, slack=1e-7)
     assert below.n_failures == 1
     assert below.details[-1]["violations"] == 50
+
+
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_nan_check_raises_numerical_error_wherever_it_sits(monkeypatch, capsys, nan_at):
+    """A NaN attainment in thm1's first or second case raises NumericalError
+    naming the case and the check, and verify exits 1."""
+    real = suites.e_distance
+    calls = []
+
+    def nan_once(op, rho, sig):
+        calls.append(None)
+        return float("nan") if len(calls) == nan_at + 1 else real(op, rho, sig)
+
+    monkeypatch.setattr(suites, "e_distance", nan_once)
+    with pytest.raises(NumericalError, match=f"pair-{nan_at:03d}-.*: check attainment is not finite"):
+        suites.run_thm1(7, 3)
+    calls.clear()
+    assert main(["verify", "thm1", "--seed", "7", "--cases", "3"]) == 1
+    assert f"pair-{nan_at:03d}-" in capsys.readouterr().err
+
+
+def test_zero_slack_passes_an_exact_closed_form():
+    """At slack 0, a cloning case whose ratio equals its closed form exactly
+    passes: a check holds when its value reaches its bound."""
+    r = suites.run_cloning(5, 150, slack=0.0)
+    exact = [d for d in r.details if d["checks"].get("from_closed_form", [None])[0] == 0.0]
+    assert exact
+    assert all(d["ok"] for d in exact)
 
 
 @pytest.mark.parametrize("name", SUITE_NAMES)
@@ -353,7 +381,7 @@ def test_suite_determinism():
     a = run_suite("cloning", 13, 25)[0]
     b = run_suite("cloning", 13, 25)[0]
     assert a.details == b.details
-    assert a.worst_residual == b.worst_residual
+    assert a.worst_margin == b.worst_margin
 
 
 def test_different_seeds_differ():
@@ -372,10 +400,31 @@ def test_report_round_trip(tmp_path):
         assert back.suite_name == orig.suite_name
         assert back.n_cases == orig.n_cases
         assert back.n_failures == orig.n_failures
-        assert back.worst_residual == orig.worst_residual
+        assert back.worst_margin == orig.worst_margin
         assert back.seed == orig.seed
         assert back.elapsed_seconds == 0.0  # timing is not persisted
         assert back.details == orig.details
+
+
+def test_report_lines_are_compact_sorted_json(tmp_path):
+    """Each line of a report file is its header or suite record encoded in
+    one call with sorted keys and no spaces."""
+    reports = run_all(3, 150)
+    path = tmp_path / "report.jsonl"
+    write_report(path, reports)
+    records = [{"format": "qopdist-suite-report", "schema_version": 2}] + [
+        {
+            "suite_name": r.suite_name,
+            "n_cases": r.n_cases,
+            "n_failures": r.n_failures,
+            "worst_margin": r.worst_margin,
+            "seed": r.seed,
+            "details": list(r.details),
+        }
+        for r in reports
+    ]
+    expected = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)
+    assert path.read_text() == expected
 
 
 def test_report_files_are_deterministic(tmp_path):
@@ -393,8 +442,14 @@ def test_parse_report_rejects_garbage(tmp_path):
     path.write_text('{"format":"something-else","schema_version":1}\n')
     with pytest.raises(ReportParseError):
         parse_report(path)
+    path.write_text("[1]\n")
+    with pytest.raises(ReportParseError):
+        parse_report(path)
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ReportParseError):
+        parse_report(path)
     path.write_text(
-        '{"format":"qopdist-suite-report","schema_version":1}\n{"suite_name":"x"}\n'
+        '{"format":"qopdist-suite-report","schema_version":2}\n{"suite_name":"x"}\n'
     )
     with pytest.raises(ReportParseError):
         parse_report(path)
@@ -402,13 +457,20 @@ def test_parse_report_rejects_garbage(tmp_path):
         parse_report(tmp_path / "missing.jsonl")
 
 
-def _report_with(tmp_path, field, value):
-    """A one-suite report file whose record has ``field`` set to ``value``."""
+def _edited_report(tmp_path, edit):
+    """A one-suite report file whose header and record dicts went through
+    ``edit(header, record)``."""
     path = tmp_path / "r.jsonl"
     write_report(path, run_suite("lemma2", 7, 1))
-    header, record = path.read_text().splitlines()
-    path.write_text(header + "\n" + json.dumps({**json.loads(record), field: value}) + "\n")
+    header, record = map(json.loads, path.read_text().splitlines())
+    edit(header, record)
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
     return path
+
+
+def _report_with(tmp_path, field, value):
+    """A one-suite report file whose record has ``field`` set to ``value``."""
+    return _edited_report(tmp_path, lambda header, record: record.update({field: value}))
 
 
 @pytest.mark.parametrize(
@@ -418,14 +480,14 @@ def _report_with(tmp_path, field, value):
         ("n_failures", True),
         ("seed", "7"),
         ("seed", -1),
-        ("worst_residual", True),
-        ("worst_residual", "0.5"),
-        ("worst_residual", "1e-3"),
+        ("worst_margin", True),
+        ("worst_margin", "0.5"),
+        ("worst_margin", "1e-3"),
     ],
 )
 def test_parse_report_rejects_bad_counts(tmp_path, field, value):
     """Counts and seeds in a report file go through the same check as
-    arguments, and the worst residual must be a JSON number: none is
+    arguments, and the worst margin must be a JSON number: none is
     truncated, parsed from text or taken from a flag."""
     with pytest.raises(ReportParseError, match=f"{field} must be"):
         parse_report(_report_with(tmp_path, field, value))
@@ -433,4 +495,35 @@ def test_parse_report_rejects_bad_counts(tmp_path, field, value):
 
 def test_parse_report_rejects_residual_beyond_float_range(tmp_path):
     with pytest.raises(ReportParseError, match="too large"):
-        parse_report(_report_with(tmp_path, "worst_residual", 10**400))
+        parse_report(_report_with(tmp_path, "worst_margin", 10**400))
+
+
+def _drop(key):
+    return lambda header, record: record["details"][0].pop(key)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(
+            lambda h, r: r.update(n_failures=1), "n_failures 1 but 0 details failed", id="n_failures-miscounted"
+        ),
+        pytest.param(
+            lambda h, r: r["details"][0].update(ok=False), "detail 0: ok False disagrees", id="ok-against-margin"
+        ),
+        pytest.param(
+            lambda h, r: r.update(worst_margin=r["worst_margin"] + 1.0),
+            "is not the least detail margin",
+            id="worst_margin-not-least",
+        ),
+        pytest.param(_drop("checks"), "detail 0 lacks checks, margin or ok", id="detail-without-checks"),
+        pytest.param(_drop("margin"), "detail 0 lacks checks, margin or ok", id="detail-without-margin"),
+        pytest.param(_drop("ok"), "detail 0 lacks checks, margin or ok", id="detail-without-ok"),
+        pytest.param(lambda h, r: h.update(schema_version=1), "unrecognized header", id="schema-1"),
+    ],
+)
+def test_parse_report_rejects_verdicts_that_do_not_follow(tmp_path, edit, message):
+    """A loaded record's ok, n_failures and worst_margin must follow from
+    its detail margins, and a schema-1 file is not read as schema 2."""
+    with pytest.raises(ReportParseError, match=message):
+        parse_report(_edited_report(tmp_path, edit))
