@@ -12,6 +12,7 @@ distribution-level bounds those quantities must obey.
 from __future__ import annotations
 
 import enum
+import gc
 from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
@@ -141,10 +142,25 @@ class TrialColumns:
     distances lie in [0, 1] within 1e-9, and ``relative_increase`` is NaN
     or lies in [0, 1).  These ranges follow from the definitions; the
     bounds of Theorems 3 and 4 are left to the suites, which report a
-    violation instead of raising.  Iterating yields one TrialRecord per
+    violation instead of raising.
+
+    Suites and bulk statistics should read the columns; iterating is for
+    callers that need one object per trial.  It yields one TrialRecord per
     trial, with ``relative_increase`` None where the column is NaN; the
     batch check already covers every record, so the records are built
-    without running their own checks, ``_RECORD_BLOCK`` at a time.
+    without running their own checks, ``_RECORD_BLOCK`` at a time.  Each
+    block is built with the cyclic garbage collector paused, as
+    ``timeit.Timer.timeit`` pauses it: a block allocates only acyclic
+    objects (slot-backed points and records, floats, None and lists), so
+    a collection started while it is built would find nothing, and the
+    kept records would only make later sweeps longer.  The pause covers
+    one block build (at most ``_RECORD_BLOCK`` records, about 1 ms) and
+    never a ``yield``, so an iterator dropped after one ``next()`` leaves
+    the collector as it was; a caller that disabled the collector keeps
+    it disabled.  With several threads, the collector is back on when the
+    first block being built finishes (at worst a collection is deferred),
+    and a ``gc.disable()`` another thread issues while a block is built
+    may be undone.
     """
 
     p_m: np.ndarray
@@ -156,7 +172,10 @@ class TrialColumns:
 
     def __post_init__(self):
         for name, col in vars(self).items():
-            col = np.array(col, dtype=np.float64)
+            try:
+                col = np.array(col, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"trial column {name} is not numeric: {exc}") from None
             col.flags.writeable = False
             object.__setattr__(self, name, col)
         if len({col.shape for col in vars(self).values()}) != 1 or self.d_in.ndim != 1:
@@ -189,23 +208,31 @@ class TrialColumns:
             yield from self._records(slice(lo, lo + _RECORD_BLOCK))
 
     def _records(self, rows: slice) -> list:
-        pm, pn, d_in, d_norm, d_sub, rel = (col[rows] for col in vars(self).values())
-        rel_or_none = rel.astype(object)
-        rel_or_none[np.isnan(rel)] = None
-        k = len(d_in)
-        points = list(map(object.__new__, repeat(TrianglePoint, k)))
-        records = list(map(object.__new__, repeat(TrialRecord, k)))
-        for objs, descriptor, values in (
-            (points, TrianglePoint.p_m, pm.tolist()),
-            (points, TrianglePoint.p_n, pn.tolist()),
-            (records, TrialRecord.point, points),
-            (records, TrialRecord.d_in, d_in.tolist()),
-            (records, TrialRecord.d_out_normalized, d_norm.tolist()),
-            (records, TrialRecord.d_out_subnormalized, d_sub.tolist()),
-            (records, TrialRecord.relative_increase, rel_or_none.tolist()),
-        ):
-            _consume(map(descriptor.__set__, objs, values))
-        return records
+        # The collector is paused for this one block only (see the class
+        # docstring), with the enable/disable sequence of timeit.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pm, pn, d_in, d_norm, d_sub, rel = (col[rows] for col in vars(self).values())
+            rel_or_none = rel.astype(object)
+            rel_or_none[np.isnan(rel)] = None
+            k = len(d_in)
+            points = list(map(object.__new__, repeat(TrianglePoint, k)))
+            records = list(map(object.__new__, repeat(TrialRecord, k)))
+            for objs, descriptor, values in (
+                (points, TrianglePoint.p_m, pm.tolist()),
+                (points, TrianglePoint.p_n, pn.tolist()),
+                (records, TrialRecord.point, points),
+                (records, TrialRecord.d_in, d_in.tolist()),
+                (records, TrialRecord.d_out_normalized, d_norm.tolist()),
+                (records, TrialRecord.d_out_subnormalized, d_sub.tolist()),
+                (records, TrialRecord.relative_increase, rel_or_none.tolist()),
+            ):
+                _consume(map(descriptor.__set__, objs, values))
+            return records
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def run_trials(
@@ -293,14 +320,21 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
 
 
 def empirical_cdf(samples, grid) -> np.ndarray:
-    """P[X <= xi] for each xi of the grid; a NaN sample raises
-    ValidationError, because it would count as above every grid point."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    """P[X <= xi] for each xi of the grid.  The samples must form a 1-D
+    array without NaN, which would count as above every grid point; a NaN
+    grid point raises too, where it would read as P = 1.  Grid points of
+    +-inf are valid.  Each violation raises ValidationError."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise ValidationError(f"empirical_cdf samples must be 1-D, got shape {x.shape}")
     if x.size == 0:
         raise ValidationError("empirical_cdf needs at least one sample")
+    x = np.sort(x)
     if np.isnan(x[-1]):  # sorting puts NaN last
         raise ValidationError("empirical_cdf samples contain NaN")
     g = np.asarray(grid, dtype=float)
+    if np.isnan(g).any():
+        raise ValidationError("empirical_cdf grid contains NaN")
     return np.searchsorted(x, g, side="right") / x.size
 
 

@@ -5,9 +5,11 @@ import it, and one unit of each fast workload runs with its correctness
 re-checks (two units of verify_suites, so that two report files are
 compared byte for byte): a library change that breaks how the benchmark
 uses the API (record iteration, the object path, file round trips, report
-parsing) fails here.
+parsing) fails here.  Each unit must also leave the cyclic garbage
+collector as it found it: enabled, with the same thresholds.
 """
 
+import gc
 import importlib.util
 import sys
 from pathlib import Path
@@ -45,8 +47,10 @@ def workloads():
 )
 def test_one_unit_passes_every_gate(workloads, tmp_path, name, seed, units):
     wl = workloads.WORKLOADS[name](seed, str(tmp_path))
+    threshold = gc.get_threshold()
     for i in range(units):
         wl.unit(i)
+        assert gc.isenabled() and gc.get_threshold() == threshold
     wl.finish()
     assert wl.errors == []
     assert wl.attempted > 0 and wl.failed == 0

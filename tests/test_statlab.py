@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import gc
 import math
 import pickle
 import tracemalloc
@@ -325,6 +326,84 @@ def test_first_record_does_not_build_them_all():
     assert peaks[0] < peaks[1] / 10
 
 
+def _full_pass(trials):
+    list(trials)
+
+
+def _one_next(trials):
+    """One next() on the iterator, which is dropped on return."""
+    it = iter(trials)
+    next(it)
+
+
+def _raising_build(trials):
+    with mock.patch.object(statlab, "_consume", side_effect=RuntimeError("block build failed")):
+        with pytest.raises(RuntimeError, match="block build failed"):
+            list(trials)
+
+
+@pytest.mark.parametrize("was_enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("take", [_full_pass, _one_next, _raising_build], ids=["full", "one-next", "raising"])
+def test_iteration_leaves_the_collector_as_it_found_it(take, was_enabled):
+    """The collector is paused around one block build and never across a
+    yield: after a full pass, after one next() on a 10 000-trial batch
+    whose iterator is then dropped, and after a block build that raises,
+    it is enabled again, or still disabled where the caller disabled it."""
+    trials = run_trials(_maximizer_shaped(2, 1, 1), 10_000, np.random.default_rng(62))
+    assert gc.isenabled()
+    if not was_enabled:
+        gc.disable()
+    try:
+        take(trials)
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after == was_enabled
+
+
+def test_no_collection_starts_inside_a_block_build(monkeypatch):
+    """A 4096-trial batch is one block, and no cyclic collection starts
+    while it is built (without the pause, about a dozen do)."""
+    trials = run_trials(_maximizer_shaped(5, 2, 2), 4096, np.random.default_rng(63))
+    inside, starts = [], []
+    build = TrialColumns._records
+
+    def spy(self, rows):
+        inside.append(rows)
+        try:
+            return build(self, rows)
+        finally:
+            inside.pop()
+
+    def on_gc(phase, info):
+        if phase == "start" and inside:
+            starts.append(info["generation"])
+
+    monkeypatch.setattr(TrialColumns, "_records", spy)
+    assert gc.isenabled() and gc.get_threshold()[0] > 0
+    gc.callbacks.append(on_gc)
+    try:
+        records = list(trials)
+    finally:
+        gc.callbacks.remove(on_gc)
+    assert len(records) == 4096 and starts == []
+
+
+def test_trial_columns_reject_a_non_numeric_column():
+    """A column that is not numeric is named in a ValidationError."""
+    with pytest.raises(ValidationError, match="trial column p_m is not numeric"):
+        TrialColumns(*(["a"],) * 6)
+    with pytest.raises(ValidationError, match="trial column d_out_normalized is not numeric"):
+        TrialColumns(
+            p_m=[0.8],
+            p_n=[0.2],
+            d_in=[0.6],
+            d_out_normalized=[{}],
+            d_out_subnormalized=[0.3],
+            relative_increase=[math.nan],
+        )
+
+
 def test_trial_columns_are_read_only_copies():
     """No column can be written, and the caller keeps its arrays: writing
     into them changes neither the columns nor the records."""
@@ -387,6 +466,24 @@ def test_empirical_cdf_rejects_nan(samples):
     """A NaN sample would count as above every grid point."""
     with pytest.raises(ValidationError, match="NaN"):
         empirical_cdf(samples, [0.5, 2.0])
+
+
+@pytest.mark.parametrize("grid", [[math.nan, 1.0], [0.5, math.nan]])
+def test_empirical_cdf_rejects_a_nan_grid_point(grid):
+    """A NaN grid point would read as P = 1.0."""
+    with pytest.raises(ValidationError, match="grid contains NaN"):
+        empirical_cdf([0.1, 0.2], grid)
+
+
+def test_empirical_cdf_infinite_grid_points():
+    """Grid points of -inf and +inf stay valid: P = 0 and P = 1."""
+    assert empirical_cdf([0.1, 0.2], [-math.inf, 0.15, math.inf]).tolist() == [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("samples", [[[0.1, 0.2], [0.3, 0.4]], 0.3], ids=["2-D", "0-D"])
+def test_empirical_cdf_rejects_samples_that_are_not_1d(samples):
+    with pytest.raises(ValidationError, match="samples must be 1-D"):
+        empirical_cdf(samples, [0.5])
 
 
 def test_cdf_moment_closed_forms():
