@@ -104,7 +104,10 @@ def cmd_pairs(args) -> int:
         print("T spectrum: " + " ".join(_fmt(w) for w in spectrum), file=sys.stderr)
         return 5
     rng = np.random.default_rng(args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot create directory {args.out_dir}: {exc}") from exc
     d = args.d_target
     for i in range(args.count):
         nq = int(rng.integers(1, unit.shape[1] + 1))

@@ -12,6 +12,8 @@ reproduces x exactly.
 from __future__ import annotations
 
 import json
+import os
+import stat
 from itertools import chain
 from typing import NoReturn
 
@@ -117,12 +119,31 @@ def _read_doc(path) -> dict:
     return doc
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open`` opener that creates a missing file but does not truncate an
+    existing one."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write_doc(path, doc: dict) -> None:
-    # The C encoder (no indent) builds the whole text before the file is
-    # opened, so an encoding error cannot leave a truncated file.
-    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    """Overwrite ``path`` with the document's text in place.
+
+    The C encoder (no indent) builds the whole text before the file is
+    opened, so an encoding error leaves an existing file untouched.  The
+    file is not truncated at open: truncating a non-empty file costs a
+    flush of its old blocks on some filesystems (ext4's auto_da_alloc).
+    A regular file that was longer than the new text is cut to its length
+    after the write; devices and pipes cannot be truncated and need not be.
+    """
+    data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    try:
+        with open(path, "wb", opener=_open_in_place) as fh:
+            old = os.fstat(fh.fileno())
+            fh.write(data)
+            if stat.S_ISREG(old.st_mode) and old.st_size > len(data):
+                fh.truncate()
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 
 
 def save_matrix(path, mat, kind: str | None = None) -> None:

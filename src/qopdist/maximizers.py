@@ -56,14 +56,36 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
+# (key, split) of the last split _distinct_split computed.  The key is the
+# exact bits of rho - sigma, so a hit returns what spectral_split would
+# compute again.  The tuple is replaced whole, so a thread reads either the
+# old entry or the new one.
+_last_split: tuple = (None, None)
+
+
 def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
     """Spectral split of rho - sigma; DegenerateInputError when the states
-    coincide: their trace distance is at or below the resolved ``tol``."""
+    coincide: their trace distance is at or below the resolved ``tol``.
+
+    Building, certifying and bounding one pair ask for the same split in a
+    row, so the previous call's split is reused when rho - sigma has the
+    same shape, dtype and bytes.  Its arrays are read-only, as every caller
+    of a reused split shares them; the state, shape and tolerance checks
+    run on every call.
+    """
+    global _last_split
     tol = resolve_tol(tol)
     mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    split = spectral_split(mr - ms)
+    delta = mr - ms
+    key = (delta.shape, delta.dtype.str, delta.tobytes())
+    last_key, split = _last_split
+    if key != last_key:
+        split = spectral_split(delta)
+        for arr in vars(split).values():
+            arr.flags.writeable = False
+        _last_split = (key, split)
     if 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)) <= tol:
         raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
     return split

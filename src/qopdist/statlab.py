@@ -299,12 +299,11 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
 
     Flat density on [0,1] gives 1/(n+1); the wedge density 2-2x gives
     2/(n^2+3n+2).  The check allows three standard errors of slack.  The
-    order n must be an integer >= 1.
+    order n must be an integer >= 1; the samples must form a nonempty 1-D
+    numeric array within [0, 1].
     """
     n = checked_index("moment order", n, 1)
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ValidationError("moment_check needs at least one sample")
+    x = _samples(samples, "moment_check")
     if not (x.min() >= -1e-12 and x.max() <= 1.0 + 1e-12):
         raise ValidationError(f"samples outside [0,1]: range [{x.min()}, {x.max()}]")
     if bound_kind is BoundKind.UNIFORM:
@@ -319,20 +318,33 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
     return MomentCheck(empirical_moment=m, bound=bound, stderr=sem, holds=m <= bound + 3.0 * sem)
 
 
+def _floats(values, what: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} are not numeric: {exc}") from None
+
+
+def _samples(samples, caller: str) -> np.ndarray:
+    """The samples as a nonempty 1-D float array, else ValidationError."""
+    x = _floats(samples, f"{caller} samples")
+    if x.ndim != 1:
+        raise ValidationError(f"{caller} samples must be 1-D, got shape {x.shape}")
+    if x.size == 0:
+        raise ValidationError(f"{caller} needs at least one sample")
+    return x
+
+
 def empirical_cdf(samples, grid) -> np.ndarray:
     """P[X <= xi] for each xi of the grid.  The samples must form a 1-D
     array without NaN, which would count as above every grid point; a NaN
     grid point raises too, where it would read as P = 1.  Grid points of
-    +-inf are valid.  Each violation raises ValidationError."""
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValidationError(f"empirical_cdf samples must be 1-D, got shape {x.shape}")
-    if x.size == 0:
-        raise ValidationError("empirical_cdf needs at least one sample")
-    x = np.sort(x)
+    +-inf are valid.  Each violation raises ValidationError, as does a
+    non-numeric sample or grid point."""
+    x = np.sort(_samples(samples, "empirical_cdf"))
     if np.isnan(x[-1]):  # sorting puts NaN last
         raise ValidationError("empirical_cdf samples contain NaN")
-    g = np.asarray(grid, dtype=float)
+    g = _floats(grid, "empirical_cdf grid points")
     if np.isnan(g).any():
         raise ValidationError("empirical_cdf grid contains NaN")
     return np.searchsorted(x, g, side="right") / x.size

@@ -38,7 +38,7 @@ from .channels import (
     random_operations,
 )
 from .config import checked_index, resolve_tol
-from .errors import NumericalError, ReportParseError, ValidationError
+from .errors import MatrixFileError, NumericalError, ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
     MaximizerMode,
@@ -634,22 +634,26 @@ def write_report(path, reports) -> None:
     Each detail record is encoded and written by itself, ahead of the other
     keys because "details" sorts first: one encoding call for a whole suite
     record would keep every fragment of it alive until the call returns.
+    A path that cannot be written raises MatrixFileError.
     """
     dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps({"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}) + "\n")
-        for r in reports:
-            fh.write('{"details":[')
-            for k, detail in enumerate(r.details):
-                fh.write(("," if k else "") + dumps(detail))
-            rest = {
-                "n_cases": r.n_cases,
-                "n_failures": r.n_failures,
-                "seed": r.seed,
-                "suite_name": r.suite_name,
-                "worst_margin": r.worst_margin,
-            }
-            fh.write("]," + dumps(rest)[1:] + "\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps({"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}) + "\n")
+            for r in reports:
+                fh.write('{"details":[')
+                for k, detail in enumerate(r.details):
+                    fh.write(("," if k else "") + dumps(detail))
+                rest = {
+                    "n_cases": r.n_cases,
+                    "n_failures": r.n_failures,
+                    "seed": r.seed,
+                    "suite_name": r.suite_name,
+                    "worst_margin": r.worst_margin,
+                }
+                fh.write("]," + dumps(rest)[1:] + "\n")
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 
 
 def parse_report(path) -> list[SuiteReport]:

@@ -209,6 +209,19 @@ def test_verify_too_few_cases_exit_2(capsys, suite, cases):
     assert f"error: n_cases must be >= 1, got {cases}" in capsys.readouterr().err
 
 
+UNWRITABLE_OUTPUTS = {
+    "maximize": lambda d: ["maximize", str(d / "e0.json"), str(d / "e1.json"), "2", str(d / "no" / "k.json")],
+    "verify-report": lambda d: ["verify", "lemma2", "--cases", "1", "--report", str(d / "no" / "r.jsonl")],
+    "pairs-out-dir-is-a-file": lambda d: ["pairs", str(d / "op.json"), "0.5", "1", str(d / "e0.json")],
+}
+
+
+@pytest.mark.parametrize("name", UNWRITABLE_OUTPUTS)
+def test_unwritable_output_exit_2(files, capsys, name):
+    assert main(UNWRITABLE_OUTPUTS[name](files)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot ")
+
+
 def test_verify_unknown_suite_exit_2(files):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "thm99"])

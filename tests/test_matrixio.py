@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qopdist.channels import QuantumOperation
-from qopdist.errors import MatrixFileError
+from qopdist.errors import MatrixFileError, ValidationError
 from qopdist.maximizers import MaximizerMode, build_maximizing_operation
 from qopdist.matrixio import (
     doc_to_matrix,
@@ -284,6 +284,12 @@ def _kraus_set_doc(op):
     }
 
 
+def _compact_bytes(doc):
+    """The bytes a save must write for ``doc``: one line of compact JSON
+    with sorted keys, in UTF-8."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+
+
 # save function, its input, the document it must write, the matrices a load gives
 SAVES = {
     "save_matrix": (
@@ -307,9 +313,7 @@ def test_saves_write_one_line_of_the_document(tmp_path, name):
     save, value, expected_doc, _ = SAVES[name]
     path = tmp_path / "x.json"
     save(path, value)
-    text = path.read_text(encoding="utf-8")
-    assert text.endswith("\n") and text.count("\n") == 1
-    assert json.loads(text) == expected_doc(value)
+    assert path.read_bytes() == _compact_bytes(expected_doc(value))
 
 
 @pytest.mark.parametrize("name", SAVES)
@@ -324,3 +328,52 @@ def test_indented_files_load_as_written_ones(tmp_path, name):
         fh.write("\n")
     pairs = list(zip(load(indented), load(new), strict=True))
     assert pairs and all(_same_bits(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", SAVES)
+def test_shorter_save_over_a_longer_file_leaves_no_tail(tmp_path, name):
+    save, value, expected_doc, load = SAVES[name]
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(expected_doc(value), indent=4) + "\n" + " " * 4096, encoding="utf-8")
+    save(path, value)
+    assert path.read_bytes() == _compact_bytes(expected_doc(value))
+    fresh = tmp_path / "fresh.json"
+    save(fresh, value)
+    pairs = list(zip(load(path), load(fresh), strict=True))
+    assert pairs and all(_same_bits(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", SAVES)
+def test_save_through_a_symlink_updates_its_target(tmp_path, name):
+    save, value, expected_doc, _ = SAVES[name]
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 8192, encoding="utf-8")
+    link.symlink_to(target)
+    save(link, value)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == _compact_bytes(expected_doc(value))
+
+
+@pytest.mark.parametrize("name", SAVES)
+def test_save_to_devnull(name):
+    save, value, _, _ = SAVES[name]
+    save(os.devnull, value)
+
+
+@pytest.mark.parametrize("name", ["save_matrix", "save_state"])
+def test_rejected_save_leaves_an_existing_file_untouched(tmp_path, name):
+    save, value, _, _ = SAVES[name]
+    path = tmp_path / "x.json"
+    save(path, value)
+    before = path.read_bytes()
+    bad = value.copy()
+    bad[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="NaN"):
+        save(path, bad)
+    assert path.read_bytes() == before
+
+
+def test_unwritable_path_raises_matrix_file_error(tmp_path):
+    path = tmp_path / "no" / "x.json"
+    with pytest.raises(MatrixFileError, match=re.escape(f"cannot write {path}")):
+        save_matrix(path, np.eye(2))

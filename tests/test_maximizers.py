@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qopdist import maximizers
 from qopdist.channels import QuantumOperation, apply, e_distance, random_operation, t_operator
 from qopdist.errors import (
     DegenerateInputError,
@@ -24,6 +25,7 @@ from qopdist.maximizers import (
     theorem3_report,
     theorem4_report,
 )
+from qopdist.linalg import spectral_split
 from qopdist.metrics import trace_distance
 from qopdist.states import DensityMatrix, random_density
 
@@ -382,3 +384,92 @@ def test_output_distances_from_apply():
     rep = theorem4_report(MEASURE0, rho, sig)
     direct = trace_distance(apply(MEASURE0, rho), apply(MEASURE0, sig))
     assert abs(rep.d_out_subnormalized - direct) < 1e-14
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """The matrices maximizers passes to spectral_split, starting from an
+    empty memo of the last split."""
+    calls = []
+
+    def spy(delta):
+        calls.append(delta)
+        return spectral_split(delta)
+
+    monkeypatch.setattr(maximizers, "_last_split", (None, None))
+    monkeypatch.setattr(maximizers, "spectral_split", spy)
+    return calls
+
+
+def _random_pair(seed, dim=4):
+    rng = np.random.default_rng(seed)
+    return random_density(dim, 2, rng), random_density(dim, 3, rng)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_one_split_per_pair_on_the_api_path(split_calls):
+    rho, sig = _random_pair(60)
+    op = build_maximizing_operation(rho, sig, 2, MaximizerMode.ON_Q)
+    assert certify_maximizer(op, rho, sig).mode is MaximizerMode.ON_Q
+    op_r = build_maximizing_operation(rho, sig, 2, MaximizerMode.ON_R)
+    assert certify_maximizer(op_r, rho, sig).mode is MaximizerMode.ON_R
+    assert len(split_calls) == 1
+    rho2, sig2 = build_state_pair(op, 0.4)
+    assert theorem3_report(op, rho2, sig2).holds and theorem4_report(op, rho2, sig2).holds
+    assert len(split_calls) == 2
+    # The shape and tolerance checks still run on a reused split.
+    with pytest.raises(DegenerateInputError):
+        certify_maximizer(op, rho2, sig2, tol=0.5)
+    with pytest.raises(DimensionMismatchError):
+        certify_maximizer(op, rho2, E0)
+    assert len(split_calls) == 2
+
+
+def test_reused_split_gives_the_bits_of_a_fresh_one(monkeypatch, split_calls):
+    rho, sig = _random_pair(61)
+    fresh = spectral_split(rho.mat - sig.mat)
+    memo = maximizers._distinct_split(rho, sig, None)
+    assert maximizers._distinct_split(rho, sig, None) is memo
+    assert all(_same_bits(getattr(fresh, f), getattr(memo, f)) for f in vars(fresh))
+
+    def outputs(forget):
+        """Kraus operators, m_op and diagnostics of both modes, calling
+        ``forget`` before each build and each certificate."""
+        arrays, diagnostics = [], []
+        for mode in (MaximizerMode.ON_Q, MaximizerMode.ON_R):
+            forget()
+            op = build_maximizing_operation(rho, sig, 3, mode)
+            forget()
+            cert = certify_maximizer(op, rho, sig)
+            arrays += [*op.kraus, cert.m_op]
+            diagnostics.append(cert.diagnostics)
+        return arrays, diagnostics
+
+    reused = outputs(lambda: None)
+    recomputed = outputs(lambda: monkeypatch.setattr(maximizers, "_last_split", (None, None)))
+    assert len(split_calls) == 5
+    assert all(_same_bits(a, b) for a, b in zip(reused[0], recomputed[0], strict=True))
+    assert reused[1] == recomputed[1]
+
+
+def test_one_ulp_change_gives_a_fresh_split(split_calls):
+    rho, sig = _random_pair(62)
+    nudged = rho.mat.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 1.0)
+    assert not np.array_equal(nudged - sig.mat, rho.mat - sig.mat)
+    a = maximizers._distinct_split(rho, sig, None)
+    b = maximizers._distinct_split(nudged, sig, None)
+    assert len(split_calls) == 2 and a is not b
+    assert maximizers._distinct_split(nudged, sig, None) is b
+
+
+def test_reused_split_is_read_only_and_public_split_writable():
+    rho, sig = _random_pair(63)
+    memo = maximizers._distinct_split(rho, sig, None)
+    public = spectral_split(rho.mat - sig.mat)
+    for field in vars(public):
+        assert not getattr(memo, field).flags.writeable
+        assert getattr(public, field).flags.writeable

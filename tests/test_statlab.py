@@ -449,6 +449,16 @@ def test_moment_check_validation():
             moment_check(np.array(outside), 1, BoundKind.UNIFORM)
 
 
+@pytest.mark.parametrize(
+    "samples, message",
+    [(["a", "b"], "samples are not numeric"), ([[0.1, 0.2], [0.3, 0.4]], "samples must be 1-D")],
+    ids=["non-numeric", "2-D"],
+)
+def test_moment_check_rejects_bad_samples(samples, message):
+    with pytest.raises(ValidationError, match=message):
+        moment_check(samples, 1, BoundKind.UNIFORM)
+
+
 def test_empirical_cdf_frozen():
     samples = np.array([0.1, 0.2, 0.9])
     grid = np.array([0.15, 0.5, 1.0])
@@ -484,6 +494,16 @@ def test_empirical_cdf_infinite_grid_points():
 def test_empirical_cdf_rejects_samples_that_are_not_1d(samples):
     with pytest.raises(ValidationError, match="samples must be 1-D"):
         empirical_cdf(samples, [0.5])
+
+
+@pytest.mark.parametrize(
+    "samples, grid, message",
+    [(["a"], [0.5], "samples are not numeric"), ([0.1], ["x"], "grid points are not numeric")],
+    ids=["samples", "grid"],
+)
+def test_empirical_cdf_rejects_non_numeric_input(samples, grid, message):
+    with pytest.raises(ValidationError, match=message):
+        empirical_cdf(samples, grid)
 
 
 def test_cdf_moment_closed_forms():
