@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 
 import numpy as np
@@ -137,7 +138,34 @@ def cmd_pairs(args) -> int:
     return 0
 
 
+def _probe_writable(path) -> None:
+    """Open ``path`` for writing without truncating it, then close it, and
+    remove it again if the probe created it; MatrixFileError, as
+    ``write_report`` raises, if it cannot be opened.
+
+    Only a new path, a regular file or a directory (which fails) is opened:
+    a named pipe or a device is left to ``write_report``, as closing a pipe
+    would end its reader before the report reaches it.
+    """
+    try:
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:  # a dangling symlink, whose target the report creates
+                return
+            if stat.S_ISREG(mode) or stat.S_ISDIR(mode):
+                os.close(os.open(path, os.O_WRONLY))
+        else:
+            os.unlink(path)
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_verify(args) -> int:
+    if args.report:
+        _probe_writable(args.report)
     reports = run_suite(args.suite, args.seed, args.cases, resolve_tol(args.tol))
     for r in reports:
         print(

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import SpectralSplit, as_hermitian, eig_hermitian, projector_onto, spectral_split
 from .metrics import trace_distance
-from .states import from_spectrum, state_matrix
+from .states import DensityMatrix, from_spectrum, state_matrix
 
 __all__ = [
     "BoundReport",
@@ -56,10 +56,11 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
-# (key, split) of the last split _distinct_split computed.  The key is the
-# exact bits of rho - sigma, so a hit returns what spectral_split would
-# compute again.  The tuple is replaced whole, so a thread reads either the
-# old entry or the new one.
+# (key, (split, distance)) of the last split _distinct_split computed, with
+# the trace distance the coincide cut compares.  The key is the exact bits
+# of rho - sigma, so a hit returns what spectral_split would compute again.
+# The tuple is replaced whole, so a thread reads either the old entry or
+# the new one.
 _last_split: tuple = (None, None)
 
 
@@ -68,10 +69,10 @@ def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
     coincide: their trace distance is at or below the resolved ``tol``.
 
     Building, certifying and bounding one pair ask for the same split in a
-    row, so the previous call's split is reused when rho - sigma has the
-    same shape, dtype and bytes.  Its arrays are read-only, as every caller
-    of a reused split shares them; the state, shape and tolerance checks
-    run on every call.
+    row, so the previous call's split and distance are reused when
+    rho - sigma has the same shape, dtype and bytes.  The split's arrays
+    are read-only, as every caller of a reused split shares them; the
+    state, shape and tolerance checks run on every call.
     """
     global _last_split
     tol = resolve_tol(tol)
@@ -80,13 +81,15 @@ def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
     delta = mr - ms
     key = (delta.shape, delta.dtype.str, delta.tobytes())
-    last_key, split = _last_split
+    last_key, entry = _last_split
     if key != last_key:
         split = spectral_split(delta)
         for arr in vars(split).values():
             arr.flags.writeable = False
-        _last_split = (key, split)
-    if 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)) <= tol:
+        entry = (split, 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)))
+        _last_split = (key, entry)
+    split, distance = entry
+    if distance <= tol:
         raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
     return split
 
@@ -170,13 +173,14 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float | None = None)
     qq = tb[:nq, :nq]
     rr = tb[nq : nq + nr, nq : nq + nr]
     kk = tb[nq + nr :, nq + nr :]
-    off_qr = float(np.max(np.abs(tb[:nq, nq : nq + nr]), initial=0.0))
-    off_qk = float(np.max(np.abs(tb[:nq, nq + nr :]), initial=0.0))
-    off_rk = float(np.max(np.abs(tb[nq : nq + nr, nq + nr :]), initial=0.0))
+    mags = np.abs(tb)
+    off_qr = float(mags[:nq, nq : nq + nr].max(initial=0.0))
+    off_qk = float(mags[:nq, nq + nr :].max(initial=0.0))
+    off_rk = float(mags[nq : nq + nr, nq + nr :].max(initial=0.0))
     res_qq_unit = float(np.max(np.abs(qq - np.eye(nq)), initial=0.0))
-    res_qq_zero = float(np.max(np.abs(qq), initial=0.0))
+    res_qq_zero = float(mags[:nq, :nq].max(initial=0.0))
     res_rr_unit = float(np.max(np.abs(rr - np.eye(nr)), initial=0.0))
-    res_rr_zero = float(np.max(np.abs(rr), initial=0.0))
+    res_rr_zero = float(mags[nq : nq + nr, nq : nq + nr].max(initial=0.0))
     if kk.size:
         mw = np.linalg.eigvalsh(kk)
         m_lo, m_hi = float(mw[0]), float(mw[-1])
@@ -295,9 +299,51 @@ class BoundReport:
     relative_increase: float | None = None
 
 
+# (key, inputs) of the last _bound_inputs evaluation.  The key is the exact
+# bits of E's Kraus operators, of rho and sigma as passed and of the default
+# tolerance, so a hit returns what a fresh evaluation would.  The tuple is
+# replaced whole, and only after an evaluation that did not raise.
+_last_bound: tuple = (None, None)
+
+
+def _operand_bits(x):
+    """Key part of one state argument: a ``DensityMatrix`` by its matrix, an
+    ndarray by its own bits; None for anything else, which is not reused."""
+    if isinstance(x, DensityMatrix):
+        return ("state", x.mat.shape, x.mat.dtype.str, x.mat.tobytes())
+    if isinstance(x, np.ndarray) and not x.dtype.hasobject:
+        return ("array", x.shape, x.dtype.str, x.tobytes())
+    return None
+
+
 def _bound_inputs(E: QuantumOperation, rho, sigma):
+    """(d_in, out_r, out_s, p_r, p_s) of a certified maximizer E for the
+    pair, with read-only outputs.
+
+    Both bound reports on one pair ask for these in a row, so the previous
+    evaluation is reused when E's Kraus operators, rho, sigma and the
+    default tolerance have the same bits.
+    """
+    global _last_bound
+    r_bits, s_bits = _operand_bits(rho), _operand_bits(sigma)
+    if r_bits is None or s_bits is None:
+        return _fresh_bound_inputs(E, rho, sigma)
+    key = (
+        tuple((e.shape, e.dtype.str, e.tobytes()) for e in E.kraus),
+        r_bits,
+        s_bits,
+        default_tol(),
+    )
+    last_key, inputs = _last_bound
+    if key != last_key:
+        inputs = _fresh_bound_inputs(E, rho, sigma)
+        _last_bound = (key, inputs)
+    return inputs
+
+
+def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):
     """Certify E as a maximizer for the pair, then evaluate each output and
-    each occurrence probability once: (d_in, out_r, out_s, p_r, p_s)."""
+    each occurrence probability once."""
     cert = certify_maximizer(E, rho, sigma)
     if cert.mode is MaximizerMode.NOT_MAXIMIZER:
         raise ValidationError(
@@ -305,6 +351,8 @@ def _bound_inputs(E: QuantumOperation, rho, sigma):
             f"residuals {cert.diagnostics}"
         )
     out_r, out_s = apply(E, rho), apply(E, sigma)
+    out_r.flags.writeable = False
+    out_s.flags.writeable = False
     p_r, p_s = occurrence_probability(E, rho), occurrence_probability(E, sigma)
     return trace_distance(rho, sigma), out_r, out_s, p_r, p_s
 

@@ -1,10 +1,15 @@
 """Tests for the command-line interface: outputs, files, exit codes."""
 
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from qopdist.channels import QuantumOperation
+from qopdist import cli
 from qopdist.cli import main
+from qopdist.errors import NumericalError
 from qopdist.matrixio import load_kraus_set, load_state, save_kraus_set, save_state
 from qopdist.maximizers import MaximizerMode, certify_maximizer
 from qopdist.metrics import trace_distance
@@ -220,6 +225,77 @@ UNWRITABLE_OUTPUTS = {
 def test_unwritable_output_exit_2(files, capsys, name):
     assert main(UNWRITABLE_OUTPUTS[name](files)) == 2
     assert capsys.readouterr().err.startswith("error: cannot ")
+
+
+def _no_suites(*args):
+    raise AssertionError("a suite ran")
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_report_fails_before_the_suites(files, capsys, monkeypatch, target):
+    monkeypatch.setattr(cli, "run_suite", _no_suites)
+    path = files / "no" / "r.jsonl" if target == "missing-directory" else files
+    assert main(["verify", "lemma2", "--cases", "1", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert not (files / "no").exists()
+
+
+def test_existing_report_untouched_when_a_suite_raises(files, monkeypatch):
+    report = files / "r.jsonl"
+    report.write_bytes(b"an earlier report\n")
+    before = report.stat().st_mtime_ns
+
+    def failing_suite(*args):
+        raise NumericalError("non-finite check")
+
+    monkeypatch.setattr(cli, "run_suite", failing_suite)
+    assert main(["verify", "lemma2", "--cases", "1", "--report", str(report)]) == 1
+    assert report.read_bytes() == b"an earlier report\n"
+    assert report.stat().st_mtime_ns == before
+
+
+def test_report_through_a_dangling_symlink(files):
+    """The probe leaves a dangling link alone; the report creates its target."""
+    link = files / "link.jsonl"
+    link.symlink_to(files / "target.jsonl")
+    assert main(["verify", "lemma2", "--cases", "1", "--report", str(link)]) == 0
+    assert link.is_symlink()
+    assert [r.suite_name for r in parse_report(files / "target.jsonl")] == ["lemma2"]
+
+
+def test_report_through_a_named_pipe(files, monkeypatch):
+    """A reader of a named pipe gets the whole report.  The probe leaves the
+    pipe alone: opening and closing it would end the reader before the
+    suites ran, and the report's own open would then wait for a reader
+    that is gone."""
+    fifo = files / "r.fifo"
+    os.mkfifo(fifo)
+    got, codes = [], []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    run_suite = cli.run_suite
+
+    def after_an_ended_reader(*args):
+        reader.join(timeout=0.5)  # a reader the probe ended has left by now
+        return run_suite(*args)
+
+    monkeypatch.setattr(cli, "run_suite", after_an_ended_reader)
+    cmd = ["verify", "lemma2", "--cases", "1", "--report", str(fifo)]
+    writer = threading.Thread(target=lambda: codes.append(main(cmd)), daemon=True)
+    writer.start()
+    writer.join(timeout=60)
+    hung = writer.is_alive()
+    if hung:  # a reader that cannot block lets a waiting open go through
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        writer.join()
+        os.close(fd)
+    reader.join()
+    assert not hung
+    assert codes == [0]
+    (files / "copy.jsonl").write_bytes(got[0])
+    assert [r.suite_name for r in parse_report(files / "copy.jsonl")] == ["lemma2"]
 
 
 def test_verify_unknown_suite_exit_2(files):

@@ -25,7 +25,7 @@ from qopdist.maximizers import (
     theorem3_report,
     theorem4_report,
 )
-from qopdist.linalg import spectral_split
+from qopdist.linalg import as_hermitian, spectral_split
 from qopdist.metrics import trace_distance
 from qopdist.states import DensityMatrix, random_density
 
@@ -473,3 +473,122 @@ def test_reused_split_is_read_only_and_public_split_writable():
     for field in vars(public):
         assert not getattr(memo, field).flags.writeable
         assert getattr(public, field).flags.writeable
+
+
+def test_stored_distance_is_the_cut_of_the_split():
+    """The memo keeps the coincide-cut distance with the split: the float
+    0.5 * (sum q_vals + sum r_vals) of that split."""
+    rho, sig = _random_pair(64)
+    split = maximizers._distinct_split(rho, sig, None)
+    stored, distance = maximizers._last_split[1]
+    assert stored is split
+    assert distance == 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
+
+
+@pytest.fixture
+def bound_evals(monkeypatch):
+    """The (E, rho, sigma) of each fresh bound-input evaluation, starting
+    from an empty memo."""
+    calls = []
+    fresh = maximizers._fresh_bound_inputs
+
+    def spy(E, rho, sigma):
+        calls.append((E, rho, sigma))
+        return fresh(E, rho, sigma)
+
+    monkeypatch.setattr(maximizers, "_last_bound", (None, None))
+    monkeypatch.setattr(maximizers, "_fresh_bound_inputs", spy)
+    return calls
+
+
+def _matched_pair(seed, d_target=0.4):
+    """An ON_Q maximizer of a random pair and a matched pair for it."""
+    op = build_maximizing_operation(*_random_pair(seed), 2, MaximizerMode.ON_Q)
+    return (op, *build_state_pair(op, d_target))
+
+
+def test_one_bound_evaluation_per_pair(bound_evals):
+    op, rho, sig = _matched_pair(70)
+    assert theorem3_report(op, rho, sig).holds
+    assert theorem4_report(op, rho, sig).holds
+    assert theorem3_report(op, rho, sig).holds
+    assert len(bound_evals) == 1
+
+
+def _nudged(m, i, j):
+    out = np.array(m)
+    out[i, j] = np.nextafter(out[i, j].real, 1.0) + 1j * out[i, j].imag
+    return out
+
+
+def test_one_ulp_change_gives_a_fresh_bound_evaluation(bound_evals):
+    op, rho, sig = _matched_pair(71)
+    theorem4_report(op, rho, sig)
+    kraus = list(op.kraus)
+    kraus[0] = _nudged(kraus[0], 0, 0)
+    for args in (
+        (op, DensityMatrix(_nudged(rho.mat, 0, 0)), sig),
+        (op, rho, DensityMatrix(_nudged(sig.mat, 1, 1))),
+        (QuantumOperation(kraus), rho, sig),
+    ):
+        theorem4_report(*args)
+        theorem4_report(*args)
+    assert len(bound_evals) == 4
+
+
+def test_reused_bound_inputs_give_the_bits_of_fresh_ones(monkeypatch, bound_evals):
+    op, rho, sig = _matched_pair(72)
+
+    def reports(forget):
+        out = []
+        for report in (theorem3_report, theorem4_report, theorem3_report):
+            forget()
+            out.append(repr(report(op, rho, sig)))
+        return out
+
+    reused = reports(lambda: None)
+    recomputed = reports(lambda: monkeypatch.setattr(maximizers, "_last_bound", (None, None)))
+    assert len(bound_evals) == 4
+    assert reused == recomputed
+
+
+def test_raised_default_tol_reaches_a_reused_pair(monkeypatch, bound_evals):
+    """The default tolerance is part of the key: raised above the pair's
+    distance between two calls, the second call finds the pair coinciding."""
+    monkeypatch.delenv("QOPDIST_DEFAULT_TOL", raising=False)
+    op, rho, sig = _matched_pair(73)
+    theorem3_report(op, rho, sig)
+    monkeypatch.setenv("QOPDIST_DEFAULT_TOL", "0.5")
+    with pytest.raises(DegenerateInputError):
+        theorem4_report(op, rho, sig)
+    assert len(bound_evals) == 2
+
+
+def test_reused_bound_outputs_are_read_only(bound_evals):
+    op, rho, sig = _matched_pair(74)
+    first = maximizers._bound_inputs(op, rho, sig)
+    again = maximizers._bound_inputs(op, rho, sig)
+    assert again is first and len(bound_evals) == 1
+    assert not first[1].flags.writeable and not first[2].flags.writeable
+
+
+def test_raw_and_symmetrized_operands_do_not_share_an_entry(bound_evals):
+    """A raw matrix Hermitian only within tolerance is keyed by its own
+    bits, not by the symmetrized copy the certificate works on."""
+    op, rho, sig = _matched_pair(75)
+    raw = rho.mat.copy()
+    raw[0, 1] += 1e-13
+    hermitian = as_hermitian(raw)
+    assert not np.array_equal(raw, hermitian)
+    theorem4_report(op, raw, sig)
+    theorem4_report(op, hermitian, sig)
+    theorem4_report(op, raw, sig)
+    assert len(bound_evals) == 3
+
+
+def test_operands_that_are_not_arrays_are_not_reused(bound_evals):
+    op, rho, sig = _matched_pair(76)
+    as_lists = (op, rho.mat.tolist(), sig.mat.tolist())
+    assert repr(theorem4_report(*as_lists)) == repr(theorem4_report(op, rho, sig))
+    theorem4_report(*as_lists)
+    assert len(bound_evals) == 3
