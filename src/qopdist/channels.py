@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_BOUND, TOL_PROB, checked_index, checked_indices, resolve_tol
+from .config import TOL_PROB, checked_index, checked_indices, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -232,20 +232,18 @@ def max_e_distance_over_states(E: QuantumOperation) -> ExtremalPair:
 
 @dataclass(frozen=True)
 class ContractivityReport:
-    """Trace-preserving operations never increase trace distance."""
+    """D(in) and D(out) of a pair; trace-preserving operations never increase D."""
 
     d_in: float
     d_out: float
-    holds: bool
 
 
 def contractivity_check(E: QuantumOperation, rho, sigma) -> ContractivityReport:
-    """Check D(out) <= D(in) + TOL_BOUND for a trace-preserving operation."""
+    """D(in) and D(out) of a pair under a trace-preserving operation."""
     if not is_trace_preserving(E):
         raise ValidationError("contractivity_check needs a trace-preserving operation")
     d_in = trace_distance(_input_matrix(E, rho), _input_matrix(E, sigma))
-    d_out = trace_distance(apply(E, rho), apply(E, sigma))
-    return ContractivityReport(d_in=d_in, d_out=d_out, holds=d_out <= d_in + TOL_BOUND)
+    return ContractivityReport(d_in=d_in, d_out=trace_distance(apply(E, rho), apply(E, sigma)))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ TOL_ORTHO = 1e-10
 TOL_PROB = 1e-12
 # T eigenvalues within this of 1 (of 0) are unit (zero): the maximizer shape.
 TOL_UNIT_ZERO = 1e-8
-# Slack of the bound reports: Fuchs-van de Graaf, Theorems 3 and 4, contractivity.
+# Cut of the library's own verdicts: BoundReport.holds (Theorems 3 and 4) and
+# DominanceResult.dominance_holds and .moments_ok.  Suites judge with their slack.
 TOL_BOUND = 1e-9
 
 

@@ -317,8 +317,8 @@ def _operand_bits(x):
 
 
 def _bound_inputs(E: QuantumOperation, rho, sigma):
-    """(d_in, out_r, out_s, p_r, p_s) of a certified maximizer E for the
-    pair, with read-only outputs.
+    """(d_in, out_r, out_s, d_sub, p_r, p_s) of a certified maximizer E for
+    the pair, with read-only outputs and d_sub = D(out_r, out_s).
 
     Both bound reports on one pair ask for these in a row, so the previous
     evaluation is reused when E's Kraus operators, rho, sigma and the
@@ -342,8 +342,8 @@ def _bound_inputs(E: QuantumOperation, rho, sigma):
 
 
 def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):
-    """Certify E as a maximizer for the pair, then evaluate each output and
-    each occurrence probability once."""
+    """Certify E as a maximizer for the pair, then evaluate each output, the
+    distance between them and each occurrence probability once."""
     cert = certify_maximizer(E, rho, sigma)
     if cert.mode is MaximizerMode.NOT_MAXIMIZER:
         raise ValidationError(
@@ -354,13 +354,13 @@ def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):
     out_r.flags.writeable = False
     out_s.flags.writeable = False
     p_r, p_s = occurrence_probability(E, rho), occurrence_probability(E, sigma)
-    return trace_distance(rho, sigma), out_r, out_s, p_r, p_s
+    return trace_distance(rho, sigma), out_r, out_s, trace_distance(out_r, out_s), p_r, p_s
 
 
 def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Normalized outputs: D(rho', sigma') <= D(rho, sigma) / p_m, and the
     relative increase stays below 1 - p_m, both up to TOL_BOUND."""
-    d_in, out_r, out_s, p_r, p_s = _bound_inputs(E, rho, sigma)
+    d_in, out_r, out_s, d_sub, p_r, p_s = _bound_inputs(E, rho, sigma)
     if min(p_r, p_s) <= TOL_PROB:
         raise ZeroProbabilityError(f"occurrence probabilities ({p_r:.3e}, {p_s:.3e}) too small")
     d_out = trace_distance(out_r / p_r, out_s / p_s)
@@ -374,7 +374,7 @@ def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     return BoundReport(
         d_in=d_in,
         d_out_normalized=d_out,
-        d_out_subnormalized=trace_distance(out_r, out_s),
+        d_out_subnormalized=d_sub,
         p_m=p_m,
         p_n=p_n,
         bound=bound,
@@ -386,8 +386,7 @@ def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
 def theorem4_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Subnormalized outputs under the Hermitian-operator metric:
     D(E(rho), E(sigma)) <= D(rho, sigma) / 2 + TOL_BOUND."""
-    d_in, out_r, out_s, p_r, p_s = _bound_inputs(E, rho, sigma)
-    d_sub = trace_distance(out_r, out_s)
+    d_in, _, _, d_sub, p_r, p_s = _bound_inputs(E, rho, sigma)
     bound = 0.5 * d_in
     return BoundReport(
         d_in=d_in,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .config import TOL_BOUND
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import psd_sqrt
 from .states import as_state, state_matrix
@@ -135,26 +134,16 @@ def max_qubit_gap() -> QubitGapPoint:
 
 @dataclass(frozen=True)
 class FvdgReport:
-    """Fuchs-van de Graaf check: 1 - F <= D <= sqrt(1 - F^2), per pair."""
+    """Fuchs-van de Graaf sides, per pair: 1 - F <= D <= sqrt(1 - F^2)."""
 
     trace_dist: float | np.ndarray
     fid: float | np.ndarray
     sine_dist: float | np.ndarray
-    lower_ok: bool | np.ndarray
-    upper_ok: bool | np.ndarray
 
 
 def check_fvdg_bounds(rho, sigma) -> FvdgReport:
-    """Evaluate both bounds, each up to TOL_BOUND, on a state pair or on
-    each pair of two stacks (n, d, d), from one fidelity evaluation."""
+    """D, F and sqrt(1 - F^2) of a state pair, or of each pair of two
+    stacks (n, d, d), from one fidelity evaluation."""
     r, s = as_state(rho), as_state(sigma)
-    d = trace_distance(r, s)
     f = fidelity(r, s)
-    c = _sine(f)
-    return FvdgReport(
-        trace_dist=d,
-        fid=f,
-        sine_dist=c,
-        lower_ok=(1.0 - f) <= d + TOL_BOUND,
-        upper_ok=d <= c + TOL_BOUND,
-    )
+    return FvdgReport(trace_dist=trace_distance(r, s), fid=f, sine_dist=_sine(f))

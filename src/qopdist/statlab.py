@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import QuantumOperation, apply
-from .config import checked_index, resolve_tol
+from .config import TOL_BOUND, checked_index
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
@@ -291,16 +291,15 @@ class MomentCheck:
     empirical_moment: float
     bound: float
     stderr: float
-    holds: bool
 
 
 def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
-    """Compare the n-th empirical moment against its dominating-density value.
+    """The n-th empirical moment, its standard error and its dominating-
+    density value, for a caller to compare.
 
     Flat density on [0,1] gives 1/(n+1); the wedge density 2-2x gives
-    2/(n^2+3n+2).  The check allows three standard errors of slack.  The
-    order n must be an integer >= 1; the samples must form a nonempty 1-D
-    numeric array within [0, 1].
+    2/(n^2+3n+2).  The order n must be an integer >= 1; the samples must
+    form a nonempty 1-D numeric array within [0, 1].
     """
     n = checked_index("moment order", n, 1)
     x = _samples(samples, "moment_check")
@@ -313,9 +312,8 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
     else:
         raise ValidationError(f"unknown bound_kind {bound_kind!r}")
     powers = x**n
-    m = float(powers.mean())
     sem = float(powers.std(ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
-    return MomentCheck(empirical_moment=m, bound=bound, stderr=sem, holds=m <= bound + 3.0 * sem)
+    return MomentCheck(empirical_moment=float(powers.mean()), bound=bound, stderr=sem)
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -361,58 +359,67 @@ class DominanceResult:
     moments_ok: bool
     worst_gap: float
 
-    def __bool__(self):
-        return self.dominance_holds and self.moments_ok
+
+def _cdf_arrays(grid, cdf) -> tuple:
+    """(grid, cdf) as float arrays after the checks ``cdf_moment`` names."""
+    g, f = _floats(grid, "grid points"), _floats(cdf, "CDF values")
+    if not (np.isfinite(g).all() and np.isfinite(f).all()):
+        raise ValidationError("grid and CDF values must be finite")
+    if g.ndim != 1 or g.size < 2:
+        raise ValidationError(f"grid must be 1-D with at least two points, got shape {g.shape}")
+    if f.shape != g.shape:
+        raise ValidationError(f"CDF shape {f.shape} does not match grid shape {g.shape}")
+    if not (np.diff(g) > 0.0).all():
+        raise ValidationError("grid must be strictly increasing")
+    return g, f
 
 
-def cdf_moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
+def _moment(grid: np.ndarray, cdf: np.ndarray, n: int) -> float:
+    return float(grid[-1] ** n - n * np.trapezoid(grid ** (n - 1) * cdf, grid))
+
+
+def cdf_moment(grid, cdf, n: int) -> float:
     """n-th moment E[X^n] of a nonnegative variable from its CDF.
 
     ``cdf`` holds F at the points of ``grid``, which starts at 0 (or where
     F is still 0) and ends at R with F(R) = 1.  Integration by parts gives
     E[X^n] = R^n - n * integral of x^(n-1) F(x) dx over [0, R], evaluated
-    with the trapezoid rule on the grid.  n must be an integer >= 1.
+    with the trapezoid rule on the grid.  n must be an integer >= 1; grid
+    and CDF must be finite 1-D arrays of one shape, with at least two grid
+    points in strictly increasing order, else ValidationError.
     """
     n = checked_index("moment order", n, 1)
-    r = grid[-1]
-    return float(r**n - n * np.trapezoid(grid ** (n - 1) * cdf, grid))
+    return _moment(*_cdf_arrays(grid, cdf), n)
 
 
-def dominance_implies_moments(cdf_g, cdf_h, orders, tol: float = 1e-9) -> DominanceResult:
+def dominance_implies_moments(cdf_g, cdf_h, orders) -> DominanceResult:
     """Check CDF dominance G >= H pointwise, then the implied reversed
-    ordering of moments E_G[X^n] <= E_H[X^n] for each requested order.
+    ordering of moments E_G[X^n] <= E_H[X^n] for each requested order,
+    both up to TOL_BOUND.
 
     Each CDF is a (grid, values) pair on a shared grid ending where both
-    reach 1.  Moments come from integrating the CDFs, so the ordering is
-    inherited from dominance exactly up to quadrature arithmetic.  Each
-    order must be an integer >= 1.
+    reach 1, checked once as for ``cdf_moment``.  Moments come from
+    integrating the CDFs, so the ordering is inherited from dominance
+    exactly up to quadrature arithmetic.  Each order must be an integer >= 1.
     """
-    tol = resolve_tol(tol)
-    grid_g, fg = (np.asarray(a, dtype=float) for a in cdf_g)
-    grid_h, fh = (np.asarray(a, dtype=float) for a in cdf_h)
-    if not all(np.isfinite(a).all() for a in (grid_g, fg, grid_h, fh)):
-        raise ValidationError("grid and CDF values must be finite")
+    grid_g, fg = _cdf_arrays(*cdf_g)
+    grid_h, fh = _cdf_arrays(*cdf_h)
     if grid_g.shape != grid_h.shape or not np.all(np.abs(grid_g - grid_h) <= 1e-12):
         raise ValidationError("CDFs must share one grid")
-    if grid_g.size < 2:
-        raise ValidationError("grid needs at least two points")
     for name, f in (("first", fg), ("second", fh)):
-        if f.shape != grid_g.shape:
-            raise ValidationError(f"{name} CDF length does not match grid")
         if abs(f[-1] - 1.0) > 1e-9:
             raise ValidationError(f"{name} CDF does not reach 1 at the grid end")
     gaps = fg - fh
-    dominance = bool(np.all(gaps >= -tol))
+    dominance = bool(np.all(gaps >= -TOL_BOUND))
     orders = tuple(checked_index("moment order", n, 1) for n in orders)
-    mg = tuple(cdf_moment(grid_g, fg, n) for n in orders)
-    mh = tuple(cdf_moment(grid_h, fh, n) for n in orders)
-    moments_ok = dominance and all(a <= b + tol for a, b in zip(mg, mh))
+    mg = tuple(_moment(grid_g, fg, n) for n in orders)
+    mh = tuple(_moment(grid_h, fh, n) for n in orders)
     return DominanceResult(
         dominance_holds=dominance,
         orders=orders,
         moments_g=mg,
         moments_h=mh,
-        moments_ok=moments_ok,
+        moments_ok=dominance and all(a <= b + TOL_BOUND for a, b in zip(mg, mh)),
         worst_gap=float(gaps.min()),
     )
 
@@ -422,30 +429,29 @@ class MeanOutputBound:
     mean_d_in: float
     mean_d_out_sub: float
     stderr: float
-    holds: bool
 
 
 def mean_output_distance_bound(records) -> MeanOutputBound:
-    """Mean subnormalized output distance against its 1/6 ceiling (the mean
+    """Mean input and subnormalized output distances and the output mean's
+    standard error, for a caller to compare with the 1/6 ceiling (the mean
     input distance over the uniform triangle is 1/3, and outputs sit at
     half of inputs or less).
 
-    ``records`` is a TrialColumns or an iterable of TrialRecord.
+    ``records`` is a TrialColumns or an iterable of TrialRecord; anything
+    else raises ValidationError.
     """
     if isinstance(records, TrialColumns):
         d_in, d_sub = records.d_in, records.d_out_subnormalized
     else:
-        records = list(records)
-        d_in, d_sub = (
-            np.fromiter(map(attrgetter(name), records), float)
-            for name in ("d_in", "d_out_subnormalized")
-        )
+        try:
+            records = list(records)
+            d_in, d_sub = (
+                np.fromiter(map(attrgetter(name), records), float)
+                for name in ("d_in", "d_out_subnormalized")
+            )
+        except (AttributeError, TypeError) as exc:
+            raise ValidationError(f"records must be a TrialColumns or TrialRecords: {exc}") from None
     if d_in.size == 0:
         raise ValidationError("need at least one trial record")
     sem = float(d_sub.std(ddof=1) / np.sqrt(d_sub.size)) if d_sub.size > 1 else 0.0
-    return MeanOutputBound(
-        mean_d_in=float(d_in.mean()),
-        mean_d_out_sub=float(d_sub.mean()),
-        stderr=sem,
-        holds=float(d_sub.mean()) <= 1.0 / 6.0 + 3.0 * sem,
-    )
+    return MeanOutputBound(mean_d_in=float(d_in.mean()), mean_d_out_sub=float(d_sub.mean()), stderr=sem)

@@ -447,7 +447,7 @@ def run_lemma2(rng, n_cases, slack):
         ):
             details.append(_detail(label, {"residual": (abs(m - target), 1e-3)}, value=float(m)))
     for label, cdf in (("wedge-dominates-uniform", cdf_wedge), ("equal-cdfs-equal-moments", cdf_uniform)):
-        dom = dominance_implies_moments((grid, cdf), (grid, cdf_uniform), range(1, 6), tol=slack)
+        dom = dominance_implies_moments((grid, cdf), (grid, cdf_uniform), range(1, 6))
         moment_excess = max(a - b for a, b in zip(dom.moments_g, dom.moments_h))
         details.append(
             _detail(label, {"cdf_deficit": (-dom.worst_gap, slack), "moment_excess": (moment_excess, slack)})

@@ -218,19 +218,6 @@ def test_slack_reaches_trial_bounds(monkeypatch, run, checks):
             assert d["violations"] == share[d["case"][:4]]
 
 
-def test_slack_reaches_lemma2_dominance(monkeypatch):
-    seen = []
-    real = suites.dominance_implies_moments
-
-    def spy(cdf_g, cdf_h, orders, tol=1e-9):
-        seen.append(tol)
-        return real(cdf_g, cdf_h, orders, tol=tol)
-
-    monkeypatch.setattr(suites, "dominance_implies_moments", spy)
-    assert suites.run_lemma2(0, 1000, slack=3e-7).n_failures == 0
-    assert seen == [3e-7, 3e-7]
-
-
 # -- the stacked oracles against the public scalar path -------------------------
 
 SEEDS = st.integers(0, 2**32 - 1)

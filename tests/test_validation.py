@@ -43,8 +43,11 @@ from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, t
 from qopdist.states import DensityMatrix, random_density, validate_state
 from qopdist.statlab import (
     BoundKind,
+    TrialRecord,
+    TrianglePoint,
     cdf_moment,
     dominance_implies_moments,
+    mean_output_distance_bound,
     moment_check,
     run_trials,
     sample_triangle_batch,
@@ -427,9 +430,6 @@ TOL_TAKERS = {
     "run_thm3": lambda tol: run_thm3(0, 1, slack=tol),
     "run_suite": lambda tol: run_suite("thm3", 0, 1, slack=tol),
     "run_all": lambda tol: run_all(0, 1, slack=tol),
-    "dominance_implies_moments": lambda tol: dominance_implies_moments(
-        (np.linspace(0, 1, 3),) * 2, (np.linspace(0, 1, 3),) * 2, [1], tol=tol
-    ),
 }
 
 
@@ -465,6 +465,25 @@ def test_every_public_tolerance_is_checked():
     public = _public_api()
     takers = {name for name, obj in public.items() if _tolerance_parameters(obj)}
     assert takers == set(TOL_TAKERS) & set(public)
+
+
+# The verdicts the library still makes, each at the fixed cut TOL_BOUND.
+KEPT_VERDICTS = {("BoundReport", "holds"), ("DominanceResult", "dominance_holds"), ("DominanceResult", "moments_ok")}
+
+
+def test_only_the_kept_verdicts_are_public():
+    """Public results carry quantities and bounds, which suites judge in
+    one place: no public dataclass has a bool field and no public class
+    defines __bool__, apart from the kept verdicts."""
+    verdicts = set()
+    for name, obj in _public_api().items():
+        if not inspect.isclass(obj):
+            continue
+        if dataclasses.is_dataclass(obj):
+            verdicts |= {(name, f.name) for f in dataclasses.fields(obj) if re.search(r"\bbool\b", str(f.type))}
+        if "__bool__" in vars(obj):
+            verdicts.add((name, "__bool__"))
+    assert verdicts == KEPT_VERDICTS
 
 
 # -- edge inputs ----------------------------------------------------------------
@@ -537,6 +556,27 @@ def test_non_finite_cdfs_rejected(name):
     NaN grids cannot pass as one shared grid with dominance holding."""
     with pytest.raises(ValidationError, match="must be finite"):
         dominance_implies_moments(*NON_FINITE_CDFS[name], [1])
+
+
+UNSORTED_GRID = np.array([0.0, 1.0, 0.5, 1.0])
+# test id: a call with a malformed grid, CDF or record set
+MALFORMED_INPUTS = {
+    "cdf_moment-empty": lambda: cdf_moment(np.array([]), np.array([]), 1),
+    "cdf_moment-one-point": lambda: cdf_moment(np.array([1.0]), np.array([1.0]), 1),
+    "cdf_moment-2-D": lambda: cdf_moment(np.eye(2), np.eye(2), 1),
+    "cdf_moment-shapes": lambda: cdf_moment(UNIT_GRID, np.array([0.0, 0.5, 1.0]), 1),
+    "cdf_moment-decreasing": lambda: cdf_moment(UNIT_GRID[::-1], UNIT_GRID, 1),
+    "cdf_moment-non-numeric": lambda: cdf_moment(["a", "b"], UNIT_GRID, 1),
+    "dominance-unsorted-grid": lambda: dominance_implies_moments((UNSORTED_GRID,) * 2, (UNSORTED_GRID,) * 2, [1]),
+    "records-of-ints": lambda: mean_output_distance_bound([1, 2]),
+    "one-record": lambda: mean_output_distance_bound(TrialRecord(TrianglePoint(0.8, 0.2), 0.6, 0.5, 0.3, None)),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_cdfs_and_records_rejected(name):
+    with pytest.raises(ValidationError):
+        MALFORMED_INPUTS[name]()
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
