@@ -16,6 +16,11 @@ trial output then moves by at most d sum_j |w_j| times that bound.
 Otherwise, as for operations whose outputs do not commute or whose shared
 basis eigh does not resolve to that bound, the kernel runs one batched
 ``eigvalsh`` per output kind and chunk of trials.
+
+The shared-basis test depends only on the A_j, and a Monte Carlo study
+calls ``trial_stats`` many times with one operation's A_j, so the result of
+the last test (the spectra, or None for the ``eigvalsh`` path) is kept,
+keyed by the exact bits of the A_j stack: a repeated call runs no ``eigh``.
 """
 
 from __future__ import annotations
@@ -27,6 +32,11 @@ _EPS = np.finfo(np.float64).eps
 # Trials per batched eigvalsh call in trial_stats; bounds the (chunk, d, d)
 # temporaries for large trial counts.
 _CHUNK = 32768
+
+# (key, spectra) of the last _shared_spectra evaluation in trial_stats.  The
+# key is the exact bits of op_mats, so a hit returns what a fresh
+# evaluation would, None included.  The tuple is replaced whole.
+_last_spectra: tuple = (None, None)
 
 
 def kernel_backend() -> str:
@@ -84,7 +94,9 @@ def _shared_spectra(op_mats):
     dj = u.conj().T @ op_mats @ u
     if not np.abs(dj[:, ~np.eye(d, dtype=bool)]).max(initial=0.0) <= tol:
         return None
-    return np.diagonal(dj, axis1=1, axis2=2).real
+    lam = np.diagonal(dj, axis1=1, axis2=2).real.copy()
+    lam.flags.writeable = False
+    return lam
 
 
 def trial_stats(op_mats, w_rho, w_sig, pm, pn):
@@ -96,17 +108,25 @@ def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     subnormalized-output distance.  Commuting ``op_mats`` take one shared
     eigenbasis for the whole batch (see the module docstring); otherwise
     every trial's two output matrices are built and passed to
-    ``eigvalsh``, ``_CHUNK`` trials at a time.
+    ``eigvalsh``, ``_CHUNK`` trials at a time.  The shared-basis test of
+    the last ``op_mats`` is kept, so repeated calls with the same bits
+    (as repeated ``run_trials`` calls on one operation make) run it once.
     """
+    global _last_spectra
     op_mats = np.ascontiguousarray(op_mats, dtype=np.complex128)
     w_rho = np.ascontiguousarray(w_rho, dtype=np.float64)
     w_sig = np.ascontiguousarray(w_sig, dtype=np.float64)
     pm = np.ascontiguousarray(pm, dtype=np.float64)
     pn = np.ascontiguousarray(pn, dtype=np.float64)
-    d_in = 0.5 * np.abs(w_rho - w_sig).sum(axis=1)
-    lam = _shared_spectra(op_mats)
+    dw = w_rho - w_sig
+    d_in = 0.5 * np.abs(dw).sum(axis=1)
+    key = (op_mats.shape, op_mats.tobytes())
+    last_key, lam = _last_spectra
+    if key != last_key:
+        lam = _shared_spectra(op_mats)
+        _last_spectra = (key, lam)
     if lam is not None:
-        d_sub = 0.5 * np.abs((w_rho - w_sig) @ lam).sum(axis=1)
+        d_sub = 0.5 * np.abs(dw @ lam).sum(axis=1)
         d_norm = 0.5 * np.abs((w_rho / pm[:, None] - w_sig / pn[:, None]) @ lam).sum(axis=1)
         return d_in, d_norm, d_sub
     n = w_rho.shape[0]
@@ -116,9 +136,8 @@ def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     d_sub = np.empty(n)
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        dw = w_rho[lo:hi] - w_sig[lo:hi]
         wn = w_rho[lo:hi] / pm[lo:hi, None] - w_sig[lo:hi] / pn[lo:hi, None]
-        m_sub = (dw @ flat).reshape(-1, d, d)
+        m_sub = (dw[lo:hi] @ flat).reshape(-1, d, d)
         m_norm = (wn @ flat).reshape(-1, d, d)
         d_sub[lo:hi] = 0.5 * np.abs(np.linalg.eigvalsh(m_sub)).sum(axis=1)
         d_norm[lo:hi] = 0.5 * np.abs(np.linalg.eigvalsh(m_norm)).sum(axis=1)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from qopdist import _kernels, statlab
+
 LAPACK = ("eigvalsh", "eigh", "svd", "qr")
 
 
@@ -20,3 +22,15 @@ def lapack_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+@pytest.fixture
+def forget_trial_setups(monkeypatch):
+    """A function that empties the run_trials setup memo and the trial
+    kernel's shared-spectra memo, so that the next call sets up afresh."""
+
+    def forget():
+        monkeypatch.setattr(statlab, "_last_setup", (None, None))
+        monkeypatch.setattr(_kernels, "_last_spectra", (None, None))
+
+    return forget

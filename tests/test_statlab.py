@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qopdist import statlab
+from qopdist import _kernels, statlab
 from qopdist.channels import QuantumOperation
-from qopdist.errors import ValidationError
+from qopdist.errors import NotMaximizingShapeError, ValidationError
 from qopdist.statlab import (
     BoundKind,
     TrialColumns,
@@ -81,6 +81,44 @@ def test_sample_triangle_in_region():
     assert pm.tolist() == [0.75, 0.7, 0.6, 0.9]
     assert pn.tolist() == [0.25, 0.1, 0.2, 0.2]
     assert rng.blocks == []
+
+
+def test_sample_triangle_redraws_a_zero_smaller_value():
+    """A pair whose smaller value is exactly 0 is drawn again, as a tied
+    pair is, so every p_n is positive; other pairs keep their first draw."""
+    rng = _TiedDraws([[0.0, 0.5], [0.3, 0.0], [0.2, 0.6]], [[0.4, 0.1], [0.7, 0.9]])
+    pm, pn = sample_triangle_batch(rng, 3)
+    assert pm.tolist() == [0.4, 0.9, 0.6]
+    assert pn.tolist() == [0.1, 0.7, 0.2]
+    assert rng.blocks == []
+
+
+class _ZeroFirstDraw:
+    """A seeded generator whose first ``random`` block starts with the row
+    (0.0, 0.5), a pair whose smaller value is exactly 0."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def random(self, shape):
+        block = self.rng.random(shape)
+        if self.first:
+            block[0] = (0.0, 0.5)
+            self.first = False
+        return block
+
+    def dirichlet(self, alpha, size):
+        return self.rng.dirichlet(alpha, size=size)
+
+
+def test_run_trials_survives_a_zero_draw():
+    """A zero smaller value in the first draw is drawn again instead of
+    reaching the kernel as p_n = 0, where it divided by zero and failed
+    the output-distance range check."""
+    trials = run_trials(_maximizer_shaped(5, 2, 2), 50, _ZeroFirstDraw(66))
+    assert len(trials) == 50
+    assert np.all(trials.p_n > 0.0) and trials.p_m[0] != 0.5
 
 
 def test_sample_triangle_batch():
@@ -557,6 +595,39 @@ def test_dominance_equal_cdfs():
         assert abs(mg - mh) < 1e-12
 
 
+# test id: (grid, CDF values, message) of a CDF that is not one
+NOT_A_CDF = {
+    "short-of-1": ([0.0, 1.0], [0.0, 0.5], "does not reach 1"),
+    "above-1": ([0.0, 0.5, 1.0], [0.0, 1.5, 1.0], r"values outside \[0, 1\]"),
+    "below-0": ([0.0, 0.5, 1.0], [-0.5, 0.5, 1.0], r"values outside \[0, 1\]"),
+    "decreasing": ([0.0, 0.5, 0.75, 1.0], [0.0, 0.6, 0.4, 1.0], "values decrease"),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_CDF)
+def test_cdf_moment_and_dominance_reject_a_non_cdf(name):
+    """CDF values outside [0, 1], decreasing or ending short of 1 (each by
+    more than 1e-9) raise in cdf_moment and in dominance_implies_moments,
+    whichever of the two CDFs carries them."""
+    grid, values, message = NOT_A_CDF[name]
+    with pytest.raises(ValidationError, match=message):
+        cdf_moment(grid, values, 1)
+    flat = (grid, np.minimum(np.asarray(grid) / grid[-1], 1.0))
+    with pytest.raises(ValidationError, match="first CDF " + message):
+        dominance_implies_moments((grid, values), flat, [1])
+    with pytest.raises(ValidationError, match="second CDF " + message):
+        dominance_implies_moments(flat, (grid, values), [1])
+
+
+def test_cdf_checks_allow_1e_9():
+    """Rounding within 1e-9 passes, and F need not be 0 at the grid start:
+    a variable that is 0 everywhere has F = 1 from the first point."""
+    assert cdf_moment([0.0, 1.0], [-5e-10, 1.0 + 5e-10], 1) == pytest.approx(0.5)
+    dip = cdf_moment([0.0, 0.5, 0.75, 1.0], [0.0, 0.6, 0.6 - 5e-10, 1.0], 1)
+    assert dip == pytest.approx(cdf_moment([0.0, 0.5, 0.75, 1.0], [0.0, 0.6, 0.6, 1.0], 1))
+    assert cdf_moment([0.0, 1.0], [1.0, 1.0], 2) == 0.0
+
+
 def test_dominance_grid_mismatch():
     g1 = np.linspace(0.0, 1.0, 11)
     g2 = np.linspace(0.0, 1.0, 21)
@@ -604,3 +675,115 @@ def test_run_trials_obey_theorems_3_and_4(shape, seed, n_trials):
     oracle = run_trials(op, n_trials, np.random.default_rng(seed), path="object")
     for name in DISTANCES:
         assert np.max(np.abs(getattr(trials, name) - getattr(oracle, name))) < 1e-12
+
+
+# -- setup memos ----------------------------------------------------------------
+
+
+def _non_commuting_op():
+    """Kraus operators |f_i><i| on C^4 for i = 0, 1 with two fixed,
+    non-orthogonal unit f_i in C^2: T = diag(1, 1, 0, 0), and the outputs
+    |f_i><f_i| do not commute, so the kernel takes its eigvalsh path."""
+    f = np.array([[1.0, 0.0], [0.6, 0.8j]])
+    eye4 = np.eye(4, dtype=complex)
+    return QuantumOperation([np.outer(f[i], eye4[:, i]) for i in range(2)])
+
+
+def _count_setups(monkeypatch):
+    """Counts of the matched_eigenspaces and apply calls run_trials makes."""
+    counts = collections.Counter()
+    for name in ("matched_eigenspaces", "apply"):
+        real = getattr(statlab, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(statlab, name, spy)
+    return counts
+
+
+def test_repeated_calls_set_up_once(monkeypatch, forget_trial_setups):
+    """Ten calls on one operation find its matched basis and apply it to
+    the basis projectors once; the object path reuses that setup too."""
+    forget_trial_setups()
+    counts = _count_setups(monkeypatch)
+    op = _maximizer_shaped(16, 8, 8)
+    for call in range(10):
+        run_trials(op, 20, np.random.default_rng(call))
+    assert counts == {"matched_eigenspaces": 1, "apply": 1}
+    run_trials(op, 3, np.random.default_rng(10), path="object")
+    assert counts == {"matched_eigenspaces": 1, "apply": 1 + 2 * 3}
+
+
+def test_alternating_operations_set_up_on_every_switch(monkeypatch, forget_trial_setups):
+    """One setup is kept: alternating two operations sets up each call, and
+    an equal operation built anew (same Kraus bits) reuses the setup."""
+    forget_trial_setups()
+    counts = _count_setups(monkeypatch)
+    ops = [_maximizer_shaped(5, 2, 2), _maximizer_shaped(2, 1, 1)]
+    for call in range(6):
+        run_trials(ops[call % 2], 20, np.random.default_rng(call))
+    assert counts["matched_eigenspaces"] == 6
+    run_trials(_maximizer_shaped(2, 1, 1), 20, np.random.default_rng(6))
+    assert counts["matched_eigenspaces"] == 6
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, None], ids=[*map(str, SHAPES), "non-commuting"])
+@pytest.mark.parametrize("path", ["auto", "object"])
+def test_reused_setups_give_bit_equal_columns(forget_trial_setups, lapack_calls, shape, path):
+    """Repeated calls, which reuse both setups, give columns bit-equal to
+    calls made with both memos emptied first; the non-commuting operation
+    is on the kernel's eigvalsh path."""
+    op = _non_commuting_op() if shape is None else _maximizer_shaped(*shape)
+    n = 300 if path == "auto" else 30
+
+    def columns(seed):
+        return [col.tobytes() for col in vars(run_trials(op, n, np.random.default_rng(seed), path=path)).values()]
+
+    fresh = []
+    for seed in (7, 11, 7):
+        forget_trial_setups()
+        fresh.append(columns(seed))
+    assert fresh[0] == fresh[2] != fresh[1]
+    del lapack_calls[:]
+    assert [columns(seed) for seed in (7, 11, 7)] == fresh
+    if path == "auto":
+        assert lapack_calls == ([] if shape else ["eigvalsh", "eigvalsh"] * 3)
+
+
+def test_a_one_ulp_change_sets_up_afresh(monkeypatch, forget_trial_setups):
+    """The setup key is the exact bits of the Kraus operators: moving one
+    entry by one ulp gives a fresh setup."""
+    forget_trial_setups()
+    counts = _count_setups(monkeypatch)
+    op = _maximizer_shaped(5, 2, 2)
+    nudged = [e.copy() for e in op.kraus]
+    nudged[1][1, 1] = np.nextafter(1.0, 0.0)
+    run_trials(op, 20, np.random.default_rng(1))
+    run_trials(QuantumOperation(nudged), 20, np.random.default_rng(1))
+    assert counts["matched_eigenspaces"] == 2
+
+
+def test_a_failed_setup_stores_nothing(forget_trial_setups):
+    """An operation without a kernel raises NotMaximizingShapeError in its
+    setup and leaves the previous operation's setup in place."""
+    forget_trial_setups()
+    op = _maximizer_shaped(2, 1, 1)
+    run_trials(op, 20, np.random.default_rng(1))
+    kept = statlab._last_setup
+    with pytest.raises(NotMaximizingShapeError):
+        run_trials(QuantumOperation([np.eye(2, dtype=complex)]), 20, np.random.default_rng(1))
+    assert statlab._last_setup is kept
+
+
+def test_kept_setup_arrays_are_read_only(forget_trial_setups):
+    """The kept basis, outputs and shared spectra cannot be written."""
+    forget_trial_setups()
+    run_trials(_maximizer_shaped(5, 2, 2), 20, np.random.default_rng(1))
+    basis, nq, nr, op_mats = statlab._last_setup[1]
+    lam = _kernels._last_spectra[1]
+    assert (nq, nr) == (2, 3) and basis.shape == (5, 5) and lam.shape == (5, 2)
+    for arr in (basis, op_mats, lam):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
