@@ -21,6 +21,11 @@ The shared-basis test depends only on the A_j, and a Monte Carlo study
 calls ``trial_stats`` many times with one operation's A_j, so the result of
 the last test (the spectra, or None for the ``eigvalsh`` path) is kept,
 keyed by the exact bits of the A_j stack: a repeated call runs no ``eigh``.
+Unlike ``run_trials``' setup, which is held on its operation
+(``channels.held``), this is a one-entry module memo: ``trial_stats`` is
+called with the A_j alone and gets no operation to hold the result on.
+Running the test on every call instead would cost about 80 us of a
+1.6 ms (16,8,8) ``run_trials(2000)`` call, about 5% (2 vCPU, numpy 2.4).
 """
 
 from __future__ import annotations

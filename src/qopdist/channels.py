@@ -37,12 +37,14 @@ __all__ = [
     "cloner_outputs",
     "contractivity_check",
     "e_distance",
+    "held",
     "is_trace_preserving",
     "max_e_distance_over_states",
     "normalize_output",
     "occurrence_probability",
     "random_operation",
     "random_operations",
+    "t_eigh",
     "t_operator",
 ]
 
@@ -54,10 +56,14 @@ class QuantumOperation:
 
     The sum T = sum E_mu^† E_mu is validated to satisfy 0 <= T <= 1
     (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
-    operation holds read-only copies of the given operators.
+    operation holds read-only copies of the given operators, and what
+    ``held`` derives from them on first use, for as long as it lives.
+    A copy or an unpickled operation is built again from the Kraus
+    operators, through the constructor's check at the default tolerance,
+    and starts with nothing derived.
     """
 
-    __slots__ = ("kraus", "dim_in", "dim_out", "t_op")
+    __slots__ = ("kraus", "dim_in", "dim_out", "t_op", "_held")
 
     def __init__(self, kraus, tol: float | None = None):
         tol = resolve_tol(tol)
@@ -84,6 +90,9 @@ class QuantumOperation:
     def __setattr__(self, name, value):
         raise AttributeError("QuantumOperation is immutable")
 
+    def __reduce__(self):
+        return QuantumOperation, (self.kraus,)
+
     def __repr__(self):
         return (
             f"QuantumOperation(n_kraus={len(self.kraus)}, "
@@ -108,6 +117,7 @@ def _fill(op: QuantumOperation, ops: tuple, t: np.ndarray) -> QuantumOperation:
     object.__setattr__(op, "dim_in", int(t.shape[0]))
     object.__setattr__(op, "dim_out", int(ops[0].shape[0]))
     object.__setattr__(op, "t_op", t)
+    object.__setattr__(op, "_held", {})
     return op
 
 
@@ -115,6 +125,36 @@ def _trusted_operation(ops: tuple, t: np.ndarray) -> QuantumOperation:
     """Wrap Kraus operators this module just built, with ``t = _t_sum(ops)``
     already known to lie between 0 and 1, without checking them again."""
     return _fill(object.__new__(QuantumOperation), ops, t)
+
+
+def held(E: QuantumOperation, build):
+    """``build(E)``, computed on the first call with this ``build`` and
+    held on E for as long as E lives.
+
+    ``build`` derives its result from E alone, which is immutable, so the
+    held result stays valid; its arrays are read-only, as every later call
+    hands out the same objects.  A ``build`` that raises stores nothing,
+    and the next call runs it again.  Two threads may both run ``build``;
+    their results are equal, and either one is kept.
+    """
+    store = E._held
+    if build not in store:
+        store[build] = build(E)
+    return store[build]
+
+
+def _t_eigh(E: QuantumOperation):
+    w, v = np.linalg.eigh(E.t_op)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+def t_eigh(E: QuantumOperation):
+    """``np.linalg.eigh`` of T: ascending eigenvalues w and eigenvectors as
+    the columns of v, computed once per operation and held on it
+    (``held``), both read-only."""
+    return held(E, _t_eigh)
 
 
 def _input_matrix(E: QuantumOperation, rho) -> np.ndarray:
@@ -217,7 +257,7 @@ def max_e_distance_over_states(E: QuantumOperation) -> ExtremalPair:
     normalized projectors onto the top and bottom eigenspaces (eigenvalues
     within _CLUSTER_TOL of the extremes).
     """
-    w, v = np.linalg.eigh(E.t_op)
+    w, v = t_eigh(E)
     theta_min, theta_max = float(w[0]), float(w[-1])
     top = w >= theta_max - _CLUSTER_TOL
     bot = w <= theta_min + _CLUSTER_TOL

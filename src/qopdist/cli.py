@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .channels import cloner_distance_factor, cloner_outputs, e_distance
+from .channels import cloner_distance_factor, cloner_outputs, e_distance, t_eigh
 from .config import checked_index, resolve_tol
 from .errors import (
     DegenerateInputError,
@@ -100,7 +100,7 @@ def cmd_pairs(args) -> int:
     try:
         unit, zero = matched_eigenspaces(op)
     except NotMaximizingShapeError as exc:
-        spectrum = np.linalg.eigvalsh(op.t_op)
+        spectrum, _ = t_eigh(op)
         print(f"error: {exc}", file=sys.stderr)
         print("T spectrum: " + " ".join(_fmt(w) for w in spectrum), file=sys.stderr)
         return 5

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumOperation, apply, occurrence_probability
+from .channels import QuantumOperation, apply, occurrence_probability, t_eigh
 from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, checked_index, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
@@ -216,12 +216,14 @@ def matched_eigenspaces(E: QuantumOperation):
     """Eigenvectors of T for eigenvalues within TOL_UNIT_ZERO of 1 and of 0,
     as the columns of (unit, zero); unit columns run from the largest
     eigenvalue down.  Matched state pairs live on these two eigenspaces.
+    Both are read-only views of the eigenvectors ``channels.t_eigh`` holds
+    on E, so only the first spectral use of an operation diagonalizes T.
 
     Raises NotMaximizingShapeError when either eigenspace is empty.
     """
-    w, v = np.linalg.eigh(E.t_op)
-    unit = v[:, w >= 1.0 - TOL_UNIT_ZERO][:, ::-1]
-    zero = v[:, w <= TOL_UNIT_ZERO]
+    w, v = t_eigh(E)  # ascending, so each eigenspace is a block of columns
+    unit = v[:, np.searchsorted(w, 1.0 - TOL_UNIT_ZERO) :][:, ::-1]
+    zero = v[:, : np.searchsorted(w, TOL_UNIT_ZERO, side="right")]
     if unit.shape[1] == 0 or zero.shape[1] == 0:
         raise NotMaximizingShapeError(
             f"T spectrum spans [{w[0]:.3e}, {w[-1]:.3e}] but a matched pair "

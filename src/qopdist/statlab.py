@@ -21,7 +21,7 @@ from operator import attrgetter
 import numpy as np
 
 from . import _kernels
-from .channels import QuantumOperation, apply
+from .channels import QuantumOperation, apply, held
 from .config import TOL_BOUND, checked_index
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
@@ -50,13 +50,6 @@ __all__ = [
 # next() call builds and holds.
 _RECORD_BLOCK = 4096
 _consume = deque(maxlen=0).extend
-
-# (key, setup) of the last operation _trial_setup set up: its matched basis,
-# nq, nr and the outputs op_mats[j] = E(|b_j><b_j|).  The key is the exact
-# bits of E's Kraus operators, which fix T and so the basis, so a hit
-# returns what a fresh setup would.  The tuple is replaced whole, and only
-# after a setup that did not raise.
-_last_setup: tuple = (None, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,25 +120,15 @@ class TrialRecord:
 def _trial_setup(E: QuantumOperation):
     """(basis, nq, nr, op_mats) of E: the nq unit and nr kernel eigenvectors
     of T as the columns of ``basis``, and op_mats[j] = E(|b_j><b_j|) for
-    each column b_j, both read-only.
-
-    Repeated run_trials calls on one operation ask for the same setup, so
-    the previous one is reused when E's Kraus operators have the same
-    shapes, dtypes and bits.
-    """
-    global _last_setup
-    key = tuple((e.shape, e.dtype.str, e.tobytes()) for e in E.kraus)
-    last_key, setup = _last_setup
-    if key != last_key:
-        unit, zero = matched_eigenspaces(E)
-        basis = np.hstack([unit, zero])
-        cols = basis.T
-        op_mats = apply(E, cols[:, :, None] * cols.conj()[:, None, :])
-        basis.flags.writeable = False
-        op_mats.flags.writeable = False
-        setup = (basis, unit.shape[1], zero.shape[1], op_mats)
-        _last_setup = (key, setup)
-    return setup
+    each column b_j, both read-only.  ``run_trials`` holds it on E
+    (``channels.held``), so repeated calls on one operation set up once."""
+    unit, zero = matched_eigenspaces(E)
+    basis = np.hstack([unit, zero])
+    cols = basis.T
+    op_mats = apply(E, cols[:, :, None] * cols.conj()[:, None, :])
+    basis.flags.writeable = False
+    op_mats.flags.writeable = False
+    return basis, unit.shape[1], zero.shape[1], op_mats
 
 
 def _presample(nq: int, nr: int, n_trials: int, rng: np.random.Generator):
@@ -295,7 +278,7 @@ def run_trials(
     n_trials = checked_index("n_trials", n_trials, 1)
     if path not in ("auto", "object"):
         raise ValidationError(f"path must be 'auto' or 'object', got {path!r}")
-    basis, nq, nr, op_mats = _trial_setup(E)
+    basis, nq, nr, op_mats = held(E, _trial_setup)
     w_rho, w_sig, pm, pn = _presample(nq, nr, n_trials, rng)
     if path == "auto":
         d_in, d_norm, d_sub = _kernels.trial_stats(op_mats, w_rho, w_sig, pm, pn)

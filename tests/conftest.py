@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qopdist import _kernels, statlab
+from qopdist import _kernels
 
 LAPACK = ("eigvalsh", "eigh", "svd", "qr")
 
@@ -25,12 +25,7 @@ def lapack_calls(monkeypatch):
 
 
 @pytest.fixture
-def forget_trial_setups(monkeypatch):
-    """A function that empties the run_trials setup memo and the trial
-    kernel's shared-spectra memo, so that the next call sets up afresh."""
-
-    def forget():
-        monkeypatch.setattr(statlab, "_last_setup", (None, None))
-        monkeypatch.setattr(_kernels, "_last_spectra", (None, None))
-
-    return forget
+def forget_kernel_spectra(monkeypatch):
+    """A function that empties the trial kernel's shared-spectra memo, so
+    that the next trial_stats call runs its shared-basis test afresh."""
+    return lambda: monkeypatch.setattr(_kernels, "_last_spectra", (None, None))

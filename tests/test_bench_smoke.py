@@ -59,13 +59,12 @@ def test_one_unit_passes_every_gate(workloads, tmp_path, name, seed, units):
     assert wl.gates and all(wl.gates.values()), wl.gates
 
 
-def test_one_triangle_unit_sets_up_each_shape_once(workloads, tmp_path, monkeypatch, forget_trial_setups):
+def test_one_triangle_unit_sets_up_each_shape_once(workloads, tmp_path, monkeypatch):
     """One triangle_trials unit runs 10 consecutive run_trials calls on each
     of its 3 operations, and finds each operation's matched basis once."""
     setups = []
     real = statlab.matched_eigenspaces
     monkeypatch.setattr(statlab, "matched_eigenspaces", lambda E: setups.append(E) or real(E))
-    forget_trial_setups()
     wl = workloads.WORKLOADS["triangle_trials"](7, str(tmp_path))
     wl.unit(0)
     assert wl.errors == [] and wl.failed == 0

@@ -1,8 +1,11 @@
 """Tests for Kraus-set operations, probabilities and the exact cloner."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qopdist.channels import (
@@ -12,14 +15,17 @@ from qopdist.channels import (
     cloner_outputs,
     contractivity_check,
     e_distance,
+    held,
     is_trace_preserving,
     max_e_distance_over_states,
     normalize_output,
     occurrence_probability,
     random_operation,
     random_operations,
+    t_eigh,
     t_operator,
 )
+from qopdist.config import TOL_UNIT_ZERO
 from qopdist.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -29,7 +35,7 @@ from qopdist.errors import (
 )
 from qopdist.maximizers import matched_eigenspaces
 from qopdist.metrics import trace_distance
-from qopdist.states import random_density
+from qopdist.states import from_spectrum, random_density
 from qopdist.suites import _maximizer_shaped_op
 
 # measure-|0> branch: a single Kraus row |0><0| into a 1-dim output space
@@ -58,6 +64,48 @@ def test_operation_rejects_supernormalized():
 def test_operation_is_immutable():
     with pytest.raises(AttributeError):
         KEEP0.dim_in = 5
+
+
+@pytest.mark.parametrize(
+    "round_trip",
+    [copy.copy, copy.deepcopy, lambda op: pickle.loads(pickle.dumps(op))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_operation_copies_and_pickles(round_trip, lapack_calls):
+    """A copy is built again from the Kraus operators: bit-equal read-only
+    Kraus operators and T, and nothing held from the original, so its
+    first spectral use diagonalizes T again."""
+    op = random_operation(4, 3, 2, np.random.default_rng(38))
+    t_eigh(op)
+    twin = round_trip(op)
+    assert type(twin) is QuantumOperation and twin is not op
+    assert (twin.dim_in, twin.dim_out, len(twin.kraus)) == (op.dim_in, op.dim_out, len(op.kraus))
+    for a, b in zip((*twin.kraus, twin.t_op), (*op.kraus, op.t_op)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    del lapack_calls[:]
+    w, v = t_eigh(twin)
+    assert lapack_calls == ["eigh"]
+    assert np.array_equal(w, t_eigh(op)[0]) and np.array_equal(v, t_eigh(op)[1])
+
+
+def test_held_keeps_one_result_per_operation_and_build():
+    """held runs a build once per operation and hands out the same object
+    after; a build that raises stores nothing, so the next call runs it."""
+    calls = []
+
+    def build(E):
+        calls.append(E)
+        if len(calls) == 1:
+            raise ValidationError("first try fails")
+        return object()
+
+    op, other = QuantumOperation([np.eye(2)]), QuantumOperation([np.eye(2)])
+    with pytest.raises(ValidationError):
+        held(op, build)
+    first = held(op, build)
+    assert held(op, build) is first and calls == [op, op]
+    assert held(other, build) is not first and calls == [op, op, other]
 
 
 def test_apply_and_probability():
@@ -309,3 +357,57 @@ def test_one_matrix_functions_reject_a_stack(call):
     stack = np.stack([np.diag([0.3, 0.7]), np.diag([1.0, 0.0])]).astype(complex)
     with pytest.raises(ValidationError):
         call(stack)
+
+
+def _random_maximizer(seed, dim_in, n_unit, n_zero, dim_out):
+    """T = P + M in a random unitary basis: P projects onto n_unit basis
+    vectors, M has eigenvalues in [0.05, 0.95] on all but n_zero of the
+    rest, and each Kraus operator sends one basis vector to a random
+    normalized output vector."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((dim_in, dim_in)) + 1j * rng.standard_normal((dim_in, dim_in)))
+    n_kraus = dim_in - n_zero
+    weights = np.concatenate([np.ones(n_unit), rng.uniform(0.05, 0.95, n_kraus - n_unit)])
+    outs = rng.standard_normal((n_kraus, dim_out)) + 1j * rng.standard_normal((n_kraus, dim_out))
+    outs /= np.linalg.norm(outs, axis=1, keepdims=True)
+    return QuantumOperation([np.sqrt(weights[i]) * np.outer(outs[i], u[:, i].conj()) for i in range(n_kraus)])
+
+
+@st.composite
+def _maximizer_draws(draw):
+    dim_in = draw(st.integers(2, 7))
+    n_unit = draw(st.integers(1, dim_in - 1))
+    n_zero = draw(st.integers(1, dim_in - n_unit))
+    return draw(st.integers(0, 2**32 - 1)), dim_in, n_unit, n_zero, draw(st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=_maximizer_draws(), extremal_first=st.booleans(), repeats=st.integers(1, 3))
+def test_spectral_data_comes_from_one_held_eigh(lapack_calls, draw, extremal_first, repeats):
+    """matched_eigenspaces and max_e_distance_over_states return arrays
+    bit-equal to those from a fresh eigh of T, read-only, whichever is
+    called first and however often; the first call makes the one eigh."""
+    op = _random_maximizer(*draw)
+    w, v = np.linalg.eigh(op.t_op)
+    unit, zero = v[:, w >= 1.0 - TOL_UNIT_ZERO][:, ::-1], v[:, w <= TOL_UNIT_ZERO]
+    assert unit.shape[1] == draw[2] and zero.shape[1] == draw[3]
+    top, bot = w >= w[-1] - 1e-10, w <= w[0] + 1e-10
+    rho_star = from_spectrum(v[:, top], np.full(top.sum(), 1.0 / top.sum())).mat
+    sigma_star = from_spectrum(v[:, bot], np.full(bot.sum(), 1.0 / bot.sum())).mat
+    del lapack_calls[:]
+
+    def check_eigenspaces():
+        return matched_eigenspaces(op), (unit, zero)
+
+    def check_extremal():
+        ext = max_e_distance_over_states(op)
+        assert (ext.theta_max, ext.theta_min) == (w[-1], w[0])
+        return (ext.rho_star.mat, ext.sigma_star.mat), (rho_star, sigma_star)
+
+    calls = [check_extremal, check_eigenspaces] if extremal_first else [check_eigenspaces, check_extremal]
+    for call in calls * repeats:
+        got, want = call()
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert lapack_calls == ["eigh"]

@@ -147,13 +147,25 @@ def test_pairs(files, capsys):
     assert np.max(np.abs(mats[1] - mats[2])) > 1e-6
 
 
+def test_pairs_diagonalizes_t_once(files, lapack_calls):
+    """The eigenspaces and all twenty pairs read one eigendecomposition of
+    T, held on the loaded operation."""
+    del lapack_calls[:]
+    assert main(["pairs", str(files / "op.json"), "0.4", "20", str(files / "p20")]) == 0
+    assert lapack_calls.count("eigh") == 1
+
+
 def test_pairs_target_out_of_range_exit_2(files):
     assert main(["pairs", str(files / "op.json"), "1.5", "1", str(files / "p2")]) == 2
 
 
-def test_pairs_trace_preserving_exit_5(files, capsys):
+def test_pairs_trace_preserving_exit_5(files, capsys, lapack_calls):
+    """The printed spectrum is the one the eigenspace search computed: the
+    loaded operation's check and one eigh are all the LAPACK calls."""
+    del lapack_calls[:]
     assert main(["pairs", str(files / "tp.json"), "0.5", "1", str(files / "p3")]) == 5
-    assert "T spectrum" in capsys.readouterr().err
+    assert "T spectrum: 1.000000000000 1.000000000000 1.000000000000" in capsys.readouterr().err
+    assert lapack_calls == ["eigvalsh", "eigh"]
 
 
 def test_pairs_zero_count_exit_2(files, capsys):

@@ -4,6 +4,10 @@ A module may import another module whole (``from . import _kernels``),
 but ``from .<module> import _name`` of a private function or class, or
 ``<module>._name`` on a module imported that way, is a layering breach:
 the helper should be made public or stay where it is.
+
+Functions rebind no module-level name (``global``) beyond the listed
+one-entry memos: data derived from one object is held on that object,
+as an operation holds its spectral data (``channels.held``).
 """
 
 import ast
@@ -64,6 +68,49 @@ def test_detects_private_attribute(tmp_path):
         "sl._cdf_moment(sl.run_trials, _kernels.__name__)\n"
     )
     assert list(_private_uses(bad)) == ["bad.py:4: sl._cdf_moment"]
+
+
+# (module, name) of each module-level memo a function rebinds.  The two in
+# maximizers key on pairs of states; the kernel's is keyed by its op_mats
+# argument, as trial_stats gets no operation to hold it on.
+MODULE_MEMOS = {
+    ("maximizers.py", "_last_split"),
+    ("maximizers.py", "_last_bound"),
+    ("_kernels.py", "_last_spectra"),
+}
+
+
+def _rebound_globals(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            for name in node.names:
+                yield path.name, name
+
+
+def test_only_the_listed_module_memos_are_rebound():
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert {g for path in modules for g in _rebound_globals(path)} == MODULE_MEMOS
+
+
+def test_detects_global_statements(tmp_path):
+    """The check finds every name of a global statement in a function or a
+    method, and nothing in a module without one."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "_memo = None\n"
+        "def f():\n"
+        "    global _memo\n"
+        "    _memo = 1\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        global _x, _y\n"
+    )
+    assert list(_rebound_globals(bad)) == [("bad.py", "_memo"), ("bad.py", "_x"), ("bad.py", "_y")]
+    good = tmp_path / "good.py"
+    good.write_text("_memo = {}\ndef f(x):\n    return x\n")
+    assert list(_rebound_globals(good)) == []
 
 
 def test_import_starts_no_process_machinery():

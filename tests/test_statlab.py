@@ -14,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qopdist import _kernels, statlab
-from qopdist.channels import QuantumOperation
+from qopdist.channels import QuantumOperation, held, t_eigh
 from qopdist.errors import NotMaximizingShapeError, ValidationError
+from qopdist.maximizers import matched_eigenspaces
 from qopdist.statlab import (
     BoundKind,
     TrialColumns,
@@ -677,7 +678,7 @@ def test_run_trials_obey_theorems_3_and_4(shape, seed, n_trials):
         assert np.max(np.abs(getattr(trials, name) - getattr(oracle, name))) < 1e-12
 
 
-# -- setup memos ----------------------------------------------------------------
+# -- setups held on the operation ------------------------------------------------
 
 
 def _non_commuting_op():
@@ -703,87 +704,86 @@ def _count_setups(monkeypatch):
     return counts
 
 
-def test_repeated_calls_set_up_once(monkeypatch, forget_trial_setups):
-    """Ten calls on one operation find its matched basis and apply it to
-    the basis projectors once; the object path reuses that setup too."""
-    forget_trial_setups()
-    counts = _count_setups(monkeypatch)
+def test_repeated_calls_set_up_once(monkeypatch, lapack_calls, forget_kernel_spectra):
+    """pair_for_point diagonalizes T on its first point only; then ten
+    run_trials calls on the operation find its matched basis and apply it
+    to the basis projectors once, without diagonalizing T again, and the
+    object path reuses that setup."""
     op = _maximizer_shaped(16, 8, 8)
+    del lapack_calls[:]
+    for p_m, p_n in ((0.9, 0.1), (0.5, 0.25), (0.3, 0.2)):
+        pair_for_point(op, TrianglePoint(p_m, p_n))
+    assert lapack_calls == ["eigh"]
+    counts = _count_setups(monkeypatch)
+    forget_kernel_spectra()
+    del lapack_calls[:]
     for call in range(10):
         run_trials(op, 20, np.random.default_rng(call))
     assert counts == {"matched_eigenspaces": 1, "apply": 1}
+    assert lapack_calls == ["eigh"]  # the kernel's shared-basis test
     run_trials(op, 3, np.random.default_rng(10), path="object")
     assert counts == {"matched_eigenspaces": 1, "apply": 1 + 2 * 3}
 
 
-def test_alternating_operations_set_up_on_every_switch(monkeypatch, forget_trial_setups):
-    """One setup is kept: alternating two operations sets up each call, and
-    an equal operation built anew (same Kraus bits) reuses the setup."""
-    forget_trial_setups()
+def test_alternating_operations_set_up_once_each(monkeypatch):
+    """Each operation holds its own setup: alternating two operations sets
+    each up once, and an equal operation built anew (same Kraus bits)
+    sets up again."""
     counts = _count_setups(monkeypatch)
     ops = [_maximizer_shaped(5, 2, 2), _maximizer_shaped(2, 1, 1)]
     for call in range(6):
         run_trials(ops[call % 2], 20, np.random.default_rng(call))
-    assert counts["matched_eigenspaces"] == 6
+    assert counts["matched_eigenspaces"] == 2
     run_trials(_maximizer_shaped(2, 1, 1), 20, np.random.default_rng(6))
-    assert counts["matched_eigenspaces"] == 6
+    assert counts["matched_eigenspaces"] == 3
 
 
 @pytest.mark.parametrize("shape", [*SHAPES, None], ids=[*map(str, SHAPES), "non-commuting"])
 @pytest.mark.parametrize("path", ["auto", "object"])
-def test_reused_setups_give_bit_equal_columns(forget_trial_setups, lapack_calls, shape, path):
-    """Repeated calls, which reuse both setups, give columns bit-equal to
-    calls made with both memos emptied first; the non-commuting operation
-    is on the kernel's eigvalsh path."""
-    op = _non_commuting_op() if shape is None else _maximizer_shaped(*shape)
+def test_reused_setups_give_bit_equal_columns(forget_kernel_spectra, lapack_calls, shape, path):
+    """Repeated calls on one operation, which reuse its held setup and the
+    kernel's kept spectra, give columns bit-equal to calls each made on a
+    new operation with the kernel memo emptied first; the non-commuting
+    operation is on the kernel's eigvalsh path."""
+    ops = [_non_commuting_op() if shape is None else _maximizer_shaped(*shape) for _ in range(3)]
     n = 300 if path == "auto" else 30
 
-    def columns(seed):
+    def columns(op, seed):
         return [col.tobytes() for col in vars(run_trials(op, n, np.random.default_rng(seed), path=path)).values()]
 
     fresh = []
-    for seed in (7, 11, 7):
-        forget_trial_setups()
-        fresh.append(columns(seed))
+    for op, seed in zip(ops, (7, 11, 7)):
+        forget_kernel_spectra()
+        fresh.append(columns(op, seed))
     assert fresh[0] == fresh[2] != fresh[1]
     del lapack_calls[:]
-    assert [columns(seed) for seed in (7, 11, 7)] == fresh
+    assert [columns(ops[2], seed) for seed in (7, 11, 7)] == fresh
     if path == "auto":
         assert lapack_calls == ([] if shape else ["eigvalsh", "eigvalsh"] * 3)
 
 
-def test_a_one_ulp_change_sets_up_afresh(monkeypatch, forget_trial_setups):
-    """The setup key is the exact bits of the Kraus operators: moving one
-    entry by one ulp gives a fresh setup."""
-    forget_trial_setups()
-    counts = _count_setups(monkeypatch)
-    op = _maximizer_shaped(5, 2, 2)
-    nudged = [e.copy() for e in op.kraus]
-    nudged[1][1, 1] = np.nextafter(1.0, 0.0)
-    run_trials(op, 20, np.random.default_rng(1))
-    run_trials(QuantumOperation(nudged), 20, np.random.default_rng(1))
-    assert counts["matched_eigenspaces"] == 2
-
-
-def test_a_failed_setup_stores_nothing(forget_trial_setups):
+def test_a_failed_setup_stores_nothing(monkeypatch, lapack_calls):
     """An operation without a kernel raises NotMaximizingShapeError in its
-    setup and leaves the previous operation's setup in place."""
-    forget_trial_setups()
-    op = _maximizer_shaped(2, 1, 1)
+    setup and holds no setup: a retry runs the setup again and raises
+    again, from the T eigendecomposition held since the first try."""
+    op = QuantumOperation([np.eye(2, dtype=complex)])
+    del lapack_calls[:]
+    counts = _count_setups(monkeypatch)
+    for _ in range(2):
+        with pytest.raises(NotMaximizingShapeError):
+            run_trials(op, 20, np.random.default_rng(1))
+    assert counts == {"matched_eigenspaces": 2}
+    assert lapack_calls == ["eigh"]
+
+
+def test_kept_setup_arrays_are_read_only():
+    """The held basis, outputs, T eigendecomposition and eigenspaces, and
+    the kernel's kept spectra, cannot be written."""
+    op = _maximizer_shaped(5, 2, 2)
     run_trials(op, 20, np.random.default_rng(1))
-    kept = statlab._last_setup
-    with pytest.raises(NotMaximizingShapeError):
-        run_trials(QuantumOperation([np.eye(2, dtype=complex)]), 20, np.random.default_rng(1))
-    assert statlab._last_setup is kept
-
-
-def test_kept_setup_arrays_are_read_only(forget_trial_setups):
-    """The kept basis, outputs and shared spectra cannot be written."""
-    forget_trial_setups()
-    run_trials(_maximizer_shaped(5, 2, 2), 20, np.random.default_rng(1))
-    basis, nq, nr, op_mats = statlab._last_setup[1]
+    basis, nq, nr, op_mats = held(op, statlab._trial_setup)
     lam = _kernels._last_spectra[1]
     assert (nq, nr) == (2, 3) and basis.shape == (5, 5) and lam.shape == (5, 2)
-    for arr in (basis, op_mats, lam):
+    for arr in (basis, op_mats, lam, *t_eigh(op), *matched_eigenspaces(op)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
