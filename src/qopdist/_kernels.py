@@ -7,8 +7,8 @@ sampled probability points into input/output trace distances.
 Every trial output is a real combination sum_j w_j A_j of the same few
 matrices A_j.  When the A_j commute, one eigenbasis U diagonalizes them
 all, and each trial's trace distance is half the 1-norm of w @ Lambda,
-with Lambda[j] the diagonal of U^H A_j U: ``trial_stats`` then runs one
-``eigh`` per batch and builds no per-trial matrix.  U is accepted only
+with Lambda[j] the diagonal of U^H A_j U: one ``eigh`` finds U, and
+``trial_stats`` builds no per-trial matrix.  U is accepted only
 when every off-diagonal entry of every U^H A_j U is at most
 16 d eps max|A| (d the output dimension), the order of the backward error
 of a per-trial ``eigvalsh``.  By Weyl's inequality each eigenvalue of a
@@ -17,15 +17,12 @@ Otherwise, as for operations whose outputs do not commute or whose shared
 basis eigh does not resolve to that bound, the kernel runs one batched
 ``eigvalsh`` per output kind and chunk of trials.
 
-The shared-basis test depends only on the A_j, and a Monte Carlo study
-calls ``trial_stats`` many times with one operation's A_j, so the result of
-the last test (the spectra, or None for the ``eigvalsh`` path) is kept,
-keyed by the exact bits of the A_j stack: a repeated call runs no ``eigh``.
-Unlike ``run_trials``' setup, which is held on its operation
-(``channels.held``), this is a one-entry module memo: ``trial_stats`` is
-called with the A_j alone and gets no operation to hold the result on.
-Running the test on every call instead would cost about 80 us of a
-1.6 ms (16,8,8) ``run_trials(2000)`` call, about 5% (2 vCPU, numpy 2.4).
+The shared-basis test depends only on the A_j.  ``shared_spectra`` runs
+it, and a caller that calls ``trial_stats`` many times with the same A_j
+passes its result in: ``run_trials`` holds it with each operation's setup
+(``channels.held``), so a repeated call runs no ``eigh``.  A call without
+it runs the test itself: about 55 us at (16,8,8), against about 1.7 ms for
+a whole ``run_trials(2000)`` call (2 vCPU, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -37,11 +34,9 @@ _EPS = np.finfo(np.float64).eps
 # Trials per batched eigvalsh call in trial_stats; bounds the (chunk, d, d)
 # temporaries for large trial counts.
 _CHUNK = 32768
-
-# (key, spectra) of the last _shared_spectra evaluation in trial_stats.  The
-# key is the exact bits of op_mats, so a hit returns what a fresh
-# evaluation would, None included.  The tuple is replaced whole.
-_last_spectra: tuple = (None, None)
+# Default of trial_stats' spectra: no held shared-basis test, whose result
+# may itself be None.
+_UNTESTED = object()
 
 
 def kernel_backend() -> str:
@@ -80,9 +75,9 @@ def gap_grid_max(us, vs, etas):
 
 # -- Monte Carlo trial pipeline ----------------------------------------------
 
-def _shared_spectra(op_mats):
-    """Eigenvalues of every op_mats[j] in one shared eigenbasis, as an
-    (nb, d) array, or None when some off-diagonal entry of some
+def shared_spectra(op_mats):
+    """Eigenvalues of every op_mats[j] in one shared eigenbasis, as a
+    read-only (nb, d) array, or None when some off-diagonal entry of some
     U^H op_mats[j] U exceeds 16 d eps max|A|.
 
     U is the eigenbasis of sum_j cos(j + 1) op_mats[j]; 1, cos 1, cos 2,
@@ -104,7 +99,7 @@ def _shared_spectra(op_mats):
     return lam
 
 
-def trial_stats(op_mats, w_rho, w_sig, pm, pn):
+def trial_stats(op_mats, w_rho, w_sig, pm, pn, *, spectra=_UNTESTED):
     """Batched trial statistics.
 
     ``op_mats[j]`` is the operation's output matrix for the j-th basis
@@ -113,11 +108,10 @@ def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     subnormalized-output distance.  Commuting ``op_mats`` take one shared
     eigenbasis for the whole batch (see the module docstring); otherwise
     every trial's two output matrices are built and passed to
-    ``eigvalsh``, ``_CHUNK`` trials at a time.  The shared-basis test of
-    the last ``op_mats`` is kept, so repeated calls with the same bits
-    (as repeated ``run_trials`` calls on one operation make) run it once.
+    ``eigvalsh``, ``_CHUNK`` trials at a time.  ``spectra`` is
+    ``shared_spectra(op_mats)`` where the caller holds it; without it the
+    call runs that test itself.
     """
-    global _last_spectra
     op_mats = np.ascontiguousarray(op_mats, dtype=np.complex128)
     w_rho = np.ascontiguousarray(w_rho, dtype=np.float64)
     w_sig = np.ascontiguousarray(w_sig, dtype=np.float64)
@@ -125,11 +119,7 @@ def trial_stats(op_mats, w_rho, w_sig, pm, pn):
     pn = np.ascontiguousarray(pn, dtype=np.float64)
     dw = w_rho - w_sig
     d_in = 0.5 * np.abs(dw).sum(axis=1)
-    key = (op_mats.shape, op_mats.tobytes())
-    last_key, lam = _last_spectra
-    if key != last_key:
-        lam = _shared_spectra(op_mats)
-        _last_spectra = (key, lam)
+    lam = shared_spectra(op_mats) if spectra is _UNTESTED else spectra
     if lam is not None:
         d_sub = 0.5 * np.abs(dw @ lam).sum(axis=1)
         d_norm = 0.5 * np.abs((w_rho / pm[:, None] - w_sig / pn[:, None]) @ lam).sum(axis=1)

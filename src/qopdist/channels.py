@@ -58,9 +58,10 @@ class QuantumOperation:
     (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
     operation holds read-only copies of the given operators, and what
     ``held`` derives from them on first use, for as long as it lives.
-    A copy or an unpickled operation is built again from the Kraus
-    operators, through the constructor's check at the default tolerance,
-    and starts with nothing derived.
+    A copy or an unpickled operation is built again from its Kraus
+    operators without checking T again (bit-equal operators give the T the
+    original passed with, at its own tolerance), and starts with nothing
+    derived.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "t_op", "_held")
@@ -83,7 +84,7 @@ class QuantumOperation:
         if w[0] < -tol or w[-1] > 1.0 + tol:
             raise ValidationError(
                 f"Kraus sum gives T eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}], "
-                "outside [0, 1]"
+                f"outside [0, 1] by {max(-w[0], w[-1] - 1.0):.3e}"
             )
         _fill(self, ops, t)
 
@@ -91,7 +92,7 @@ class QuantumOperation:
         raise AttributeError("QuantumOperation is immutable")
 
     def __reduce__(self):
-        return QuantumOperation, (self.kraus,)
+        return _rebuilt, (self.kraus,)
 
     def __repr__(self):
         return (
@@ -125,6 +126,12 @@ def _trusted_operation(ops: tuple, t: np.ndarray) -> QuantumOperation:
     """Wrap Kraus operators this module just built, with ``t = _t_sum(ops)``
     already known to lie between 0 and 1, without checking them again."""
     return _fill(object.__new__(QuantumOperation), ops, t)
+
+
+def _rebuilt(ops: tuple) -> QuantumOperation:
+    """A copy of an operation with Kraus operators ``ops``, whose T has the
+    bits of the one its constructor accepted."""
+    return _trusted_operation(ops, _t_sum(ops))
 
 
 def held(E: QuantumOperation, build):

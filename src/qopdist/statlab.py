@@ -118,17 +118,19 @@ class TrialRecord:
 
 
 def _trial_setup(E: QuantumOperation):
-    """(basis, nq, nr, op_mats) of E: the nq unit and nr kernel eigenvectors
-    of T as the columns of ``basis``, and op_mats[j] = E(|b_j><b_j|) for
-    each column b_j, both read-only.  ``run_trials`` holds it on E
-    (``channels.held``), so repeated calls on one operation set up once."""
+    """(basis, nq, nr, op_mats, spectra) of E: the nq unit and nr kernel
+    eigenvectors of T as the columns of ``basis``, op_mats[j] =
+    E(|b_j><b_j|) for each column b_j, and the trial kernel's shared-basis
+    test of op_mats (``_kernels.shared_spectra``), all read-only.
+    ``run_trials`` holds it on E (``channels.held``), so repeated calls on
+    one operation set up once."""
     unit, zero = matched_eigenspaces(E)
     basis = np.hstack([unit, zero])
     cols = basis.T
     op_mats = apply(E, cols[:, :, None] * cols.conj()[:, None, :])
     basis.flags.writeable = False
     op_mats.flags.writeable = False
-    return basis, unit.shape[1], zero.shape[1], op_mats
+    return basis, unit.shape[1], zero.shape[1], op_mats, _kernels.shared_spectra(op_mats)
 
 
 def _presample(nq: int, nr: int, n_trials: int, rng: np.random.Generator):
@@ -278,10 +280,10 @@ def run_trials(
     n_trials = checked_index("n_trials", n_trials, 1)
     if path not in ("auto", "object"):
         raise ValidationError(f"path must be 'auto' or 'object', got {path!r}")
-    basis, nq, nr, op_mats = held(E, _trial_setup)
+    basis, nq, nr, op_mats, spectra = held(E, _trial_setup)
     w_rho, w_sig, pm, pn = _presample(nq, nr, n_trials, rng)
     if path == "auto":
-        d_in, d_norm, d_sub = _kernels.trial_stats(op_mats, w_rho, w_sig, pm, pn)
+        d_in, d_norm, d_sub = _kernels.trial_stats(op_mats, w_rho, w_sig, pm, pn, spectra=spectra)
     else:
         d_in = np.empty(n_trials)
         d_norm = np.empty(n_trials)

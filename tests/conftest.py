@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from qopdist import _kernels
-
 LAPACK = ("eigvalsh", "eigh", "svd", "qr")
 
 
@@ -23,9 +21,3 @@ def lapack_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
-
-@pytest.fixture
-def forget_kernel_spectra(monkeypatch):
-    """A function that empties the trial kernel's shared-spectra memo, so
-    that the next trial_stats call runs its shared-basis test afresh."""
-    return lambda: monkeypatch.setattr(_kernels, "_last_spectra", (None, None))

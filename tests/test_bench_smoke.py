@@ -6,11 +6,14 @@ re-checks (two units of verify_suites, so that two report files are
 compared byte for byte): a library change that breaks how the benchmark
 uses the API (record iteration, the object path, file round trips, report
 parsing) fails here.  Each unit must also leave the cyclic garbage
-collector as it found it: enabled, with the same thresholds.
+collector as it found it: enabled, with the same thresholds.  The kernel
+probes run once too, so the five-argument trial kernel call they make
+keeps working.
 """
 
 import gc
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -70,3 +73,10 @@ def test_one_triangle_unit_sets_up_each_shape_once(workloads, tmp_path, monkeypa
     assert wl.errors == [] and wl.failed == 0
     assert len(setups) == len(wl.ops) == 3
     assert all(E is op for E, op in zip(setups, wl.ops))
+
+
+def test_kernel_probes_time_both_kernels(workloads):
+    """kernel_probes calls the trial kernel in its five-argument form, which
+    runs its own shared-basis test; both probes give a positive time."""
+    times = workloads.kernel_probes()
+    assert len(times) == 2 and all(math.isfinite(t) and t > 0.0 for t in times)

@@ -74,19 +74,21 @@ def test_operation_is_immutable():
 def test_operation_copies_and_pickles(round_trip, lapack_calls):
     """A copy is built again from the Kraus operators: bit-equal read-only
     Kraus operators and T, and nothing held from the original, so its
-    first spectral use diagonalizes T again."""
-    op = random_operation(4, 3, 2, np.random.default_rng(38))
-    t_eigh(op)
-    twin = round_trip(op)
-    assert type(twin) is QuantumOperation and twin is not op
-    assert (twin.dim_in, twin.dim_out, len(twin.kraus)) == (op.dim_in, op.dim_out, len(op.kraus))
-    for a, b in zip((*twin.kraus, twin.t_op), (*op.kraus, op.t_op)):
-        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
-    del lapack_calls[:]
-    w, v = t_eigh(twin)
-    assert lapack_calls == ["eigh"]
-    assert np.array_equal(w, t_eigh(op)[0]) and np.array_equal(v, t_eigh(op)[1])
+    first spectral use diagonalizes T again.  An operation accepted only
+    at a looser tol than the default copies too."""
+    loose = QuantumOperation([np.diag([1 + 1e-8, 0]).astype(complex)], tol=1e-6)
+    for op in (random_operation(4, 3, 2, np.random.default_rng(38)), loose):
+        t_eigh(op)
+        twin = round_trip(op)
+        assert type(twin) is QuantumOperation and twin is not op
+        assert (twin.dim_in, twin.dim_out, len(twin.kraus)) == (op.dim_in, op.dim_out, len(op.kraus))
+        for a, b in zip((*twin.kraus, twin.t_op), (*op.kraus, op.t_op)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        del lapack_calls[:]
+        w, v = t_eigh(twin)
+        assert lapack_calls == ["eigh"]
+        assert np.array_equal(w, t_eigh(op)[0]) and np.array_equal(v, t_eigh(op)[1])
 
 
 def test_held_keeps_one_result_per_operation_and_build():

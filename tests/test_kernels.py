@@ -150,14 +150,13 @@ FIXTURE_PER_EXAMPLE = [HealthCheck.function_scoped_fixture]
 
 @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_PER_EXAMPLE)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), nb=st.integers(1, 16), kind=SPECTRA)
-def test_diagonal_outputs_share_one_eigenbasis(lapack_calls, forget_kernel_spectra, seed, d, nb, kind):
+def test_diagonal_outputs_share_one_eigenbasis(lapack_calls, seed, d, nb, kind):
     """Diagonal output matrices, the maximizer shape, with distinct,
     repeated or zero spectra, take the shared-eigenbasis path: one eigh
     and no eigvalsh, and the per-trial distances still agree."""
     rng = np.random.default_rng(seed)
     mats = np.einsum("jk,kl->jkl", _spectra(rng, d, nb, kind), np.eye(d))
     inputs = (mats, *_trial_weights(20, nb, rng))
-    forget_kernel_spectra()
     del lapack_calls[:]
     stats = _kernels.trial_stats(*inputs)
     assert lapack_calls == ["eigh"]
@@ -166,7 +165,7 @@ def test_diagonal_outputs_share_one_eigenbasis(lapack_calls, forget_kernel_spect
 
 @settings(max_examples=60, deadline=None, suppress_health_check=FIXTURE_PER_EXAMPLE)
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8), nb=st.integers(1, 16), kind=SPECTRA)
-def test_commuting_outputs_agree_on_either_path(lapack_calls, forget_kernel_spectra, seed, d, nb, kind):
+def test_commuting_outputs_agree_on_either_path(lapack_calls, seed, d, nb, kind):
     """Commuting outputs U diag(lambda_j) U^H with a random unitary U agree
     with the per-trial distances, whether the kernel keeps the shared
     eigenbasis or, where eigh mixes the vectors of close eigenvalues of
@@ -174,7 +173,6 @@ def test_commuting_outputs_agree_on_either_path(lapack_calls, forget_kernel_spec
     rng = np.random.default_rng(seed)
     mats = _commuting_family(rng, d, nb, kind)
     inputs = (mats, *_trial_weights(20, nb, rng))
-    forget_kernel_spectra()
     del lapack_calls[:]
     stats = _kernels.trial_stats(*inputs)
     assert lapack_calls in (["eigh"], ["eigh", "eigvalsh", "eigvalsh"])
@@ -187,7 +185,7 @@ def test_commuting_outputs_agree_on_either_path(lapack_calls, forget_kernel_spec
     d=st.integers(2, 8),
     family=st.sampled_from(["random", "commuting + 1e-9"]),
 )
-def test_non_commuting_outputs_fall_back_to_eigvalsh(lapack_calls, forget_kernel_spectra, seed, d, family):
+def test_non_commuting_outputs_fall_back_to_eigvalsh(lapack_calls, seed, d, family):
     """Random Hermitian outputs, and commuting ones with a 1e-9
     non-commuting term, run one eigvalsh per output kind and agree."""
     rng = np.random.default_rng(seed)
@@ -197,7 +195,6 @@ def test_non_commuting_outputs_fall_back_to_eigvalsh(lapack_calls, forget_kernel
         mats = _commuting_family(rng, d, 4, "distinct")
         mats[0] += 1e-9 * _random_hermitian((d, d), rng)
     inputs = (mats, *_trial_weights(20, 4, rng))
-    forget_kernel_spectra()
     del lapack_calls[:]
     stats = _kernels.trial_stats(*inputs)
     assert lapack_calls == ["eigh", "eigvalsh", "eigvalsh"]
@@ -214,15 +211,13 @@ OPERATIONS_WITH_COMMUTING_OUTPUTS = {
 
 
 @pytest.mark.parametrize("name", OPERATIONS_WITH_COMMUTING_OUTPUTS)
-def test_trial_lapack_calls_do_not_grow_with_trials(lapack_calls, forget_kernel_spectra, name):
+def test_trial_lapack_calls_do_not_grow_with_trials(lapack_calls, name):
     """On operations whose outputs commute, run_trials makes as many
     LAPACK calls for 50 000 trials (more than one kernel chunk) as for 10.
-    Each call gets a new operation and an empty kernel memo, so each one
-    sets up."""
+    Each call gets a new operation, so each one sets up."""
     counts = []
     for n in (10, 50_000):
         op = OPERATIONS_WITH_COMMUTING_OUTPUTS[name]()
-        forget_kernel_spectra()
         del lapack_calls[:]
         run_trials(op, n, np.random.default_rng(7))
         counts.append(len(lapack_calls))
@@ -243,10 +238,10 @@ def test_trial_stats_numpy_chunking(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["diagonal", "random"])
-def test_trial_stats_keeps_the_last_shared_basis_test(lapack_calls, forget_kernel_spectra, family):
-    """A second call with op_mats of the same bits, as a copy, skips the
-    shared-basis eigh, whichever way the test went, and returns the same
-    distances; other op_mats run it again."""
+def test_trial_stats_tests_unless_given_the_held_result(lapack_calls, family):
+    """A five-argument call runs the shared-basis eigh every time; a call
+    given shared_spectra's result, None included, runs it never; both
+    give bit-equal distances."""
     rng = np.random.default_rng(67)
     if family == "diagonal":
         mats = np.einsum("jk,kl->jkl", _spectra(rng, 3, 4, "distinct"), np.eye(3))
@@ -255,12 +250,12 @@ def test_trial_stats_keeps_the_last_shared_basis_test(lapack_calls, forget_kerne
         mats = _random_hermitian((4, 3, 3), rng)
         fresh = ["eigh", "eigvalsh", "eigvalsh"]
     weights = _trial_weights(20, 4, rng)
-    forget_kernel_spectra()
     del lapack_calls[:]
-    first = _kernels.trial_stats(mats, *weights)
-    again = _kernels.trial_stats(mats.copy(), *weights)
-    assert lapack_calls == fresh + fresh[1:]
-    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    plain = [_kernels.trial_stats(mats, *weights) for _ in range(2)]
+    assert lapack_calls == fresh * 2
+    spectra = _kernels.shared_spectra(mats)
+    assert (spectra is None) == (family == "random")
     del lapack_calls[:]
-    _kernels.trial_stats(2.0 * mats, *weights)
-    assert lapack_calls == fresh
+    given = [_kernels.trial_stats(mats, *weights, spectra=spectra) for _ in range(2)]
+    assert lapack_calls == fresh[1:] * 2
+    assert all(np.array_equal(a, b) for stats in (plain[1], *given) for a, b in zip(plain[0], stats))

@@ -70,13 +70,12 @@ def test_detects_private_attribute(tmp_path):
     assert list(_private_uses(bad)) == ["bad.py:4: sl._cdf_moment"]
 
 
-# (module, name) of each module-level memo a function rebinds.  The two in
-# maximizers key on pairs of states; the kernel's is keyed by its op_mats
-# argument, as trial_stats gets no operation to hold it on.
+# (module, name) of each module-level memo a function rebinds.  Both key on
+# pairs of states; what derives from one operation is held on it instead
+# (channels.held).
 MODULE_MEMOS = {
     ("maximizers.py", "_last_split"),
     ("maximizers.py", "_last_bound"),
-    ("_kernels.py", "_last_spectra"),
 }
 
 

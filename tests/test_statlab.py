@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qopdist import _kernels, statlab
+from qopdist import statlab
 from qopdist.channels import QuantumOperation, held, t_eigh
 from qopdist.errors import NotMaximizingShapeError, ValidationError
 from qopdist.maximizers import matched_eigenspaces
@@ -704,7 +704,7 @@ def _count_setups(monkeypatch):
     return counts
 
 
-def test_repeated_calls_set_up_once(monkeypatch, lapack_calls, forget_kernel_spectra):
+def test_repeated_calls_set_up_once(monkeypatch, lapack_calls):
     """pair_for_point diagonalizes T on its first point only; then ten
     run_trials calls on the operation find its matched basis and apply it
     to the basis projectors once, without diagonalizing T again, and the
@@ -715,12 +715,11 @@ def test_repeated_calls_set_up_once(monkeypatch, lapack_calls, forget_kernel_spe
         pair_for_point(op, TrianglePoint(p_m, p_n))
     assert lapack_calls == ["eigh"]
     counts = _count_setups(monkeypatch)
-    forget_kernel_spectra()
     del lapack_calls[:]
     for call in range(10):
         run_trials(op, 20, np.random.default_rng(call))
     assert counts == {"matched_eigenspaces": 1, "apply": 1}
-    assert lapack_calls == ["eigh"]  # the kernel's shared-basis test
+    assert lapack_calls == ["eigh"]  # the kernel's shared-basis test, in the setup
     run_trials(op, 3, np.random.default_rng(10), path="object")
     assert counts == {"matched_eigenspaces": 1, "apply": 1 + 2 * 3}
 
@@ -738,13 +737,31 @@ def test_alternating_operations_set_up_once_each(monkeypatch):
     assert counts["matched_eigenspaces"] == 3
 
 
+@pytest.mark.parametrize("first", ["5-2-2", "non-commuting"])
+def test_alternating_operations_test_each_shared_basis_once(lapack_calls, first):
+    """Each operation holds its kernel's shared-basis test, None included:
+    after one call on each of two operations, alternating them runs no
+    eigh, and the non-commuting one only its eigvalsh path."""
+    other = _non_commuting_op() if first == "non-commuting" else _maximizer_shaped(5, 2, 2)
+    ops = [other, _maximizer_shaped(2, 1, 1)]
+    del lapack_calls[:]
+    for call in range(2):
+        run_trials(ops[call], 20, np.random.default_rng(call))
+    per_call = ["eigvalsh", "eigvalsh"] if first == "non-commuting" else []
+    assert lapack_calls == ["eigh", "eigh"] + per_call + ["eigh", "eigh"]  # T, then the shared-basis test
+    del lapack_calls[:]
+    for call in range(2, 8):
+        run_trials(ops[call % 2], 20, np.random.default_rng(call))
+    assert lapack_calls == per_call * 3
+
+
 @pytest.mark.parametrize("shape", [*SHAPES, None], ids=[*map(str, SHAPES), "non-commuting"])
 @pytest.mark.parametrize("path", ["auto", "object"])
-def test_reused_setups_give_bit_equal_columns(forget_kernel_spectra, lapack_calls, shape, path):
-    """Repeated calls on one operation, which reuse its held setup and the
-    kernel's kept spectra, give columns bit-equal to calls each made on a
-    new operation with the kernel memo emptied first; the non-commuting
-    operation is on the kernel's eigvalsh path."""
+def test_reused_setups_give_bit_equal_columns(lapack_calls, shape, path):
+    """Repeated calls on one operation, which reuse its held setup and
+    shared-basis test, give columns bit-equal to calls each made on a new
+    operation; the non-commuting operation is on the kernel's eigvalsh
+    path."""
     ops = [_non_commuting_op() if shape is None else _maximizer_shaped(*shape) for _ in range(3)]
     n = 300 if path == "auto" else 30
 
@@ -753,7 +770,6 @@ def test_reused_setups_give_bit_equal_columns(forget_kernel_spectra, lapack_call
 
     fresh = []
     for op, seed in zip(ops, (7, 11, 7)):
-        forget_kernel_spectra()
         fresh.append(columns(op, seed))
     assert fresh[0] == fresh[2] != fresh[1]
     del lapack_calls[:]
@@ -777,12 +793,11 @@ def test_a_failed_setup_stores_nothing(monkeypatch, lapack_calls):
 
 
 def test_kept_setup_arrays_are_read_only():
-    """The held basis, outputs, T eigendecomposition and eigenspaces, and
-    the kernel's kept spectra, cannot be written."""
+    """The held basis, outputs, shared-basis spectra, T eigendecomposition
+    and eigenspaces cannot be written."""
     op = _maximizer_shaped(5, 2, 2)
     run_trials(op, 20, np.random.default_rng(1))
-    basis, nq, nr, op_mats = held(op, statlab._trial_setup)
-    lam = _kernels._last_spectra[1]
+    basis, nq, nr, op_mats, lam = held(op, statlab._trial_setup)
     assert (nq, nr) == (2, 3) and basis.shape == (5, 5) and lam.shape == (5, 2)
     for arr in (basis, op_mats, lam, *t_eigh(op), *matched_eigenspaces(op)):
         with pytest.raises(ValueError, match="read-only"):

@@ -525,6 +525,13 @@ def test_operation_rejects_t_below_minus_tol(tol):
                     QuantumOperation([EYE2 / 2], tol=tol)
 
 
+def test_operation_rejection_shows_the_excess():
+    """A top T eigenvalue of 1 + 2e-8 prints as 1.000e+00, so the message
+    also gives how far T lies outside [0, 1]."""
+    with pytest.raises(ValidationError, match=r"outside \[0, 1\] by 2\.000e-08$"):
+        QuantumOperation([np.diag([1 + 1e-8, 0]).astype(complex)])
+
+
 @pytest.mark.parametrize(
     "build",
     [
