@@ -58,10 +58,12 @@ class QuantumOperation:
     (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
     operation holds read-only copies of the given operators, and what
     ``held`` derives from them on first use, for as long as it lives.
-    A copy or an unpickled operation is built again from its Kraus
-    operators without checking T again (bit-equal operators give the T the
-    original passed with, at its own tolerance), and starts with nothing
-    derived.
+    The same store keeps the bound evaluation of the last state pair the
+    operation was reported on (``maximizers``); it refers to the two
+    states weakly.  A copy or an unpickled operation is built again from
+    its Kraus operators without checking T again (bit-equal operators give
+    the T the original passed with, at its own tolerance), and starts with
+    nothing held.
     """
 
     __slots__ = ("kraus", "dim_in", "dim_out", "t_op", "_held")
@@ -142,7 +144,9 @@ def held(E: QuantumOperation, build):
     held result stays valid; its arrays are read-only, as every later call
     hands out the same objects.  A ``build`` that raises stores nothing,
     and the next call runs it again.  Two threads may both run ``build``;
-    their results are equal, and either one is kept.
+    their results are equal, and either one is kept.  The store also
+    holds ``maximizers``' bound evaluation of one state pair, under a key
+    no ``build`` uses.
     """
     store = E._held
     if build not in store:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,31 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
-# (key, (split, distance)) of the last split _distinct_split computed, with
-# the trace distance the coincide cut compares.  The key is the exact bits
-# of rho - sigma, so a hit returns what spectral_split would compute again.
-# The tuple is replaced whole, so a thread reads either the old entry or
-# the new one.
-_last_split: tuple = (None, None)
+def _held_for_pair(owner, key, rho, sigma, build):
+    """``build()``, held in ``owner._held[key]`` for the pair when rho and
+    sigma are both ``DensityMatrix`` objects, and built fresh otherwise.
+
+    States are immutable, so the next call with the same two objects gets
+    the held result back.  The entry refers to them weakly, so it keeps
+    neither alive, and holds one pair: another pair replaces it whole.  A
+    ``build`` that raises stores nothing.
+    """
+    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
+        return build()
+    entry = owner._held.get(key)
+    if entry is None or entry[0]() is not rho or entry[1]() is not sigma:
+        entry = (weakref.ref(rho), weakref.ref(sigma), build())
+        owner._held[key] = entry
+    return entry[2]
+
+
+def _split_and_distance(delta):
+    """The split of delta with read-only arrays, and the trace distance
+    0.5 * (sum q_vals + sum r_vals) the coincide cut compares."""
+    split = spectral_split(delta)
+    for arr in vars(split).values():
+        arr.flags.writeable = False
+    return split, 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
 
 
 def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
@@ -69,26 +89,15 @@ def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
     coincide: their trace distance is at or below the resolved ``tol``.
 
     Building, certifying and bounding one pair ask for the same split in a
-    row, so the previous call's split and distance are reused when
-    rho - sigma has the same shape, dtype and bytes.  The split's arrays
-    are read-only, as every caller of a reused split shares them; the
+    row, so the split and its distance are held on rho for sigma
+    (``_held_for_pair``); raw matrices are split on every call.  The
     state, shape and tolerance checks run on every call.
     """
-    global _last_split
     tol = resolve_tol(tol)
     mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    delta = mr - ms
-    key = (delta.shape, delta.dtype.str, delta.tobytes())
-    last_key, entry = _last_split
-    if key != last_key:
-        split = spectral_split(delta)
-        for arr in vars(split).values():
-            arr.flags.writeable = False
-        entry = (split, 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals)))
-        _last_split = (key, entry)
-    split, distance = entry
+    split, distance = _held_for_pair(rho, _distinct_split, rho, sigma, lambda: _split_and_distance(mr - ms))
     if distance <= tol:
         raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
     return split
@@ -301,46 +310,19 @@ class BoundReport:
     relative_increase: float | None = None
 
 
-# (key, inputs) of the last _bound_inputs evaluation.  The key is the exact
-# bits of E's Kraus operators, of rho and sigma as passed and of the default
-# tolerance, so a hit returns what a fresh evaluation would.  The tuple is
-# replaced whole, and only after an evaluation that did not raise.
-_last_bound: tuple = (None, None)
-
-
-def _operand_bits(x):
-    """Key part of one state argument: a ``DensityMatrix`` by its matrix, an
-    ndarray by its own bits; None for anything else, which is not reused."""
-    if isinstance(x, DensityMatrix):
-        return ("state", x.mat.shape, x.mat.dtype.str, x.mat.tobytes())
-    if isinstance(x, np.ndarray) and not x.dtype.hasobject:
-        return ("array", x.shape, x.dtype.str, x.tobytes())
-    return None
-
-
 def _bound_inputs(E: QuantumOperation, rho, sigma):
     """(d_in, out_r, out_s, d_sub, p_r, p_s) of a certified maximizer E for
     the pair, with read-only outputs and d_sub = D(out_r, out_s).
 
-    Both bound reports on one pair ask for these in a row, so the previous
-    evaluation is reused when E's Kraus operators, rho, sigma and the
-    default tolerance have the same bits.
+    Both bound reports on one pair ask for these in a row, so the
+    evaluation is held on E for the pair (``_held_for_pair``).  The
+    coincide cut runs first on every call with two states, so a raised
+    default tolerance still reaches a held pair; raw operands get the cut
+    from the fresh certificate.
     """
-    global _last_bound
-    r_bits, s_bits = _operand_bits(rho), _operand_bits(sigma)
-    if r_bits is None or s_bits is None:
-        return _fresh_bound_inputs(E, rho, sigma)
-    key = (
-        tuple((e.shape, e.dtype.str, e.tobytes()) for e in E.kraus),
-        r_bits,
-        s_bits,
-        default_tol(),
-    )
-    last_key, inputs = _last_bound
-    if key != last_key:
-        inputs = _fresh_bound_inputs(E, rho, sigma)
-        _last_bound = (key, inputs)
-    return inputs
+    if isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix):
+        _distinct_split(rho, sigma, None)
+    return _held_for_pair(E, _bound_inputs, rho, sigma, lambda: _fresh_bound_inputs(E, rho, sigma))
 
 
 def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):

@@ -42,7 +42,11 @@ class DensityMatrix:
     Hermitian, PSD, unit trace.
 
     Construction validates the invariants, so holding a ``DensityMatrix``
-    is the proof that each wrapped matrix is a state.
+    is the proof that each wrapped matrix is a state.  The matrix is
+    read-only, so the state can hold what is derived from it: ``_held``
+    keeps the spectral split of its last pair (``maximizers``).  A copy or
+    an unpickled state wraps a read-only matrix of the same bits without
+    checking it again, and starts with nothing held.
     """
 
     mat: np.ndarray
@@ -51,6 +55,10 @@ class DensityMatrix:
         m, _, _ = _check_state(self.mat, TOL_HERM, TOL_PSD, TOL_TRACE)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_held", {})
+
+    def __reduce__(self):
+        return _trusted_state, (self.mat,)
 
     @property
     def dim(self) -> int:
@@ -84,10 +92,12 @@ def _check_state(m, tol_herm: float, tol_psd: float, tol_trace: float):
 
 def _trusted_state(m: np.ndarray) -> DensityMatrix:
     """Wrap a bit-Hermitian, unit-trace, PSD matrix or stack that this
-    module just built, without checking it again."""
+    module just built, or a copy of a state's matrix, without checking it
+    again."""
     m.flags.writeable = False
     state = object.__new__(DensityMatrix)
     object.__setattr__(state, "mat", m)
+    object.__setattr__(state, "_held", {})
     return state
 
 

@@ -5,9 +5,9 @@ but ``from .<module> import _name`` of a private function or class, or
 ``<module>._name`` on a module imported that way, is a layering breach:
 the helper should be made public or stay where it is.
 
-Functions rebind no module-level name (``global``) beyond the listed
-one-entry memos: data derived from one object is held on that object,
-as an operation holds its spectral data (``channels.held``).
+Functions rebind no module-level name (``global``): data derived from
+one object is held on that object, as an operation holds its spectral
+data (``channels.held``) and a state the split of its last pair.
 """
 
 import ast
@@ -70,13 +70,10 @@ def test_detects_private_attribute(tmp_path):
     assert list(_private_uses(bad)) == ["bad.py:4: sl._cdf_moment"]
 
 
-# (module, name) of each module-level memo a function rebinds.  Both key on
-# pairs of states; what derives from one operation is held on it instead
-# (channels.held).
-MODULE_MEMOS = {
-    ("maximizers.py", "_last_split"),
-    ("maximizers.py", "_last_bound"),
-}
+# (module, name) of each module-level memo a function may rebind: none.
+# What derives from an operation or a pair is held on the operation or the
+# pair's first state instead.
+MODULE_MEMOS = set()
 
 
 def _rebound_globals(path):
@@ -87,7 +84,7 @@ def _rebound_globals(path):
                 yield path.name, name
 
 
-def test_only_the_listed_module_memos_are_rebound():
+def test_no_function_rebinds_a_module_level_name():
     modules = sorted(SRC.glob("*.py"))
     assert modules
     assert {g for path in modules for g in _rebound_globals(path)} == MODULE_MEMOS

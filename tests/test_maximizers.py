@@ -1,9 +1,13 @@
 """Tests for maximizer construction, certification, matched pairs and the
 contraction reports."""
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qopdist import maximizers
@@ -25,7 +29,7 @@ from qopdist.maximizers import (
     theorem3_report,
     theorem4_report,
 )
-from qopdist.linalg import as_hermitian, spectral_split
+from qopdist.linalg import spectral_split
 from qopdist.metrics import trace_distance
 from qopdist.states import DensityMatrix, random_density
 
@@ -388,15 +392,13 @@ def test_output_distances_from_apply():
 
 @pytest.fixture
 def split_calls(monkeypatch):
-    """The matrices maximizers passes to spectral_split, starting from an
-    empty memo of the last split."""
+    """The matrices maximizers passes to spectral_split while the test runs."""
     calls = []
 
     def spy(delta):
         calls.append(delta)
         return spectral_split(delta)
 
-    monkeypatch.setattr(maximizers, "_last_split", (None, None))
     monkeypatch.setattr(maximizers, "spectral_split", spy)
     return calls
 
@@ -420,7 +422,7 @@ def test_one_split_per_pair_on_the_api_path(split_calls):
     rho2, sig2 = build_state_pair(op, 0.4)
     assert theorem3_report(op, rho2, sig2).holds and theorem4_report(op, rho2, sig2).holds
     assert len(split_calls) == 2
-    # The shape and tolerance checks still run on a reused split.
+    # The shape and tolerance checks still run on a held split.
     with pytest.raises(DegenerateInputError):
         certify_maximizer(op, rho2, sig2, tol=0.5)
     with pytest.raises(DimensionMismatchError):
@@ -428,67 +430,67 @@ def test_one_split_per_pair_on_the_api_path(split_calls):
     assert len(split_calls) == 2
 
 
-def test_reused_split_gives_the_bits_of_a_fresh_one(monkeypatch, split_calls):
-    rho, sig = _random_pair(61)
-    fresh = spectral_split(rho.mat - sig.mat)
-    memo = maximizers._distinct_split(rho, sig, None)
-    assert maximizers._distinct_split(rho, sig, None) is memo
-    assert all(_same_bits(getattr(fresh, f), getattr(memo, f)) for f in vars(fresh))
-
-    def outputs(forget):
-        """Kraus operators, m_op and diagnostics of both modes, calling
-        ``forget`` before each build and each certificate."""
-        arrays, diagnostics = [], []
-        for mode in (MaximizerMode.ON_Q, MaximizerMode.ON_R):
-            forget()
-            op = build_maximizing_operation(rho, sig, 3, mode)
-            forget()
-            cert = certify_maximizer(op, rho, sig)
-            arrays += [*op.kraus, cert.m_op]
-            diagnostics.append(cert.diagnostics)
-        return arrays, diagnostics
-
-    reused = outputs(lambda: None)
-    recomputed = outputs(lambda: monkeypatch.setattr(maximizers, "_last_split", (None, None)))
-    assert len(split_calls) == 5
-    assert all(_same_bits(a, b) for a, b in zip(reused[0], recomputed[0], strict=True))
-    assert reused[1] == recomputed[1]
+def _pair_path(rho, sig, d_target, new):
+    """Every output of building, certifying and bounding the pair, with
+    ``new`` applied to each state and operation before each call."""
+    arrays, certificates, ops = [], [], []
+    for mode in (MaximizerMode.ON_Q, MaximizerMode.ON_R):
+        op = build_maximizing_operation(new(rho), new(sig), 3, mode)
+        cert = certify_maximizer(new(op), new(rho), new(sig))
+        arrays += [*op.kraus, cert.m_op]
+        certificates.append((cert.mode, cert.diagnostics))
+        ops.append(op)
+    rho2, sig2 = build_state_pair(ops[0], d_target)
+    arrays += [rho2.mat, sig2.mat]
+    reports = [
+        repr(report(new(ops[0]), new(rho2), new(sig2)))
+        for report in (theorem3_report, theorem4_report, theorem3_report)
+    ]
+    return arrays, certificates, reports
 
 
-def test_one_ulp_change_gives_a_fresh_split(split_calls):
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 6),
+    ranks=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    d_target=st.floats(0.05, 0.95),
+)
+def test_held_pair_path_gives_the_bits_of_a_fresh_evaluation(seed, dim, ranks, d_target):
+    """Building, certifying and both bound reports on the same objects, which
+    reuse the split held on rho and the evaluation held on the operation,
+    give the bits that new objects with the same matrices give, which hold
+    nothing."""
+    rng = np.random.default_rng(seed)
+    rho = random_density(dim, min(ranks[0], dim), rng)
+    sig = random_density(dim, min(ranks[1], dim), rng)
+    assume(trace_distance(rho, sig) > 1e-6)
+    held_arrays, held_certs, held_reports = _pair_path(rho, sig, d_target, lambda x: x)
+    fresh_arrays, fresh_certs, fresh_reports = _pair_path(rho, sig, d_target, copy.copy)
+    assert all(_same_bits(a, b) for a, b in zip(held_arrays, fresh_arrays, strict=True))
+    assert held_certs == fresh_certs
+    assert held_reports == fresh_reports
+
+
+def test_a_different_state_object_gets_a_fresh_split(split_calls):
+    """A split is held on rho for one sigma object: a copy of either state,
+    equal to the bit, is another object and gets its own split."""
     rho, sig = _random_pair(62)
-    nudged = rho.mat.copy()
-    nudged[0, 0] = np.nextafter(nudged[0, 0].real, 1.0)
-    assert not np.array_equal(nudged - sig.mat, rho.mat - sig.mat)
-    a = maximizers._distinct_split(rho, sig, None)
-    b = maximizers._distinct_split(nudged, sig, None)
-    assert len(split_calls) == 2 and a is not b
-    assert maximizers._distinct_split(nudged, sig, None) is b
-
-
-def test_reused_split_is_read_only_and_public_split_writable():
-    rho, sig = _random_pair(63)
-    memo = maximizers._distinct_split(rho, sig, None)
-    public = spectral_split(rho.mat - sig.mat)
-    for field in vars(public):
-        assert not getattr(memo, field).flags.writeable
-        assert getattr(public, field).flags.writeable
-
-
-def test_stored_distance_is_the_cut_of_the_split():
-    """The memo keeps the coincide-cut distance with the split: the float
-    0.5 * (sum q_vals + sum r_vals) of that split."""
-    rho, sig = _random_pair(64)
     split = maximizers._distinct_split(rho, sig, None)
-    stored, distance = maximizers._last_split[1]
-    assert stored is split
-    assert distance == 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
+    twin = copy.copy(rho)
+    assert _same_bits(twin.mat, rho.mat)
+    other = maximizers._distinct_split(twin, sig, None)
+    assert len(split_calls) == 2 and other is not split
+    assert maximizers._distinct_split(twin, sig, None) is other
+    assert maximizers._distinct_split(rho, sig, None) is split
+    assert maximizers._distinct_split(rho, copy.copy(sig), None) is not split
+    assert len(split_calls) == 3
 
 
 @pytest.fixture
 def bound_evals(monkeypatch):
-    """The (E, rho, sigma) of each fresh bound-input evaluation, starting
-    from an empty memo."""
+    """The (E, rho, sigma) of each fresh bound-input evaluation while the
+    test runs."""
     calls = []
     fresh = maximizers._fresh_bound_inputs
 
@@ -496,7 +498,6 @@ def bound_evals(monkeypatch):
         calls.append((E, rho, sigma))
         return fresh(E, rho, sigma)
 
-    monkeypatch.setattr(maximizers, "_last_bound", (None, None))
     monkeypatch.setattr(maximizers, "_fresh_bound_inputs", spy)
     return calls
 
@@ -515,53 +516,47 @@ def test_one_bound_evaluation_per_pair(bound_evals):
     assert len(bound_evals) == 1
 
 
-def _nudged(m, i, j):
-    out = np.array(m)
-    out[i, j] = np.nextafter(out[i, j].real, 1.0) + 1j * out[i, j].imag
-    return out
-
-
-def test_one_ulp_change_gives_a_fresh_bound_evaluation(bound_evals):
+def test_a_different_object_gets_a_fresh_bound_evaluation(bound_evals):
+    """The evaluation is held on the operation for one pair of state
+    objects: a copy of either state or of the operation gets its own."""
     op, rho, sig = _matched_pair(71)
     theorem4_report(op, rho, sig)
-    kraus = list(op.kraus)
-    kraus[0] = _nudged(kraus[0], 0, 0)
-    for args in (
-        (op, DensityMatrix(_nudged(rho.mat, 0, 0)), sig),
-        (op, rho, DensityMatrix(_nudged(sig.mat, 1, 1))),
-        (QuantumOperation(kraus), rho, sig),
-    ):
+    for args in ((op, copy.copy(rho), sig), (op, rho, copy.copy(sig)), (copy.copy(op), rho, sig)):
         theorem4_report(*args)
         theorem4_report(*args)
     assert len(bound_evals) == 4
-
-
-def test_reused_bound_inputs_give_the_bits_of_fresh_ones(monkeypatch, bound_evals):
-    op, rho, sig = _matched_pair(72)
-
-    def reports(forget):
-        out = []
-        for report in (theorem3_report, theorem4_report, theorem3_report):
-            forget()
-            out.append(repr(report(op, rho, sig)))
-        return out
-
-    reused = reports(lambda: None)
-    recomputed = reports(lambda: monkeypatch.setattr(maximizers, "_last_bound", (None, None)))
-    assert len(bound_evals) == 4
-    assert reused == recomputed
 
 
 def test_raised_default_tol_reaches_a_reused_pair(monkeypatch, bound_evals):
-    """The default tolerance is part of the key: raised above the pair's
-    distance between two calls, the second call finds the pair coinciding."""
+    """The coincide cut runs on every call: raised above the pair's distance
+    between two calls, the second call finds the pair coinciding before it
+    reads the held evaluation."""
     monkeypatch.delenv("QOPDIST_DEFAULT_TOL", raising=False)
     op, rho, sig = _matched_pair(73)
     theorem3_report(op, rho, sig)
     monkeypatch.setenv("QOPDIST_DEFAULT_TOL", "0.5")
     with pytest.raises(DegenerateInputError):
         theorem4_report(op, rho, sig)
-    assert len(bound_evals) == 2
+    assert len(bound_evals) == 1
+
+
+def test_reused_split_is_read_only_and_public_split_writable():
+    rho, sig = _random_pair(63)
+    memo = maximizers._distinct_split(rho, sig, None)
+    public = spectral_split(rho.mat - sig.mat)
+    for field in vars(public):
+        assert not getattr(memo, field).flags.writeable
+        assert getattr(public, field).flags.writeable
+
+
+def test_stored_distance_is_the_cut_of_the_split():
+    """rho holds the coincide-cut distance with the split: the float
+    0.5 * (sum q_vals + sum r_vals) of that split."""
+    rho, sig = _random_pair(64)
+    split = maximizers._distinct_split(rho, sig, None)
+    _, _, (stored, distance) = rho._held[maximizers._distinct_split]
+    assert stored is split
+    assert distance == 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
 
 
 def test_reused_bound_outputs_are_read_only(bound_evals):
@@ -572,23 +567,42 @@ def test_reused_bound_outputs_are_read_only(bound_evals):
     assert not first[1].flags.writeable and not first[2].flags.writeable
 
 
-def test_raw_and_symmetrized_operands_do_not_share_an_entry(bound_evals):
-    """A raw matrix Hermitian only within tolerance is keyed by its own
-    bits, not by the symmetrized copy the certificate works on."""
+def test_a_raw_ndarray_is_evaluated_on_every_call(split_calls, bound_evals):
+    """Only ``DensityMatrix`` pairs are held: an ndarray or a nested list is
+    split and bounded afresh on every call, to the bits of the held pair,
+    and leaves the held entries as they were."""
     op, rho, sig = _matched_pair(75)
+    held = repr(theorem4_report(op, rho, sig))
+    splits, evals = len(split_calls), len(bound_evals)
+    for raw in (rho.mat.copy(), rho.mat.tolist()):
+        assert repr(theorem4_report(op, raw, sig)) == held
+        assert repr(theorem4_report(op, raw, sig)) == held
     raw = rho.mat.copy()
-    raw[0, 1] += 1e-13
-    hermitian = as_hermitian(raw)
-    assert not np.array_equal(raw, hermitian)
-    theorem4_report(op, raw, sig)
-    theorem4_report(op, hermitian, sig)
-    theorem4_report(op, raw, sig)
-    assert len(bound_evals) == 3
+    assert maximizers._distinct_split(raw, sig, None) is not maximizers._distinct_split(raw, sig, None)
+    assert (len(split_calls) - splits, len(bound_evals) - evals) == (6, 4)
+    assert repr(theorem4_report(op, rho, sig)) == held
+    assert (len(split_calls) - splits, len(bound_evals) - evals) == (6, 4)
 
 
-def test_operands_that_are_not_arrays_are_not_reused(bound_evals):
-    op, rho, sig = _matched_pair(76)
-    as_lists = (op, rho.mat.tolist(), sig.mat.tolist())
-    assert repr(theorem4_report(*as_lists)) == repr(theorem4_report(op, rho, sig))
-    theorem4_report(*as_lists)
-    assert len(bound_evals) == 3
+def test_a_chain_of_pairs_keeps_no_earlier_state_alive():
+    """Building, certifying and bounding the pairs (x0, x1), (x1, x2), ...
+    leaves each state held only weakly: with the first and last states and
+    every operation still referenced, every state in between and every
+    matched pair is collected."""
+    rng = np.random.default_rng(77)
+    first = state = random_density(4, 2, rng)
+    refs, ops = [], []
+    for _ in range(5):
+        nxt = random_density(4, 3, rng)
+        op = build_maximizing_operation(state, nxt, 2)
+        assert certify_maximizer(op, state, nxt).mode is MaximizerMode.ON_Q
+        pair = build_state_pair(op, 0.4)
+        assert theorem3_report(op, *pair).holds and theorem4_report(op, *pair).holds
+        refs += [weakref.ref(nxt), *map(weakref.ref, pair)]
+        ops.append(op)
+        state = nxt
+    del nxt, pair
+    refs.pop(-3)  # the last state, still referenced as ``state``
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert first._held and all(op._held for op in ops)

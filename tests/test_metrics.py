@@ -204,6 +204,33 @@ def test_fvdg_bounds_hold():
         assert rep.trace_dist <= rep.sine_dist + 1e-9
 
 
+def _gap_ceiling_pair(dim, u):
+    """rho = diag(a, 0, 1 - a) and sigma = diag(0, a, 1 - a), a = 1 - 1/sqrt(2),
+    padded with zeros to ``dim`` and conjugated by the unitary ``u``."""
+    a = 1.0 - 1.0 / np.sqrt(2.0)
+    diag_r, diag_s = np.zeros(dim), np.zeros(dim)
+    diag_r[:3], diag_s[:3] = [a, 0.0, 1.0 - a], [0.0, a, 1.0 - a]
+    return u @ np.diag(diag_r) @ u.conj().T, u @ np.diag(diag_s) @ u.conj().T
+
+
+def test_gap_ceiling_is_attained_in_dimension_three():
+    """F = 1/sqrt(2) and D = 1 - F give sine minus trace distance sqrt(2) - 1,
+    the ceiling thm5 checks random pairs against."""
+    rep = check_fvdg_bounds(*_gap_ceiling_pair(3, np.eye(3)))
+    assert abs(rep.sine_dist - rep.trace_dist - (np.sqrt(2.0) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_gap_ceiling_survives_unitary_conjugation(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(10):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        q, r = np.linalg.qr(g)
+        u = q * (np.diag(r) / np.abs(np.diag(r)))
+        rep = check_fvdg_bounds(*_gap_ceiling_pair(dim, u))
+        assert abs(rep.sine_dist - rep.trace_dist - (np.sqrt(2.0) - 1.0)) <= 1e-14
+
+
 def test_qubit_gap_witness_value():
     assert abs(qubit_gap(1.0, 0.5, 1.0) - 0.25) < 1e-12
 

@@ -1,9 +1,13 @@
 """Tests for density-matrix construction and sampling."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from qopdist.errors import ValidationError
+from qopdist.maximizers import build_maximizing_operation
 from qopdist.states import (
     DensityMatrix,
     bloch_of,
@@ -40,6 +44,27 @@ def test_density_matrix_is_frozen():
     rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises((AttributeError, ValueError)):
         rho.mat[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "clone",
+    [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_state_has_a_read_only_matrix_and_holds_nothing(clone):
+    """A copy wraps a read-only matrix with the original's bits and holds
+    none of what the original derived, also for a stack."""
+    rng = np.random.default_rng(8)
+    rho, sig = random_density(3, 2, rng), random_density(3, 3, rng)
+    build_maximizing_operation(rho, sig, 2)
+    assert rho._held
+    for state in (rho, random_density(3, np.array([1, 3]), rng)):
+        twin = clone(state)
+        assert type(twin) is DensityMatrix and twin is not state
+        assert twin.mat.shape == state.mat.shape and twin.mat.dtype == state.mat.dtype
+        assert twin.mat.tobytes() == state.mat.tobytes()
+        assert not twin.mat.flags.writeable
+        assert twin._held == {}
 
 
 def test_from_bloch_poles():

@@ -5,7 +5,9 @@ import dataclasses
 import gc
 import math
 import pickle
+import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -552,6 +554,15 @@ def test_cdf_moment_closed_forms():
         wedge = 2.0 * grid - grid * grid
         assert abs(cdf_moment(grid, wedge, n) - 2.0 / (n * n + 3 * n + 2)) < 1e-6
     assert cdf_moment([0, 1], [0, 1], 1) == 0.5  # plain lists are arrays too
+
+
+def test_declared_numpy_floor_has_trapezoid():
+    """cdf_moment integrates with np.trapezoid, which NumPy has only from
+    2.0 on, so the declared dependency may not allow an older NumPy."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert floor is not None
+    assert (int(floor[1]), int(floor[2])) >= (2, 0)
 
 
 def test_moment_two_routes_agree():
