@@ -11,6 +11,7 @@ one matrix.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .linalg import as_complex_array, as_complex_matrix, complex_normals, hermitian_part
 from .metrics import fidelity, trace_distance
-from .states import DensityMatrix, as_state, from_spectrum, validate_state
+from .states import DensityMatrix, as_state, from_spectrum, state_matrix, validate_state
 
 __all__ = [
     "ClonerOutputs",
@@ -57,10 +58,8 @@ class QuantumOperation:
     The sum T = sum E_mu^† E_mu is validated to satisfy 0 <= T <= 1
     (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
     operation holds read-only copies of the given operators, and what
-    ``held`` derives from them on first use, for as long as it lives.
-    The same store keeps the bound evaluation of the last state pair the
-    operation was reported on (``maximizers``); it refers to the two
-    states weakly.  A copy or an unpickled operation is built again from
+    ``held`` derives from them, alone or with a pair of states, for as
+    long as it lives.  A copy or an unpickled operation is built again from
     its Kraus operators without checking T again (bit-equal operators give
     the T the original passed with, at its own tolerance), and starts with
     nothing held.
@@ -136,22 +135,28 @@ def _rebuilt(ops: tuple) -> QuantumOperation:
     return _trusted_operation(ops, _t_sum(ops))
 
 
-def held(E: QuantumOperation, build):
-    """``build(E)``, computed on the first call with this ``build`` and
-    held on E for as long as E lives.
+def held(owner, build, *others):
+    """``build(owner, *others)``, held on ``owner``, an operation or a state,
+    for as long as it lives: the package's one store of derived data.
 
-    ``build`` derives its result from E alone, which is immutable, so the
-    held result stays valid; its arrays are read-only, as every later call
-    hands out the same objects.  A ``build`` that raises stores nothing,
-    and the next call runs it again.  Two threads may both run ``build``;
-    their results are equal, and either one is kept.  The store also
-    holds ``maximizers``' bound evaluation of one state pair, under a key
-    no ``build`` uses.
+    Owner and others are immutable, so a held result stays valid; its
+    arrays are read-only, as later calls hand out the same objects.  Each
+    ``build`` keeps one entry, which refers to ``others`` weakly and hits
+    only while each of them is the very object passed now; a miss builds
+    again and replaces the entry whole.  A ``build`` that raises stores
+    nothing.  Two threads may both run ``build``; either result is kept.
     """
-    store = E._held
-    if build not in store:
-        store[build] = build(E)
-    return store[build]
+    entry = owner._held.get(build)
+    if entry is not None:
+        for ref, other in zip(entry[0], others):
+            if ref() is not other:
+                break
+        else:  # every one of ``others`` is the object the entry was built with
+            return entry[1]
+    refs = tuple(map(weakref.ref, others))
+    result = build(owner, *others)
+    owner._held[build] = (refs, result)
+    return result
 
 
 def _t_eigh(E: QuantumOperation):
@@ -168,27 +173,16 @@ def t_eigh(E: QuantumOperation):
     return held(E, _t_eigh)
 
 
-def _input_matrix(E: QuantumOperation, rho) -> np.ndarray:
-    m = rho.mat if isinstance(rho, DensityMatrix) else as_complex_matrix(rho)
-    if m.shape != (E.dim_in, E.dim_in):
-        raise DimensionMismatchError(
-            f"operand shape {m.shape} does not match operation input dim {E.dim_in}"
-        )
-    return m
-
-
-def _input_matrices(E: QuantumOperation, rho) -> np.ndarray:
-    """One input matrix through ``_input_matrix``, or a finite stack
-    (n, dim_in, dim_in) of them."""
-    m = rho.mat if isinstance(rho, DensityMatrix) else rho
-    if np.ndim(m) != 3:
-        return _input_matrix(E, rho)
-    m = as_complex_array(m)
-    if m.shape[1:] != (E.dim_in, E.dim_in):
-        raise DimensionMismatchError(
-            f"operand stack shape {m.shape} does not match operation input dim {E.dim_in}"
-        )
-    return m
+def _operand(E: QuantumOperation, rho, stack: bool = False) -> np.ndarray:
+    """The matrix of an input to E, through ``state_matrix`` once its shape
+    is checked: (dim_in, dim_in), or with ``stack`` also (n, dim_in, dim_in)."""
+    m = rho.mat if isinstance(rho, DensityMatrix) else as_complex_array(rho)
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
+    if m.shape[-2:] != (E.dim_in, E.dim_in):
+        kind = "operand stack" if m.ndim == 3 else "operand"
+        raise DimensionMismatchError(f"{kind} shape {m.shape} does not match operation input dim {E.dim_in}")
+    return m if isinstance(rho, DensityMatrix) else state_matrix(m)
 
 
 def apply(E: QuantumOperation, rho) -> np.ndarray:
@@ -196,9 +190,10 @@ def apply(E: QuantumOperation, rho) -> np.ndarray:
 
     ``rho`` is one matrix (dim_in, dim_in) or a stack (n, dim_in, dim_in),
     which gives the stack (n, dim_out, dim_out) of outputs through the same
-    Kraus loop, broadcast over the stack.
+    Kraus loop, broadcast over the stack.  A raw operand must be Hermitian
+    within ``TOL_HERM`` (``states.state_matrix``).
     """
-    m = _input_matrices(E, rho)
+    m = _operand(E, rho, stack=True)
     out = np.zeros(m.shape[:-2] + (E.dim_out, E.dim_out), dtype=np.complex128)
     for e in E.kraus:
         out += e @ m @ e.conj().T
@@ -212,7 +207,7 @@ def t_operator(E: QuantumOperation) -> np.ndarray:
 
 def occurrence_probability(E: QuantumOperation, rho) -> float:
     """Probability tr(T rho) that the operation occurs on input rho."""
-    m = _input_matrix(E, rho)
+    m = _operand(E, rho)
     p = float(np.trace(E.t_op @ m).real)
     return min(max(p, 0.0), 1.0)
 
@@ -232,8 +227,8 @@ def normalize_output(E: QuantumOperation, rho):
 
 def e_distance(E: QuantumOperation, rho, sigma) -> float:
     """Absolute difference of occurrence probabilities |tr(T rho) - tr(T sigma)|."""
-    mr = _input_matrix(E, rho)
-    ms = _input_matrix(E, sigma)
+    mr = _operand(E, rho)
+    ms = _operand(E, sigma)
     return abs(float(np.trace(E.t_op @ (mr - ms)).real))
 
 
@@ -293,7 +288,7 @@ def contractivity_check(E: QuantumOperation, rho, sigma) -> ContractivityReport:
     """D(in) and D(out) of a pair under a trace-preserving operation."""
     if not is_trace_preserving(E):
         raise ValidationError("contractivity_check needs a trace-preserving operation")
-    d_in = trace_distance(_input_matrix(E, rho), _input_matrix(E, sigma))
+    d_in = trace_distance(_operand(E, rho), _operand(E, sigma))
     return ContractivityReport(d_in=d_in, d_out=trace_distance(apply(E, rho), apply(E, sigma)))
 
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import enum
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumOperation, apply, occurrence_probability, t_eigh
+from .channels import QuantumOperation, apply, held, occurrence_probability, t_eigh
 from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, checked_index, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
@@ -57,24 +56,6 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
-def _held_for_pair(owner, key, rho, sigma, build):
-    """``build()``, held in ``owner._held[key]`` for the pair when rho and
-    sigma are both ``DensityMatrix`` objects, and built fresh otherwise.
-
-    States are immutable, so the next call with the same two objects gets
-    the held result back.  The entry refers to them weakly, so it keeps
-    neither alive, and holds one pair: another pair replaces it whole.  A
-    ``build`` that raises stores nothing.
-    """
-    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
-        return build()
-    entry = owner._held.get(key)
-    if entry is None or entry[0]() is not rho or entry[1]() is not sigma:
-        entry = (weakref.ref(rho), weakref.ref(sigma), build())
-        owner._held[key] = entry
-    return entry[2]
-
-
 def _split_and_distance(delta):
     """The split of delta with read-only arrays, and the trace distance
     0.5 * (sum q_vals + sum r_vals) the coincide cut compares."""
@@ -84,20 +65,29 @@ def _split_and_distance(delta):
     return split, 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
 
 
+def _pair_split(rho: DensityMatrix, sigma: DensityMatrix):
+    """``_split_and_distance`` of rho - sigma, for two states."""
+    return _split_and_distance(rho.mat - sigma.mat)
+
+
 def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
     """Spectral split of rho - sigma; DegenerateInputError when the states
     coincide: their trace distance is at or below the resolved ``tol``.
 
     Building, certifying and bounding one pair ask for the same split in a
-    row, so the split and its distance are held on rho for sigma
-    (``_held_for_pair``); raw matrices are split on every call.  The
-    state, shape and tolerance checks run on every call.
+    row, so when rho and sigma are both states the split and its distance
+    are held on rho for sigma (``channels.held``); raw matrices are split
+    on every call.  The state, shape and tolerance checks run on every
+    call.
     """
     tol = resolve_tol(tol)
     mr, ms = state_matrix(rho), state_matrix(sigma)
     if mr.shape != ms.shape:
         raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    split, distance = _held_for_pair(rho, _distinct_split, rho, sigma, lambda: _split_and_distance(mr - ms))
+    if isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix):
+        split, distance = held(rho, _pair_split, sigma)
+    else:
+        split, distance = _split_and_distance(mr - ms)
     if distance <= tol:
         raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
     return split
@@ -314,15 +304,16 @@ def _bound_inputs(E: QuantumOperation, rho, sigma):
     """(d_in, out_r, out_s, d_sub, p_r, p_s) of a certified maximizer E for
     the pair, with read-only outputs and d_sub = D(out_r, out_s).
 
-    Both bound reports on one pair ask for these in a row, so the
-    evaluation is held on E for the pair (``_held_for_pair``).  The
-    coincide cut runs first on every call with two states, so a raised
-    default tolerance still reaches a held pair; raw operands get the cut
-    from the fresh certificate.
+    Both bound reports on one pair ask for these in a row, so for two
+    states the evaluation is held on E for the pair (``channels.held``).
+    The coincide cut runs first on every such call, so a raised default
+    tolerance still reaches a held pair; raw operands are evaluated on
+    every call and get the cut from the fresh certificate.
     """
-    if isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix):
-        _distinct_split(rho, sigma, None)
-    return _held_for_pair(E, _bound_inputs, rho, sigma, lambda: _fresh_bound_inputs(E, rho, sigma))
+    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
+        return _fresh_bound_inputs(E, rho, sigma)
+    _distinct_split(rho, sigma, None)
+    return held(E, _fresh_bound_inputs, rho, sigma)
 
 
 def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):

@@ -36,17 +36,18 @@ PAULI = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A normalized quantum state (d, d), or a stack (n, d, d) of them:
     Hermitian, PSD, unit trace.
 
     Construction validates the invariants, so holding a ``DensityMatrix``
     is the proof that each wrapped matrix is a state.  The matrix is
-    read-only, so the state can hold what is derived from it: ``_held``
-    keeps the spectral split of its last pair (``maximizers``).  A copy or
-    an unpickled state wraps a read-only matrix of the same bits without
-    checking it again, and starts with nothing held.
+    read-only, so the state can hold what is derived from it, alone or with
+    another state (``channels.held``).  States compare and hash by
+    identity, as held entries match them.  A copy or an unpickled state
+    wraps a read-only matrix of the same bits without checking it again,
+    and starts with nothing held.
     """
 
     mat: np.ndarray

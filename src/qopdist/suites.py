@@ -110,11 +110,12 @@ def _suite(name: str, salt: int, default_cases: int):
             slack = _checked_args(seed, n_cases, slack)
             n_cases = default_cases if n_cases is None else n_cases
             n_counted, details = body(np.random.default_rng([seed, salt]), n_cases, slack)
+            n_failures, worst_margin = _tally(details)
             return SuiteReport(
                 suite_name=name,
                 n_cases=n_counted,
-                n_failures=sum(not d["ok"] for d in details),
-                worst_margin=min(d["margin"] for d in details),
+                n_failures=n_failures,
+                worst_margin=worst_margin,
                 seed=seed,
                 elapsed_seconds=time.perf_counter() - t0,
                 details=tuple(details),
@@ -151,6 +152,12 @@ def _detail(case: str, checks: dict, **extra) -> dict:
             raise NumericalError(f"{case}: check {name} is not finite: value {value!r}, bound {bound!r}")
     margin = min(bound - value for value, bound in pairs.values())
     return {"case": case, **extra, "checks": pairs, "margin": margin, "ok": margin >= 0}
+
+
+def _tally(details) -> tuple[int, float]:
+    """(n_failures, worst_margin) of a suite's details: how many are not
+    ok, and their least margin."""
+    return sum(not d["ok"] for d in details), min(d["margin"] for d in details)
 
 
 def _violations(case: str, checks: dict, **extra) -> dict:
@@ -695,31 +702,34 @@ def _parse_lines(path, lines) -> list[SuiteReport]:
             )
             _check_verdicts(report)
             out.append(report)
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError, NumericalError) as exc:
             raise ReportParseError(f"{path}:{i}: bad suite record: {exc!r}") from exc
     return out
 
 
 def _check_verdicts(report: SuiteReport) -> None:
     """Reject a loaded suite record whose verdicts do not follow from its
-    margins: each detail needs ``checks``, a numeric ``margin`` and an
-    ``ok`` equal to ``margin >= 0``; ``n_failures`` must count the details
-    that are not ok, and ``worst_margin`` must be their least margin."""
-    margins = []
+    checks: each detail needs ``checks``, each a [value, bound] of JSON
+    numbers, and a ``margin`` and an ``ok`` equal to the ones ``_detail``
+    makes of them; ``n_failures`` and ``worst_margin`` must be the
+    ``_tally`` of the details."""
     for k, d in enumerate(report.details):
-        if not isinstance(d, dict) or not {"checks", "margin", "ok"} <= d.keys():
+        if not (isinstance(d, dict) and {"checks", "margin", "ok"} <= d.keys() and isinstance(d["checks"], dict)):
             raise ValidationError(f"detail {k} lacks checks, margin or ok")
+        checks = {name: [_json_number(f"check {name}", x) for x in pair] for name, pair in d["checks"].items()}
+        judged = _detail(f"detail {k}", checks)
         margin = _json_number("margin", d["margin"])
-        if d["ok"] is not (margin >= 0):
+        if margin != judged["margin"]:
+            raise ValidationError(
+                f"detail {k}: margin {margin!r} does not follow from its checks: {judged['margin']!r}"
+            )
+        if d["ok"] is not judged["ok"]:
             raise ValidationError(f"detail {k}: ok {d['ok']!r} disagrees with margin {margin!r}")
-        margins.append(margin)
-    n_failed = sum(margin < 0 for margin in margins)
+    n_failed, worst = _tally(report.details)
     if report.n_failures != n_failed:
         raise ValidationError(f"n_failures {report.n_failures} but {n_failed} details failed")
-    if report.worst_margin != min(margins):
-        raise ValidationError(
-            f"worst_margin {report.worst_margin!r} is not the least detail margin {min(margins)!r}"
-        )
+    if report.worst_margin != worst:
+        raise ValidationError(f"worst_margin {report.worst_margin!r} is not the least detail margin {worst!r}")
 
 
 def _json_number(name: str, value) -> float:

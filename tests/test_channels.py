@@ -1,7 +1,9 @@
 """Tests for Kraus-set operations, probabilities and the exact cloner."""
 
 import copy
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -108,6 +110,36 @@ def test_held_keeps_one_result_per_operation_and_build():
     first = held(op, build)
     assert held(op, build) is first and calls == [op, op]
     assert held(other, build) is not first and calls == [op, op, other]
+
+
+def test_held_keeps_one_pair_entry_per_owner_and_build():
+    """With other objects, held hands out the same result while each is the
+    very object it was built with: a bit-equal copy of one builds again and
+    replaces the entry, a build that raises leaves the store as it was, and
+    the entry keeps none of the others alive."""
+    calls = []
+
+    def build(owner, rho, sigma):
+        calls.append((rho, sigma))
+        if sigma is None or len(calls) == 3:
+            raise ValidationError("build fails")
+        return object()
+
+    rng = np.random.default_rng(39)
+    op, rho, sig = QuantumOperation([np.eye(3)]), random_density(3, 2, rng), random_density(3, 3, rng)
+    first = held(op, build, rho, sig)
+    assert held(op, build, rho, sig) is first and len(calls) == 1
+    twin = copy.copy(sig)
+    second = held(op, build, rho, twin)
+    assert second is not first and len(calls) == 2
+    store = dict(op._held)
+    with pytest.raises(ValidationError):
+        held(op, build, twin, rho)
+    assert op._held == store and held(op, build, rho, twin) is second and len(calls) == 3
+    refs = [weakref.ref(rho), weakref.ref(twin)]
+    del rho, sig, twin, calls[:]
+    gc.collect()
+    assert [r() for r in refs] == [None, None] and op._held
 
 
 def test_apply_and_probability():
@@ -337,6 +369,24 @@ def test_apply_rejects_bad_stacks(operand):
     with pytest.raises(ValidationError) as info:
         apply(KEEP0, operand)
     assert not isinstance(info.value, DimensionMismatchError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda op, m: apply(op, m),
+        lambda op, m: apply(op, np.stack([np.eye(2), m])),
+        lambda op, m: occurrence_probability(op, m),
+        lambda op, m: e_distance(op, np.eye(2) / 2, m),
+        lambda op, m: contractivity_check(op, m, np.eye(2) / 2),
+    ],
+    ids=["apply", "apply-stack", "occurrence_probability", "e_distance", "contractivity_check"],
+)
+def test_raw_operands_must_be_hermitian(call):
+    """A raw operand goes through the state gate, so a matrix that is not
+    Hermitian is rejected instead of acting through its Hermitian part."""
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        call(QuantumOperation([np.eye(2)]), [[0, 1], [0, 0]])
 
 
 @pytest.mark.parametrize("shape", [(3, 3, 3), (3, 2, 3), (3, 1, 1), (0, 3, 3)])

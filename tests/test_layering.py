@@ -6,8 +6,9 @@ but ``from .<module> import _name`` of a private function or class, or
 the helper should be made public or stay where it is.
 
 Functions rebind no module-level name (``global``): data derived from
-one object is held on that object, as an operation holds its spectral
-data (``channels.held``) and a state the split of its last pair.
+one object, or from it and a pair of states, is held on that object, as
+an operation holds its spectral data and a state the split of its last
+pair.  ``channels.held`` is the one function that reads such a store.
 """
 
 import ast
@@ -107,6 +108,51 @@ def test_detects_global_statements(tmp_path):
     good = tmp_path / "good.py"
     good.write_text("_memo = {}\ndef f(x):\n    return x\n")
     assert list(_rebound_globals(good)) == []
+
+
+def _held_readers(path):
+    """(module, function) of each ``._held`` attribute in a module, the
+    function being the innermost enclosing one: None at module level,
+    "<lambda>" in a lambda."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Lambda):
+            function = "<lambda>"
+        if isinstance(node, ast.Attribute) and node.attr == "_held":
+            found.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_function_reads_the_held_store():
+    """Only ``channels.held`` reads or writes an object's ``_held`` store;
+    the constructors start it empty through ``object.__setattr__``."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert {r for path in modules for r in _held_readers(path)} == {("channels.py", "held")}
+
+
+def test_detects_held_store_reads(tmp_path):
+    """The check finds a read at module level, in a function and in a lambda
+    inside a method, and not the store's name as a string."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "object.__setattr__(s, '_held', {})\n"
+        "x = s._held\n"
+        "def held(o):\n"
+        "    return o._held.get(1)\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return lambda o: o._held\n"
+    )
+    assert _held_readers(bad) == [("bad.py", None), ("bad.py", "held"), ("bad.py", "<lambda>")]
 
 
 def test_import_starts_no_process_machinery():

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qopdist import maximizers
-from qopdist.channels import QuantumOperation, apply, e_distance, random_operation, t_operator
+from qopdist.channels import QuantumOperation, apply, e_distance, held, random_operation, t_operator
 from qopdist.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -550,11 +550,11 @@ def test_reused_split_is_read_only_and_public_split_writable():
 
 
 def test_stored_distance_is_the_cut_of_the_split():
-    """rho holds the coincide-cut distance with the split: the float
-    0.5 * (sum q_vals + sum r_vals) of that split."""
+    """rho holds the coincide-cut distance with the split for sig: the
+    float 0.5 * (sum q_vals + sum r_vals) of that split."""
     rho, sig = _random_pair(64)
     split = maximizers._distinct_split(rho, sig, None)
-    _, _, (stored, distance) = rho._held[maximizers._distinct_split]
+    stored, distance = held(rho, maximizers._pair_split, sig)
     assert stored is split
     assert distance == 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
 

@@ -67,6 +67,16 @@ def test_a_copied_state_has_a_read_only_matrix_and_holds_nothing(clone):
         assert twin._held == {}
 
 
+def test_states_compare_and_hash_by_identity():
+    """Distinct states compare unequal without raising, a state keys a dict
+    or a set, and a copy is another state."""
+    rng = np.random.default_rng(9)
+    a, b = random_density(3, 2, rng), random_density(3, 3, rng)
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1 and len({a, b, a}) == 2
+    assert copy.copy(a) != a
+
+
 def test_from_bloch_poles():
     up = from_bloch([0.0, 0.0, 1.0])
     assert np.max(np.abs(up.mat - np.diag([1.0, 0.0]))) < 1e-15

@@ -506,11 +506,32 @@ def _drop(key):
         pytest.param(_drop("checks"), "detail 0 lacks checks, margin or ok", id="detail-without-checks"),
         pytest.param(_drop("margin"), "detail 0 lacks checks, margin or ok", id="detail-without-margin"),
         pytest.param(_drop("ok"), "detail 0 lacks checks, margin or ok", id="detail-without-ok"),
+        pytest.param(
+            lambda h, r: r["details"][0]["checks"]["residual"].__setitem__(0, 1e9),
+            "detail 0: margin 0.001 does not follow from its checks",
+            id="check-value-raised",
+        ),
+        pytest.param(
+            lambda h, r: r["details"][1]["checks"]["residual"].__setitem__(1, 0.0),
+            "detail 1: margin .* does not follow from its checks",
+            id="check-bound-lowered",
+        ),
+        pytest.param(
+            lambda h, r: r["details"][0]["checks"]["residual"].__setitem__(0, float("nan")),
+            "detail 0: check residual is not finite",
+            id="check-not-finite",
+        ),
+        pytest.param(
+            lambda h, r: r["details"][0]["checks"]["residual"].__setitem__(0, "0.0"),
+            "check residual must be a number",
+            id="check-value-text",
+        ),
         pytest.param(lambda h, r: h.update(schema_version=1), "unrecognized header", id="schema-1"),
     ],
 )
 def test_parse_report_rejects_verdicts_that_do_not_follow(tmp_path, edit, message):
-    """A loaded record's ok, n_failures and worst_margin must follow from
-    its detail margins, and a schema-1 file is not read as schema 2."""
+    """A loaded record's margins, oks, n_failures and worst_margin must
+    follow from its detail checks, and a schema-1 file is not read as
+    schema 2."""
     with pytest.raises(ReportParseError, match=message):
         parse_report(_edited_report(tmp_path, edit))
