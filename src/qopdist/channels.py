@@ -5,8 +5,9 @@ space into a dim_out space.  The associated operator T = sum E_mu^† E_mu
 obeys 0 <= T <= 1 and carries everything this package needs: occurrence
 probabilities tr(T rho), the probability-difference distance between two
 inputs, its extremal states, and the exact-cloning example.  ``apply``
-maps one input matrix or a stack of them; every other function here takes
-one matrix.
+maps one Hermitian input matrix or a stack of them; every other function
+of an input takes states, and converts a raw operand once with
+``states.as_state``.
 """
 
 from __future__ import annotations
@@ -56,7 +57,8 @@ class QuantumOperation:
     """Immutable Kraus set {E_mu}, each of shape (dim_out, dim_in).
 
     The sum T = sum E_mu^† E_mu is validated to satisfy 0 <= T <= 1
-    (eigenvalues in [-tol, 1+tol]) and cached at construction.  The
+    (eigenvalues in [-tol, 1+tol]) and cached at construction; the check
+    reads the spectrum ``t_eigh`` holds, so T is diagonalized once.  The
     operation holds read-only copies of the given operators, and what
     ``held`` derives from them, alone or with a pair of states, for as
     long as it lives.  A copy or an unpickled operation is built again from
@@ -69,7 +71,7 @@ class QuantumOperation:
 
     def __init__(self, kraus, tol: float | None = None):
         tol = resolve_tol(tol)
-        ops = tuple(as_complex_matrix(np.array(e, dtype=np.complex128)) for e in kraus)
+        ops = tuple(as_complex_matrix(e).copy() for e in kraus)
         if not ops:
             raise ValidationError("need at least one Kraus operator")
         d_out, d_in = ops[0].shape
@@ -80,14 +82,13 @@ class QuantumOperation:
                 raise DimensionMismatchError(
                     f"Kraus shapes disagree: {(d_out, d_in)} vs {e.shape}"
                 )
-        t = _t_sum(ops)
-        w = np.linalg.eigvalsh(t)
+        _fill(self, ops, _t_sum(ops))
+        w = t_eigh(self)[0]
         if w[0] < -tol or w[-1] > 1.0 + tol:
             raise ValidationError(
                 f"Kraus sum gives T eigenvalues in [{w[0]:.3e}, {w[-1]:.3e}], "
                 f"outside [0, 1] by {max(-w[0], w[-1] - 1.0):.3e}"
             )
-        _fill(self, ops, t)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumOperation is immutable")
@@ -173,16 +174,18 @@ def t_eigh(E: QuantumOperation):
     return held(E, _t_eigh)
 
 
-def _operand(E: QuantumOperation, rho, stack: bool = False) -> np.ndarray:
-    """The matrix of an input to E, through ``state_matrix`` once its shape
-    is checked: (dim_in, dim_in), or with ``stack`` also (n, dim_in, dim_in)."""
+def _operand(E: QuantumOperation, rho, stack: bool = False):
+    """An input to E once its shape is checked, (dim_in, dim_in): a state,
+    through ``as_state``; or with ``stack``, for ``apply``, also a stack
+    (n, dim_in, dim_in), as the Hermitian matrix ``state_matrix`` gives."""
     m = rho.mat if isinstance(rho, DensityMatrix) else as_complex_array(rho)
     if m.ndim != 2 and not (stack and m.ndim == 3):
         raise ValidationError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.shape[-2:] != (E.dim_in, E.dim_in):
         kind = "operand stack" if m.ndim == 3 else "operand"
         raise DimensionMismatchError(f"{kind} shape {m.shape} does not match operation input dim {E.dim_in}")
-    return m if isinstance(rho, DensityMatrix) else state_matrix(m)
+    x = rho if isinstance(rho, DensityMatrix) else m
+    return state_matrix(x) if stack else as_state(x)
 
 
 def apply(E: QuantumOperation, rho) -> np.ndarray:
@@ -206,9 +209,8 @@ def t_operator(E: QuantumOperation) -> np.ndarray:
 
 
 def occurrence_probability(E: QuantumOperation, rho) -> float:
-    """Probability tr(T rho) that the operation occurs on input rho."""
-    m = _operand(E, rho)
-    p = float(np.trace(E.t_op @ m).real)
+    """Probability tr(T rho) that the operation occurs on the state rho."""
+    p = float(np.trace(E.t_op @ _operand(E, rho).mat).real)
     return min(max(p, 0.0), 1.0)
 
 
@@ -218,6 +220,7 @@ def normalize_output(E: QuantumOperation, rho):
     Raises ZeroProbabilityError when the branch does not occur
     (probability at or below TOL_PROB).
     """
+    rho = _operand(E, rho)
     p = occurrence_probability(E, rho)
     if p <= TOL_PROB:
         raise ZeroProbabilityError(f"occurrence probability {p:.3e} <= {TOL_PROB:.3e}")
@@ -227,9 +230,7 @@ def normalize_output(E: QuantumOperation, rho):
 
 def e_distance(E: QuantumOperation, rho, sigma) -> float:
     """Absolute difference of occurrence probabilities |tr(T rho) - tr(T sigma)|."""
-    mr = _operand(E, rho)
-    ms = _operand(E, sigma)
-    return abs(float(np.trace(E.t_op @ (mr - ms)).real))
+    return abs(float(np.trace(E.t_op @ (_operand(E, rho).mat - _operand(E, sigma).mat)).real))
 
 
 def is_trace_preserving(E: QuantumOperation, tol: float | None = None) -> bool:
@@ -288,8 +289,8 @@ def contractivity_check(E: QuantumOperation, rho, sigma) -> ContractivityReport:
     """D(in) and D(out) of a pair under a trace-preserving operation."""
     if not is_trace_preserving(E):
         raise ValidationError("contractivity_check needs a trace-preserving operation")
-    d_in = trace_distance(_operand(E, rho), _operand(E, sigma))
-    return ContractivityReport(d_in=d_in, d_out=trace_distance(apply(E, rho), apply(E, sigma)))
+    rho, sigma = _operand(E, rho), _operand(E, sigma)
+    return ContractivityReport(d_in=trace_distance(rho, sigma), d_out=trace_distance(apply(E, rho), apply(E, sigma)))
 
 
 @dataclass(frozen=True)

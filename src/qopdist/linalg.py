@@ -21,6 +21,7 @@ __all__ = [
     "as_complex_array",
     "as_complex_matrix",
     "as_hermitian",
+    "as_real_array",
     "complex_normals",
     "eig_hermitian",
     "hermitian_part",
@@ -42,11 +43,27 @@ def as_complex_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def as_complex_array(a) -> np.ndarray:
-    """Coerce to a finite C-contiguous complex128 array of any shape."""
-    m = np.ascontiguousarray(a, dtype=np.complex128)
+    """Coerce to a finite C-contiguous complex128 array of any shape;
+    non-numeric or ragged input raises ValidationError."""
+    try:
+        m = np.ascontiguousarray(a, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected an array of numbers: {exc}") from exc
     if not np.isfinite(m).all():
         raise ValidationError("matrix contains NaN or Inf entries")
     return m
+
+
+def as_real_array(a) -> np.ndarray:
+    """Coerce to a float64 array of any shape; complex, non-numeric or
+    ragged input raises ValidationError."""
+    try:
+        m = np.asarray(a)
+        if m.dtype.kind != "c":
+            return m.astype(np.float64, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"expected an array of real numbers: {exc}") from exc
+    raise ValidationError("expected an array of real numbers, got complex entries")
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -202,10 +219,8 @@ def projector_onto(vectors, dim: int) -> np.ndarray:
 
 def _as_columns(vectors, dim: int) -> np.ndarray:
     if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2):
-        vecs = [np.asarray(x, dtype=np.complex128).reshape(-1) for x in vectors]
-        if not vecs:
-            return np.zeros((dim, 0), dtype=np.complex128)
-        vectors = np.stack(vecs, axis=1)
+        vecs = [as_complex_array(x).reshape(-1) for x in vectors]
+        vectors = as_complex_array(vecs).T if vecs else np.zeros((dim, 0))
     cols = as_complex_array(vectors)
     if cols.shape[0] != dim:
         raise ValidationError(f"vectors live in dimension {cols.shape[0]}, expected {dim}")

@@ -23,7 +23,7 @@ from .channels import QuantumOperation
 from .config import checked_index
 from .errors import MatrixFileError, ValidationError
 from .linalg import as_complex_matrix, as_hermitian
-from .states import DensityMatrix, validate_state
+from .states import DensityMatrix, as_state, validate_state
 
 __all__ = [
     "KIND_HERMITIAN",
@@ -151,8 +151,8 @@ def save_matrix(path, mat, kind: str | None = None) -> None:
 
 
 def save_state(path, state) -> None:
-    m = state.mat if isinstance(state, DensityMatrix) else state
-    save_matrix(path, m, kind=KIND_STATE)
+    """Save a state; a raw operand goes through ``as_state``, so a non-state writes nothing."""
+    save_matrix(path, as_state(state).mat, kind=KIND_STATE)
 
 
 def load_matrix(path):

@@ -27,9 +27,9 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import SpectralSplit, as_hermitian, eig_hermitian, projector_onto, spectral_split
+from .linalg import SpectralSplit, as_complex_array, as_hermitian, as_real_array, eig_hermitian, projector_onto, spectral_split
 from .metrics import trace_distance
-from .states import DensityMatrix, from_spectrum, state_matrix
+from .states import DensityMatrix, as_state, from_spectrum
 
 __all__ = [
     "BoundReport",
@@ -56,38 +56,27 @@ class MaximizerMode(enum.Enum):
     NOT_MAXIMIZER = "none"
 
 
-def _split_and_distance(delta):
-    """The split of delta with read-only arrays, and the trace distance
+def _pair_split(rho: DensityMatrix, sigma: DensityMatrix):
+    """The split of rho - sigma with read-only arrays, and the trace distance
     0.5 * (sum q_vals + sum r_vals) the coincide cut compares."""
-    split = spectral_split(delta)
+    split = spectral_split(rho.mat - sigma.mat)
     for arr in vars(split).values():
         arr.flags.writeable = False
     return split, 0.5 * (np.sum(split.q_vals) + np.sum(split.r_vals))
 
 
-def _pair_split(rho: DensityMatrix, sigma: DensityMatrix):
-    """``_split_and_distance`` of rho - sigma, for two states."""
-    return _split_and_distance(rho.mat - sigma.mat)
-
-
-def _distinct_split(rho, sigma, tol: float | None) -> SpectralSplit:
+def _distinct_split(rho: DensityMatrix, sigma: DensityMatrix, tol: float | None) -> SpectralSplit:
     """Spectral split of rho - sigma; DegenerateInputError when the states
     coincide: their trace distance is at or below the resolved ``tol``.
 
     Building, certifying and bounding one pair ask for the same split in a
-    row, so when rho and sigma are both states the split and its distance
-    are held on rho for sigma (``channels.held``); raw matrices are split
-    on every call.  The state, shape and tolerance checks run on every
-    call.
+    row, so the split and its distance are held on rho for sigma
+    (``channels.held``).  The shape and tolerance checks run on every call.
     """
     tol = resolve_tol(tol)
-    mr, ms = state_matrix(rho), state_matrix(sigma)
-    if mr.shape != ms.shape:
-        raise DimensionMismatchError(f"state shapes differ: {mr.shape} vs {ms.shape}")
-    if isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix):
-        split, distance = held(rho, _pair_split, sigma)
-    else:
-        split, distance = _split_and_distance(mr - ms)
+    if rho.mat.shape != sigma.mat.shape:
+        raise DimensionMismatchError(f"state shapes differ: {rho.mat.shape} vs {sigma.mat.shape}")
+    split, distance = held(rho, _pair_split, sigma)
     if distance <= tol:
         raise DegenerateInputError(f"states coincide: trace distance at or below {tol:.1e}")
     return split
@@ -112,7 +101,7 @@ def build_maximizing_operation(
     (DegenerateInputError).
     """
     dim_out = checked_index("dim_out", dim_out, 1)
-    split = _distinct_split(rho, sigma, tol)
+    split = _distinct_split(as_state(rho), as_state(sigma), tol)
     if mode is MaximizerMode.ON_Q:
         basis = split.q_basis
     elif mode is MaximizerMode.ON_R:
@@ -124,7 +113,7 @@ def build_maximizing_operation(
         eye = np.eye(dim_out, dtype=np.complex128)
         outs = [eye[:, i % dim_out] for i in range(n)]
     else:
-        outs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in output_vectors]
+        outs = [as_complex_array(v).reshape(-1) for v in output_vectors]
         if len(outs) != n:
             raise ValidationError(f"need {n} output vectors, got {len(outs)}")
         for i, v in enumerate(outs):
@@ -159,7 +148,7 @@ def certify_maximizer(E: QuantumOperation, rho, sigma, tol: float | None = None)
     distance coincide (DegenerateInputError), as for
     ``build_maximizing_operation``.
     """
-    split = _distinct_split(rho, sigma, tol)
+    split = _distinct_split(as_state(rho), as_state(sigma), tol)
     t = E.t_op
     if t.shape[0] != split.dim:
         raise DimensionMismatchError(
@@ -254,21 +243,17 @@ def build_state_pair(
         raise ValidationError(f"d_target must lie in (0, 1), got {d_target}")
     unit, zero = matched_eigenspaces(E)
     nq_max, nr_max = unit.shape[1], zero.shape[1]
-    if lambda_weights is None:
-        lam = np.full(nq_max, d_target / nq_max)
-    else:
-        lam = np.asarray(lambda_weights, dtype=float)
-    if kappa_weights is None:
-        kap = np.full(nr_max, d_target / nr_max)
-    else:
-        kap = np.asarray(kappa_weights, dtype=float)
+    lam = np.full(nq_max, d_target / nq_max) if lambda_weights is None else as_real_array(lambda_weights)
+    kap = np.full(nr_max, d_target / nr_max) if kappa_weights is None else as_real_array(kappa_weights)
     nq, nr = lam.size, kap.size
     if delta_lambda is None and delta_kappa is None:
         dlam = np.full(nq, (1.0 - d_target) / (nq + nr))
         dkap = np.full(nr, (1.0 - d_target) / (nq + nr))
     else:
-        dlam = np.asarray(delta_lambda if delta_lambda is not None else np.zeros(nq), dtype=float)
-        dkap = np.asarray(delta_kappa if delta_kappa is not None else np.zeros(nr), dtype=float)
+        dlam = np.zeros(nq) if delta_lambda is None else as_real_array(delta_lambda)
+        dkap = np.zeros(nr) if delta_kappa is None else as_real_array(delta_kappa)
+    if any(w.ndim != 1 for w in (lam, kap, dlam, dkap)):
+        raise ValidationError("weight and delta lists must be 1-D")
     if not (1 <= nq <= nq_max) or dlam.size != nq:
         raise ValidationError(f"lambda lists must address 1..{nq_max} unit eigenvectors")
     if not (1 <= nr <= nr_max) or dkap.size != nr:
@@ -300,18 +285,15 @@ class BoundReport:
     relative_increase: float | None = None
 
 
-def _bound_inputs(E: QuantumOperation, rho, sigma):
+def _bound_inputs(E: QuantumOperation, rho: DensityMatrix, sigma: DensityMatrix):
     """(d_in, out_r, out_s, d_sub, p_r, p_s) of a certified maximizer E for
     the pair, with read-only outputs and d_sub = D(out_r, out_s).
 
-    Both bound reports on one pair ask for these in a row, so for two
-    states the evaluation is held on E for the pair (``channels.held``).
-    The coincide cut runs first on every such call, so a raised default
-    tolerance still reaches a held pair; raw operands are evaluated on
-    every call and get the cut from the fresh certificate.
+    Both bound reports on one pair ask for these in a row, so the
+    evaluation is held on E for the pair (``channels.held``).  The coincide
+    cut runs first on every call, so a raised default tolerance still
+    reaches a held pair.
     """
-    if not (isinstance(rho, DensityMatrix) and isinstance(sigma, DensityMatrix)):
-        return _fresh_bound_inputs(E, rho, sigma)
     _distinct_split(rho, sigma, None)
     return held(E, _fresh_bound_inputs, rho, sigma)
 
@@ -335,7 +317,7 @@ def _fresh_bound_inputs(E: QuantumOperation, rho, sigma):
 def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Normalized outputs: D(rho', sigma') <= D(rho, sigma) / p_m, and the
     relative increase stays below 1 - p_m, both up to TOL_BOUND."""
-    d_in, out_r, out_s, d_sub, p_r, p_s = _bound_inputs(E, rho, sigma)
+    d_in, out_r, out_s, d_sub, p_r, p_s = _bound_inputs(E, as_state(rho), as_state(sigma))
     if min(p_r, p_s) <= TOL_PROB:
         raise ZeroProbabilityError(f"occurrence probabilities ({p_r:.3e}, {p_s:.3e}) too small")
     d_out = trace_distance(out_r / p_r, out_s / p_s)
@@ -361,7 +343,7 @@ def theorem3_report(E: QuantumOperation, rho, sigma) -> BoundReport:
 def theorem4_report(E: QuantumOperation, rho, sigma) -> BoundReport:
     """Subnormalized outputs under the Hermitian-operator metric:
     D(E(rho), E(sigma)) <= D(rho, sigma) / 2 + TOL_BOUND."""
-    d_in, _, _, d_sub, p_r, p_s = _bound_inputs(E, rho, sigma)
+    d_in, _, _, d_sub, p_r, p_s = _bound_inputs(E, as_state(rho), as_state(sigma))
     bound = 0.5 * d_in
     return BoundReport(
         d_in=d_in,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, TOL_TRACE, checked_index, checked_indices, resolve_tol
 from .errors import ValidationError
-from .linalg import as_hermitian, complex_normals, hermitian_part
+from .linalg import as_hermitian, as_real_array, complex_normals, hermitian_part
 
 __all__ = [
     "DensityMatrix",
@@ -115,7 +115,7 @@ def state_matrix(x) -> np.ndarray:
 
 def from_bloch(u) -> DensityMatrix:
     """Qubit state (1/2)(I + u . sigma) from a Bloch vector of length <= 1."""
-    u = np.asarray(u, dtype=np.float64).reshape(-1)
+    u = as_real_array(u).reshape(-1)
     if u.shape != (3,):
         raise ValidationError(f"Bloch vector must have 3 components, got {u.shape}")
     norm = float(np.linalg.norm(u))

@@ -163,3 +163,68 @@ def test_import_starts_no_process_machinery():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# (module, function) of each place that asks whether an operand is already a
+# state: the two conversions and the shape check of an operation's input.
+STATE_TESTS = {("states.py", "as_state"), ("states.py", "state_matrix"), ("channels.py", "_operand")}
+
+
+def _identifiers(node):
+    """Every name and attribute name in an expression."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _state_tests(path):
+    """(module, function) of each ``isinstance`` call that names
+    ``DensityMatrix``, the function being the innermost enclosing one."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and "DensityMatrix" in {name for arg in node.args[1:] for name in _identifiers(arg)}
+        ):
+            found.append((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_operand_rule():
+    """Functions defined on states convert a raw operand with ``as_state``
+    (or, for Hermitian operands, ``state_matrix``) and pass the result on,
+    so no other function asks whether an operand is a ``DensityMatrix``."""
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    assert {t for path in modules for t in _state_tests(path)} == STATE_TESTS
+
+
+def test_detects_state_tests(tmp_path):
+    """The check finds ``DensityMatrix`` as a name, an attribute and in a
+    tuple, at module level and in a method, and passes other isinstance
+    calls and the bare name."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "from . import states\n"
+        "a = isinstance(x, DensityMatrix)\n"
+        "def f(x):\n"
+        "    return isinstance(x, (int, states.DensityMatrix))\n"
+        "class C:\n"
+        "    def m(self, x):\n"
+        "        return isinstance(x, dict) or DensityMatrix(x)\n"
+        "    def n(self, x):\n"
+        "        return isinstance(x, DensityMatrix) and isinstance(x, np.ndarray)\n"
+    )
+    assert _state_tests(bad) == [("bad.py", None), ("bad.py", "f"), ("bad.py", "n")]

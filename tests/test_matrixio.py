@@ -373,6 +373,27 @@ def test_rejected_save_leaves_an_existing_file_untouched(tmp_path, name):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.diag([2.0, 0.0]), "trace"),
+        ([[0, 1], [0, 0]], "not Hermitian"),
+        (np.diag([1.5, -0.5]), "not PSD"),
+    ],
+    ids=["trace-2", "not-hermitian", "not-psd"],
+)
+def test_save_state_writes_only_states(tmp_path, bad, message):
+    """A raw operand goes through the state gate: a matrix that is not a
+    state raises ValidationError and leaves an existing file as it was,
+    instead of being written with the "state" tag that load_state rejects."""
+    path = tmp_path / "x.json"
+    save_state(path, np.diag([0.25, 0.75]))
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match=message):
+        save_state(path, bad)
+    assert path.read_bytes() == before
+
+
 def test_unwritable_path_raises_matrix_file_error(tmp_path):
     path = tmp_path / "no" / "x.json"
     with pytest.raises(MatrixFileError, match=re.escape(f"cannot write {path}")):

@@ -568,20 +568,22 @@ def test_reused_bound_outputs_are_read_only(bound_evals):
 
 
 def test_a_raw_ndarray_is_evaluated_on_every_call(split_calls, bound_evals):
-    """Only ``DensityMatrix`` pairs are held: an ndarray or a nested list is
-    split and bounded afresh on every call, to the bits of the held pair,
-    and leaves the held entries as they were."""
+    """An ndarray or a nested list becomes a new state on every call
+    (``as_state``), so it is split and bounded afresh, once per call, to
+    the bits of the held pair.  The split held on rho stays; the
+    operation keeps one evaluation, the last converted pair's, so the held
+    pair is evaluated once more."""
     op, rho, sig = _matched_pair(75)
     held = repr(theorem4_report(op, rho, sig))
     splits, evals = len(split_calls), len(bound_evals)
     for raw in (rho.mat.copy(), rho.mat.tolist()):
         assert repr(theorem4_report(op, raw, sig)) == held
         assert repr(theorem4_report(op, raw, sig)) == held
-    raw = rho.mat.copy()
-    assert maximizers._distinct_split(raw, sig, None) is not maximizers._distinct_split(raw, sig, None)
-    assert (len(split_calls) - splits, len(bound_evals) - evals) == (6, 4)
+    assert (len(split_calls) - splits, len(bound_evals) - evals) == (4, 4)
+    for E, state, other in bound_evals[evals:]:
+        assert E is op and isinstance(state, DensityMatrix) and state is not rho and other is sig
     assert repr(theorem4_report(op, rho, sig)) == held
-    assert (len(split_calls) - splits, len(bound_evals) - evals) == (6, 4)
+    assert (len(split_calls) - splits, len(bound_evals) - evals) == (4, 5)
 
 
 def test_a_chain_of_pairs_keeps_no_earlier_state_alive():

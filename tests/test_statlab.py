@@ -716,12 +716,13 @@ def _count_setups(monkeypatch):
 
 
 def test_repeated_calls_set_up_once(monkeypatch, lapack_calls):
-    """pair_for_point diagonalizes T on its first point only; then ten
-    run_trials calls on the operation find its matched basis and apply it
-    to the basis projectors once, without diagonalizing T again, and the
-    object path reuses that setup."""
-    op = _maximizer_shaped(16, 8, 8)
+    """The constructor's check diagonalizes T once, and pair_for_point
+    reads that eigh on every point; then ten run_trials calls on the
+    operation find its matched basis and apply it to the basis projectors
+    once, without diagonalizing T again, and the object path reuses that
+    setup."""
     del lapack_calls[:]
+    op = _maximizer_shaped(16, 8, 8)
     for p_m, p_n in ((0.9, 0.1), (0.5, 0.25), (0.3, 0.2)):
         pair_for_point(op, TrianglePoint(p_m, p_n))
     assert lapack_calls == ["eigh"]
@@ -752,14 +753,15 @@ def test_alternating_operations_set_up_once_each(monkeypatch):
 def test_alternating_operations_test_each_shared_basis_once(lapack_calls, first):
     """Each operation holds its kernel's shared-basis test, None included:
     after one call on each of two operations, alternating them runs no
-    eigh, and the non-commuting one only its eigvalsh path."""
+    eigh, and the non-commuting one only its eigvalsh path.  T's eigh was
+    held by each constructor."""
     other = _non_commuting_op() if first == "non-commuting" else _maximizer_shaped(5, 2, 2)
     ops = [other, _maximizer_shaped(2, 1, 1)]
     del lapack_calls[:]
     for call in range(2):
         run_trials(ops[call], 20, np.random.default_rng(call))
     per_call = ["eigvalsh", "eigvalsh"] if first == "non-commuting" else []
-    assert lapack_calls == ["eigh", "eigh"] + per_call + ["eigh", "eigh"]  # T, then the shared-basis test
+    assert lapack_calls == ["eigh"] + per_call + ["eigh"]  # the shared-basis test
     del lapack_calls[:]
     for call in range(2, 8):
         run_trials(ops[call % 2], 20, np.random.default_rng(call))
@@ -792,9 +794,9 @@ def test_reused_setups_give_bit_equal_columns(lapack_calls, shape, path):
 def test_a_failed_setup_stores_nothing(monkeypatch, lapack_calls):
     """An operation without a kernel raises NotMaximizingShapeError in its
     setup and holds no setup: a retry runs the setup again and raises
-    again, from the T eigendecomposition held since the first try."""
-    op = QuantumOperation([np.eye(2, dtype=complex)])
+    again, from the T eigendecomposition its constructor held."""
     del lapack_calls[:]
+    op = QuantumOperation([np.eye(2, dtype=complex)])
     counts = _count_setups(monkeypatch)
     for _ in range(2):
         with pytest.raises(NotMaximizingShapeError):

@@ -6,6 +6,7 @@ bit-identical results; work counts pin how many eigendecompositions a
 validation costs; edge inputs must raise the documented ValidationError.
 """
 
+import copy
 import dataclasses
 import importlib
 import inspect
@@ -30,17 +31,20 @@ from qopdist.channels import (
     random_operations,
 )
 from qopdist.config import resolve_tol
-from qopdist.errors import DimensionMismatchError, ValidationError
+from qopdist.errors import DimensionMismatchError, QopdistError, ValidationError
 from qopdist.linalg import complex_normals, eig_hermitian, projector_onto, random_hermitian, spectral_split
 from qopdist.matrixio import load_state, save_state
 from qopdist.maximizers import (
     build_maximizing_operation,
+    build_state_pair,
     certify_maximizer,
     extremal_trace_product,
     maximizing_projector,
+    theorem3_report,
+    theorem4_report,
 )
 from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, trace_distance
-from qopdist.states import DensityMatrix, random_density, validate_state
+from qopdist.states import DensityMatrix, as_state, random_density, validate_state
 from qopdist.statlab import (
     BoundKind,
     TrialRecord,
@@ -680,3 +684,159 @@ def test_stack_edge_cases(name):
     else:
         with pytest.raises(outcome):
             call()
+
+
+# -- one operand rule -------------------------------------------------------------
+# Functions defined on states convert a raw operand once, on entry, with
+# ``as_state``: it must be a state at the default tolerance, and it gives the
+# bits of the state it converts to.
+
+ON_STATES = {
+    "build_maximizing_operation": lambda E, U, r, s: build_maximizing_operation(r, s, 2),
+    "certify_maximizer": lambda E, U, r, s: certify_maximizer(E, r, s),
+    "theorem3_report": lambda E, U, r, s: theorem3_report(E, r, s),
+    "theorem4_report": lambda E, U, r, s: theorem4_report(E, r, s),
+    "occurrence_probability": lambda E, U, r, s: channels.occurrence_probability(E, r),
+    "e_distance": lambda E, U, r, s: channels.e_distance(E, r, s),
+    "normalize_output": lambda E, U, r, s: channels.normalize_output(E, r),
+    "contractivity_check": lambda E, U, r, s: channels.contractivity_check(U, r, s),
+}
+
+
+def _scene(seed, dim, d_target):
+    """(E, U, r, s) on C^dim: a maximizer E with a matched pair (r, s) of
+    built states, and a unitary operation U.  In d = 1 the pair is the one
+    state twice and E a random operation."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    if dim == 1:
+        r = s = validate_state(np.eye(1))
+        E = random_operation(1, 2, 2, rng)
+    else:
+        E = build_maximizing_operation(random_density(dim, dim, rng), random_density(dim, dim, rng), 2)
+        r, s = build_state_pair(E, d_target)
+    return E, QuantumOperation([u]), r, s
+
+
+def _bits(x):
+    """The shape and bytes of every array in a result and the repr of every
+    other leaf: equal for two results only when they agree to the bit."""
+    if isinstance(x, np.ndarray):
+        return x.shape, x.tobytes()
+    if isinstance(x, QuantumOperation):
+        return _bits(x.kraus)
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, tuple(_bits(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, dict):
+        return tuple((k, _bits(v)) for k, v in x.items())
+    if isinstance(x, tuple):
+        return tuple(map(_bits, x))
+    return repr(x)
+
+
+def _outcome(call):
+    """The bits of what ``call()`` returns, or the type and message of the
+    package error it raises."""
+    try:
+        return _bits(call())
+    except QopdistError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=SEEDS, dim=st.integers(1, 6), d_target=st.floats(0.05, 0.95), as_list=st.booleans())
+@pytest.mark.parametrize("name", sorted(ON_STATES))
+def test_a_raw_operand_gives_the_bits_of_its_state(name, seed, dim, d_target, as_list):
+    """f(x) gives the bits of f(as_state(x)), or raises the same error, for
+    the ndarray and the nested-list form of built states."""
+    E, U, r, s = _scene(seed, dim, d_target)
+    xr, xs = (r.mat.tolist(), s.mat.tolist()) if as_list else (r.mat.copy(), s.mat.copy())
+    call = ON_STATES[name]
+    assert _outcome(lambda: call(E, U, xr, xs)) == _outcome(lambda: call(E, U, as_state(xr), as_state(xs)))
+
+
+def _non_state(kind, rng, dim):
+    """A raw matrix that misses one state property by 1e-6, far beyond the
+    default tolerance, and keeps the other two."""
+    w, v = np.linalg.eigh(random_density(dim, dim, rng).mat)
+    if kind == "not-psd":  # move weight from the smallest eigenvalue to the largest, past zero
+        shift = w[0] + 1e-6
+        w[0] -= shift
+        w[-1] += shift
+    m = linalg.hermitian_part((v * w) @ v.conj().T)
+    if kind == "not-unit-trace":
+        m *= 1.0 + 1e-6
+    if kind == "not-hermitian":
+        m[0, -1] += 1e-6j if dim == 1 else 1e-6
+    return m
+
+
+NON_STATE_MESSAGES = {"not-psd": "state is not PSD", "not-unit-trace": "state trace", "not-hermitian": "not Hermitian"}
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=SEEDS, dim=st.integers(1, 6), kind=st.sampled_from(sorted(NON_STATE_MESSAGES)))
+@pytest.mark.parametrize("name", sorted(ON_STATES))
+def test_a_raw_non_state_is_rejected(name, seed, dim, kind):
+    """A raw operand that is not PSD, not of unit trace or not Hermitian
+    raises the state gate's ValidationError.  Every 1 x 1 matrix of unit
+    trace is PSD, so the not-PSD case takes d >= 2."""
+    dim = max(dim, 2) if kind == "not-psd" else dim
+    E, U, _, s = _scene(seed, dim, 0.4)
+    bad = _non_state(kind, np.random.default_rng(seed), dim)
+    for form in (bad, bad.tolist()):
+        with pytest.raises(ValidationError, match=NON_STATE_MESSAGES[kind]) as info:
+            ON_STATES[name](E, U, form, s)
+        assert type(info.value) is ValidationError
+
+
+# function: (as_hermitian calls with two state operands, with the first one raw)
+HERMITIAN_CHECKS = {
+    "theorem4_report": (3, 4),
+    "normalize_output": (1, 2),
+    "contractivity_check": (2, 3),
+    "occurrence_probability": (0, 1),
+    "e_distance": (0, 1),
+    "build_maximizing_operation": (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HERMITIAN_CHECKS))
+def test_a_raw_operand_is_checked_once(hermitian_checks, name):
+    """A raw operand costs one Hermiticity check, its conversion on entry,
+    and is passed on as that state, so no inner call checks it again.  The
+    copies of the states hold nothing, so each call splits its pair anew."""
+    E, U, r, s = _scene(3, 4, 0.4)
+    counts = []
+    for first in (copy.copy(r), r.mat.copy()):
+        del hermitian_checks[:]
+        ON_STATES[name](E, U, first, copy.copy(s))
+        counts.append(len(hermitian_checks))
+    assert tuple(counts) == HERMITIAN_CHECKS[name]
+
+
+# -- non-numeric and ragged input -------------------------------------------------
+
+NON_NUMERIC = {
+    "DensityMatrix": lambda: DensityMatrix("x"),
+    "QuantumOperation": lambda: QuantumOperation(["x"]),
+    "apply-ragged": lambda: channels.apply(QuantumOperation([EYE2]), [[1, 0], [0]]),
+    "validate_state-object": lambda: validate_state(object()),
+    "from_bloch": lambda: states.from_bloch(["a", "b", "c"]),
+    "from_bloch-complex": lambda: states.from_bloch(np.array([0.5j, 0.0, 0.0])),
+    "projector_onto": lambda: projector_onto(["ab"], 2),
+    "projector_onto-ragged": lambda: projector_onto([[1, 0], [1, 0, 0]], 2),
+    "output_vectors": lambda: build_maximizing_operation(
+        np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 2, output_vectors=[["a", "b"]]
+    ),
+    "lambda_weights": lambda: build_state_pair(suites._maximizer_shaped_op(4, 2, 1), 0.5, lambda_weights=["a", "b"]),
+    "kappa_weights-2d": lambda: build_state_pair(
+        suites._maximizer_shaped_op(4, 2, 1), 0.5, kappa_weights=[[0.25], [0.25]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC))
+def test_non_numeric_or_ragged_input_raises_validation_error(name):
+    with pytest.raises(ValidationError):
+        NON_NUMERIC[name]()
