@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_complex_array, as_complex_matrix, complex_normals, hermitian_part
+from .linalg import as_complex_array, as_complex_matrix, as_hermitian, complex_normals, hermitian_part
 from .metrics import fidelity, trace_distance
 from .states import DensityMatrix, as_state, from_spectrum, state_matrix, validate_state
 
@@ -46,6 +46,7 @@ __all__ = [
     "occurrence_probability",
     "random_operation",
     "random_operations",
+    "random_operations_max_gap",
     "t_eigh",
     "t_operator",
 ]
@@ -339,6 +340,28 @@ def cloner_distance_factor(omega: float) -> float:
     return float(np.sqrt(1.0 + omega * omega) / (1.0 + omega))
 
 
+def _raw_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
+    """The unscaled Kraus block and T stack of ``random_operations``: the
+    one draw path, which the argument checks, the padded normals and the
+    sum T = sum E^dag E all run through."""
+    dim_in = checked_index("dim_in", dim_in, 1)
+    dim_out = checked_indices("dim_out", dim_out, 1)
+    n_kraus = checked_indices("n_kraus", n_kraus, 1)
+    if dim_out.shape != n_kraus.shape:
+        raise DimensionMismatchError(f"dim_out and n_kraus differ in length: {dim_out.size} vs {n_kraus.size}")
+    n_max, out_max = int(n_kraus.max(initial=1)), int(dim_out.max(initial=1))
+    keep = (np.arange(n_max) < n_kraus[:, None])[:, :, None] & (np.arange(out_max) < dim_out[:, None])[:, None, :]
+    g = complex_normals(keep, dim_in, rng) / np.sqrt(2.0)
+    rows = g.reshape(len(g), n_max * out_max, dim_in)
+    return g, rows.conj().transpose(0, 2, 1) @ rows
+
+
+def _scales(t: np.ndarray) -> np.ndarray:
+    """The factor 1 / (||T|| + 1e-9) of each raw T of a stack: the one
+    scale rule of ``random_operations``."""
+    return 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
+
+
 def random_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
     """Random operations on ``dim_in``-dimensional inputs, one per entry of
     the 1-D integer arrays ``dim_out`` and ``n_kraus``: complex-normal Kraus
@@ -352,18 +375,46 @@ def random_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
     same normals whatever the others' shapes.  Returns the Kraus block and
     the stacked T (n, dim_in, dim_in).
     """
-    dim_in = checked_index("dim_in", dim_in, 1)
-    dim_out = checked_indices("dim_out", dim_out, 1)
-    n_kraus = checked_indices("n_kraus", n_kraus, 1)
-    if dim_out.shape != n_kraus.shape:
-        raise DimensionMismatchError(f"dim_out and n_kraus differ in length: {dim_out.size} vs {n_kraus.size}")
-    n_max, out_max = int(n_kraus.max(initial=1)), int(dim_out.max(initial=1))
-    keep = (np.arange(n_max) < n_kraus[:, None])[:, :, None] & (np.arange(out_max) < dim_out[:, None])[:, None, :]
-    g = complex_normals(keep, dim_in, rng) / np.sqrt(2.0)
-    rows = g.reshape(len(g), n_max * out_max, dim_in)
-    t = rows.conj().transpose(0, 2, 1) @ rows
-    scale = 1.0 / (np.linalg.eigvalsh(t)[:, -1] + 1e-9)
+    g, t = _raw_operations(dim_in, dim_out, n_kraus, rng)
+    scale = _scales(t)
     return g * np.sqrt(scale)[:, None, None, None], t * scale[:, None, None]
+
+
+def random_operations_max_gap(delta, dim_out, n_kraus, rng: np.random.Generator) -> float:
+    """max_i |tr(T_i delta)| over the T stack that
+    ``random_operations(delta.shape[0], dim_out, n_kraus, rng)`` returns,
+    bit for bit, from the same draws; ``delta`` is Hermitian within
+    ``TOL_HERM`` and enters as its Hermitian part.
+
+    Only the operations that can still set the maximum are scaled exactly.
+    Every raw T has ||T|| >= max_k T[k, k] (Rayleigh quotient), so
+    |tr(T delta)| / (max_k T[k, k] + 1e-9) bounds its scaled gap.  The
+    operations are visited by descending bound, in blocks of 16, 32, 64
+    and so on, and the visit stops at the first bound at or below the
+    largest exact gap found.
+    """
+    delta = as_hermitian(as_complex_matrix(delta))
+    _, t = _raw_operations(delta.shape[0], dim_out, n_kraus, rng)
+    if not len(t):
+        raise ValidationError("random_operations_max_gap needs at least one operation")
+    # The bound must hold for computed values.  Rounding can put the computed
+    # ||T|| below max_k T[k, k] by a few d * eps relative to it, and move the
+    # scaled gap off the raw gap times the scale by a few d^2 * eps *
+    # max|delta| (each |T[i, j]| <= 1 once scaled); the margins, 1e-9
+    # relative and 1e-12 * max|delta| absolute, are far above both.
+    diag = np.einsum("nii->ni", t).real.max(axis=1)
+    raw = np.abs(np.einsum("nij,ji->n", t, delta).real)
+    bound = raw / (diag + 1e-9) * (1.0 + 1e-9) + 1e-12 * float(np.abs(delta).max())
+    order = np.argsort(-bound, kind="stable")
+    best, start, size = -np.inf, 0, 16
+    while start < len(order) and bound[order[start]] > best:
+        block = order[start : start + size]
+        block = block[bound[block] > best]
+        sub = t[block]
+        gaps = np.abs(np.einsum("nij,ji->n", sub * _scales(sub)[:, None, None], delta).real)
+        best = max(best, float(gaps.max()))
+        start, size = start + size, 2 * size
+    return best
 
 
 def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> QuantumOperation:

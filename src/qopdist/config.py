@@ -1,5 +1,5 @@
 """Package-wide tolerances, the QOPDIST_DEFAULT_TOL override and the
-checks of tolerance and count arguments."""
+checks of tolerance, count and path arguments."""
 
 from __future__ import annotations
 
@@ -98,3 +98,16 @@ def checked_indices(name: str, values, least: int) -> np.ndarray:
     if a.ndim != 1 or a.dtype.kind not in "iu":
         raise ValidationError(f"{name} must be a 1-D array of integers, got {values!r}")
     return a
+
+
+def checked_path(path):
+    """``path`` when it names a file: a ``str``, ``bytes`` or ``os.PathLike``.
+
+    Anything else raises ValidationError before a file is opened; above
+    all an int or a bool, which ``open`` would take as a file descriptor
+    and close when done, so ``save_matrix(2, m)`` would write to stderr
+    and shut it.
+    """
+    if isinstance(path, (str, bytes, os.PathLike)):
+        return path
+    raise ValidationError(f"path must be a str, bytes or os.PathLike, got {path!r}")

@@ -106,7 +106,8 @@ def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.
     i.i.d. N(0, 1)) where ``keep`` is True, and zero rows where it is not."""
     dim = checked_index("dim", dim, 1)
     g = np.zeros(keep.shape + (dim,), dtype=np.complex128)
-    g[keep] = rng.standard_normal((int(keep.sum()), 2 * dim)).view(np.complex128)
+    rows = np.flatnonzero(keep)  # the kept rows' flat indices, in C order
+    g.reshape(-1, dim)[rows] = rng.standard_normal((rows.size, 2 * dim)).view(np.complex128)
     return g
 
 

@@ -6,7 +6,8 @@ enforced on load.  A Kraus-set document wraps a list of operator matrices
 together with the input and output dimensions.  Files are written as one
 line of compact JSON with sorted keys; any JSON whitespace loads.  Floats
 are written with Python's shortest round-trip repr, so load(save(x))
-reproduces x exactly.
+reproduces x exactly.  A path is a ``str``, ``bytes`` or ``os.PathLike``
+(``config.checked_path``); an integer is never taken as a file descriptor.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NoReturn
 import numpy as np
 
 from .channels import QuantumOperation
-from .config import checked_index
+from .config import checked_index, checked_path
 from .errors import MatrixFileError, ValidationError
 from .linalg import as_complex_matrix, as_hermitian
 from .states import DensityMatrix, as_state, validate_state
@@ -108,7 +109,7 @@ def _raise_bad_entry(entries) -> NoReturn:
 
 def _read_doc(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(checked_path(path), encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
@@ -137,7 +138,7 @@ def _write_doc(path, doc: dict) -> None:
     """
     data = (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
     try:
-        with open(path, "wb", opener=_open_in_place) as fh:
+        with open(checked_path(path), "wb", opener=_open_in_place) as fh:
             old = os.fstat(fh.fileno())
             fh.write(data)
             if stat.S_ISREG(old.st_mode) and old.st_size > len(data):

@@ -35,9 +35,9 @@ from .channels import (
     e_distance,
     max_e_distance_over_states,
     random_operation,
-    random_operations,
+    random_operations_max_gap,
 )
-from .config import checked_index, resolve_tol
+from .config import checked_index, checked_path, resolve_tol
 from .errors import MatrixFileError, NumericalError, ReportParseError, ValidationError
 from .linalg import random_hermitian
 from .maximizers import (
@@ -47,7 +47,7 @@ from .maximizers import (
     maximizing_projector,
 )
 from .metrics import check_fvdg_bounds, fidelity, max_qubit_gap, trace_distance
-from .states import random_density
+from .states import random_density, validate_state
 from .statlab import BoundKind, cdf_moment, dominance_implies_moments, empirical_cdf, moment_check
 
 __all__ = [
@@ -248,12 +248,11 @@ def run_thm1(rng, n_cases, slack):
         # Oracle operations: output dimension 1 to dim, 1 to 4 Kraus operators.
         oracle_out = rng.integers(1, dim + 1, size=n_oracle)
         oracle_kraus = rng.integers(1, 5, size=n_oracle)
-        _, t = random_operations(dim, oracle_out, oracle_kraus, rng)
-        gaps = np.abs(_trace_products(t, rho.mat - sig.mat))
+        gap = random_operations_max_gap(rho.mat - sig.mat, oracle_out, oracle_kraus, rng)
         details.append(
             _detail(
                 f"pair-{i:03d}-dim{dim}-{mode.value}",
-                {"attainment": (attain, 1e-10), "oracle_excess": (gaps.max() - d, slack)},
+                {"attainment": (attain, 1e-10), "oracle_excess": (gap - d, slack)},
             )
         )
     return n_cases, details
@@ -325,8 +324,7 @@ def run_thm4(rng, n_cases, slack):
         )
         for tag, trials in draws
     ]
-    rho = np.diag([1.0, 0.0]).astype(np.complex128)
-    sig = np.diag([0.0, 1.0]).astype(np.complex128)
+    rho, sig = validate_state(np.diag([1.0, 0.0])), validate_state(np.diag([0.0, 1.0]))
     op = build_maximizing_operation(rho, sig, 1, MaximizerMode.ON_Q)
     resid = abs(trace_distance(apply(op, rho), apply(op, sig)) - 0.5)
     details.append(_detail("orthogonal-qubit-saturation", {"residual": (resid, 1e-10)}))
@@ -567,14 +565,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 # The suites by their run time at seed 7 (minimum of 5 in-process runs on
 # one CPU of a 2-vCPU host, two measurements), longest first: appendixB
-# 0.53-0.57 s and thm1 0.57 s (a tie within noise), thm2 0.44 s, thm5
-# 0.18 s, cloning 0.10 s, lemma1 0.07 s, section3 0.05 s, the rest under
-# 0.01 s each.  Workers take them in this order, so the longest suite does
-# not start last.
+# 0.43 s and thm2 0.42 s (a tie within noise), thm1 0.31-0.32 s, thm5
+# 0.16-0.17 s, cloning 0.08 s, lemma1 0.05 s, section3 0.04 s, the rest
+# under 0.01 s each.  Workers take them in this order, so the longest
+# suite does not start last.
 _LONGEST_FIRST = (
     "appendixB",
-    "thm1",
     "thm2",
+    "thm1",
     "thm5",
     "cloning",
     "lemma1",
@@ -641,11 +639,12 @@ def write_report(path, reports) -> None:
     Each detail record is encoded and written by itself, ahead of the other
     keys because "details" sorts first: one encoding call for a whole suite
     record would keep every fragment of it alive until the call returns.
-    A path that cannot be written raises MatrixFileError.
+    A path that cannot be written raises MatrixFileError, and one that is
+    not a ``str``, ``bytes`` or ``os.PathLike`` ValidationError.
     """
     dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(checked_path(path), "w", encoding="utf-8") as fh:
             fh.write(dumps({"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}) + "\n")
             for r in reports:
                 fh.write('{"details":[')
@@ -667,10 +666,11 @@ def parse_report(path) -> list[SuiteReport]:
     """Read a report file back; elapsed time is not stored and reads as 0.
 
     Lines are parsed as they are read, so the file's text is never held
-    in memory at once.
+    in memory at once.  A path that is not a ``str``, ``bytes`` or
+    ``os.PathLike`` raises ValidationError.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(checked_path(path), encoding="utf-8") as fh:
             return _parse_lines(path, (line for line in fh if line.strip()))
     except (OSError, UnicodeDecodeError) as exc:
         raise ReportParseError(f"cannot read {path}: {exc}") from exc

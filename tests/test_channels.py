@@ -24,6 +24,7 @@ from qopdist.channels import (
     occurrence_probability,
     random_operation,
     random_operations,
+    random_operations_max_gap,
     t_eigh,
     t_operator,
 )
@@ -35,6 +36,7 @@ from qopdist.errors import (
     ValidationError,
     ZeroProbabilityError,
 )
+from qopdist.linalg import random_hermitian
 from qopdist.maximizers import matched_eigenspaces
 from qopdist.metrics import trace_distance
 from qopdist.states import from_spectrum, random_density
@@ -252,6 +254,32 @@ def test_random_operation_is_the_first_of_a_block():
 def test_random_operations_rejects_bad_shapes(dim_out, n_kraus):
     with pytest.raises(ValidationError):
         random_operations(3, dim_out, n_kraus, np.random.default_rng(0))
+
+
+def _deltas(rng, dim):
+    """A random Hermitian matrix, zero and a multiple of the identity."""
+    return {
+        "hermitian": random_hermitian(dim, rng),
+        "zero": np.zeros((dim, dim), dtype=np.complex128),
+        "identity": float(rng.normal()) * np.eye(dim, dtype=np.complex128),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_max_gap_is_the_largest_gap_of_the_block(dim, n):
+    """random_operations_max_gap gives max |tr(T delta)| over the T stack of
+    random_operations bit for bit, and leaves the generator where
+    random_operations leaves it."""
+    for seed in range(50):
+        rng = np.random.default_rng([seed, dim, n])
+        dim_out, n_kraus = rng.integers(1, dim + 1, size=n), rng.integers(1, 5, size=n)
+        for kind, delta in _deltas(rng, dim).items():
+            full, pruned = np.random.default_rng(seed), np.random.default_rng(seed)
+            _, t = random_operations(dim, dim_out, n_kraus, full)
+            expected = np.abs(np.einsum("nij,ji->n", t, delta).real).max()
+            assert random_operations_max_gap(delta, dim_out, n_kraus, pruned) == expected, (seed, kind)
+            assert pruned.random() == full.random()
 
 
 def test_cloner_orthogonal_pair():

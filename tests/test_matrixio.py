@@ -398,3 +398,65 @@ def test_unwritable_path_raises_matrix_file_error(tmp_path):
     path = tmp_path / "no" / "x.json"
     with pytest.raises(MatrixFileError, match=re.escape(f"cannot write {path}")):
         save_matrix(path, np.eye(2))
+
+
+# Every function that takes a path, called with each integer or bool path
+# in a child process: a ValidationError each time, and descriptors 0, 1 and
+# 2 still open at the end.
+_DESCRIPTOR_PATHS = """
+import os
+import numpy as np
+from qopdist import matrixio, suites
+from qopdist.channels import QuantumOperation
+from qopdist.errors import ValidationError
+
+eye = np.eye(2, dtype=complex)
+calls = {
+    "save_matrix": lambda p: matrixio.save_matrix(p, eye),
+    "save_state": lambda p: matrixio.save_state(p, eye / 2),
+    "save_kraus_set": lambda p: matrixio.save_kraus_set(p, QuantumOperation([eye])),
+    "load_matrix": matrixio.load_matrix,
+    "load_state": matrixio.load_state,
+    "load_hermitian": matrixio.load_hermitian,
+    "load_kraus_set": matrixio.load_kraus_set,
+    "write_report": lambda p: suites.write_report(p, suites.run_suite("lemma2", 7, 1)),
+    "parse_report": suites.parse_report,
+}
+for name, call in calls.items():
+    for path in (0, 1, 2, True, False):
+        try:
+            call(path)
+        except ValidationError as exc:
+            assert "path must be" in str(exc), (name, path, exc)
+        else:
+            raise AssertionError(f"{name}({path!r}) returned")
+for fd in (0, 1, 2):
+    os.fstat(fd)
+print("descriptors open")
+"""
+
+
+def test_integer_and_bool_paths_are_rejected_before_any_file_is_opened():
+    """An int or a bool is not taken as a file descriptor: no save or load,
+    nor write_report or parse_report, writes to, reads from or closes the
+    process's standard streams."""
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _DESCRIPTOR_PATHS],
+        env=env,
+        capture_output=True,
+        input="",
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "descriptors open\n"
+    assert done.stderr == ""
+
+
+@pytest.mark.parametrize("path", ["x.json", b"x.json", Path("x.json")])
+def test_str_bytes_and_pathlike_paths_pass(tmp_path, monkeypatch, path):
+    monkeypatch.chdir(tmp_path)
+    save_matrix(path, np.eye(2))
+    assert np.array_equal(load_matrix(path)[0], np.eye(2))

@@ -9,6 +9,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import sys
 import threading
 
 import numpy as np
@@ -274,6 +275,40 @@ def test_probe_values_match_explicit_probes(seed, dim):
         w = np.linalg.eigvalsh(probe)
         assert w[0] >= -1e-12 and w[-1] <= 1.0 + 1e-12
         assert abs(np.trace(probe @ delta).real - values[n]) <= 1e-12
+
+
+def _full_max_gap(delta, dim_out, n_kraus, rng):
+    """The thm1 oracle as the whole scaled block: every T scaled exactly."""
+    _, t = random_operations(delta.shape[0], dim_out, n_kraus, rng)
+    return np.abs(suites._trace_products(t, delta)).max()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_thm1_report_matches_the_full_oracle_evaluation(tmp_path, monkeypatch, seed):
+    """Scaling only the oracle operations that can set the maximum writes
+    the report that scaling all of them writes, byte for byte."""
+    pruned, full = tmp_path / "pruned.jsonl", tmp_path / "full.jsonl"
+    write_report(pruned, run_suite("thm1", seed, 40))
+    monkeypatch.setattr(suites, "random_operations_max_gap", _full_max_gap)
+    write_report(full, run_suite("thm1", seed, 40))
+    assert pruned.read_bytes() == full.read_bytes()
+
+
+def test_thm1_scales_at_most_a_fifth_of_its_oracle_exactly(monkeypatch):
+    """Of the 200 x 500 oracle matrices of thm1 at seed 7, at most 20% go
+    through the eigvalsh that channels calls to scale them."""
+    real = np.linalg.eigvalsh
+    scaled = []
+
+    def spy(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "qopdist.channels":
+            scaled.append(a.shape[0] if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    (report,) = run_suite("thm1", 7)
+    assert report.n_failures == 0
+    assert 0 < sum(scaled) <= 0.2 * 200 * 500
 
 
 def test_thm1_fails_when_the_construction_misses(monkeypatch):

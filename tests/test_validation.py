@@ -29,6 +29,7 @@ from qopdist.channels import (
     is_trace_preserving,
     random_operation,
     random_operations,
+    random_operations_max_gap,
 )
 from qopdist.config import resolve_tol
 from qopdist.errors import DimensionMismatchError, QopdistError, ValidationError
@@ -219,6 +220,16 @@ def test_thm5_checks_its_sampled_stacks_only_in_psd_sqrt(hermitian_checks):
     assert 0 < len(hermitian_checks) <= 2 * 5 + 4
 
 
+def test_thm4_checks_its_saturation_pair_once_per_state(hermitian_checks, monkeypatch):
+    """The orthogonal-qubit pair is built as two states, one check each,
+    and the construction and apply take them as they are.  The other three
+    checks are the split of rho - sigma and the two raw outputs that
+    trace_distance takes."""
+    monkeypatch.setattr(suites, "_trial_draws", lambda rng, n: (n, []))
+    assert suites.run_thm4(7, 1).n_failures == 0
+    assert len(hermitian_checks) == 2 + 1 + 2
+
+
 def test_thm2_does_not_recheck_the_states_it_builds(monkeypatch):
     """The sampled stacks and the extremal pairs are trusted states: no
     _check_state call in the whole suite, while the spy does see an
@@ -320,6 +331,18 @@ COUNT_TAKERS = {
         "n_kraus",
         1,
         lambda v: random_operations(2, [1, 1], [1, v], _rng()),
+    ),
+    "random_operations_max_gap.dim_out": (
+        "random_operations_max_gap.dim_out",
+        "dim_out",
+        1,
+        lambda v: random_operations_max_gap(E0, [1, v], [1, 1], _rng()),
+    ),
+    "random_operations_max_gap.n_kraus": (
+        "random_operations_max_gap.n_kraus",
+        "n_kraus",
+        1,
+        lambda v: random_operations_max_gap(E0, [1, 1], [1, v], _rng()),
     ),
 }
 
@@ -588,6 +611,28 @@ MALFORMED_INPUTS = {
 def test_malformed_cdfs_and_records_rejected(name):
     with pytest.raises(ValidationError):
         MALFORMED_INPUTS[name]()
+
+
+# test id: (a delta random_operations_max_gap must reject, its error message)
+BAD_DELTAS = {
+    "non-square": (np.ones((2, 3)), "square"),
+    "non-hermitian": (np.array([[0.0, 1.0], [0.0, 0.0]]), "not Hermitian"),
+    "nan": (np.diag([math.nan, 0.0]), "NaN"),
+    "stack": (np.zeros((2, 2, 2)), "2-D"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DELTAS)
+def test_max_gap_rejects_a_delta_that_is_not_hermitian(name):
+    delta, message = BAD_DELTAS[name]
+    with pytest.raises(ValidationError, match=message):
+        random_operations_max_gap(delta, [1, 2], [1, 1], _rng())
+
+
+def test_max_gap_rejects_an_empty_oracle():
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(ValidationError, match="at least one operation"):
+        random_operations_max_gap(E0, empty, empty, _rng())
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
