@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL_PROB, checked_index, checked_indices, resolve_tol
+from .config import TOL_PROB, checked_index, checked_indices, checked_real, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -25,7 +25,14 @@ from .errors import (
     ValidationError,
     ZeroProbabilityError,
 )
-from .linalg import as_complex_array, as_complex_matrix, as_hermitian, complex_normals, hermitian_part
+from .linalg import (
+    as_complex_array,
+    as_complex_matrix,
+    as_hermitian,
+    bounded_max,
+    complex_normals,
+    hermitian_part,
+)
 from .metrics import fidelity, trace_distance
 from .states import DensityMatrix, as_state, from_spectrum, state_matrix, validate_state
 
@@ -72,6 +79,8 @@ class QuantumOperation:
 
     def __init__(self, kraus, tol: float | None = None):
         tol = resolve_tol(tol)
+        if not np.iterable(kraus):
+            raise ValidationError(f"kraus must be a sequence of matrices, got {kraus!r}")
         ops = tuple(as_complex_matrix(e).copy() for e in kraus)
         if not ops:
             raise ValidationError("need at least one Kraus operator")
@@ -335,6 +344,7 @@ def cloner_distance_factor(omega: float) -> float:
 
     Strictly decreasing on [0, 1) and always above 1/sqrt(2).
     """
+    omega = checked_real("omega", omega)
     if not (0.0 <= omega < 1.0):
         raise ValidationError(f"Omega must lie in [0, 1), got {omega!r}")
     return float(np.sqrt(1.0 + omega * omega) / (1.0 + omega))
@@ -351,7 +361,8 @@ def _raw_operations(dim_in: int, dim_out, n_kraus, rng: np.random.Generator):
         raise DimensionMismatchError(f"dim_out and n_kraus differ in length: {dim_out.size} vs {n_kraus.size}")
     n_max, out_max = int(n_kraus.max(initial=1)), int(dim_out.max(initial=1))
     keep = (np.arange(n_max) < n_kraus[:, None])[:, :, None] & (np.arange(out_max) < dim_out[:, None])[:, None, :]
-    g = complex_normals(keep, dim_in, rng) / np.sqrt(2.0)
+    g = complex_normals(keep, dim_in, rng)
+    g.view(np.float64)[...] *= 1.0 / np.sqrt(2.0)  # g / sqrt(2), bit for bit: numpy divides by the reciprocal
     rows = g.reshape(len(g), n_max * out_max, dim_in)
     return g, rows.conj().transpose(0, 2, 1) @ rows
 
@@ -389,9 +400,7 @@ def random_operations_max_gap(delta, dim_out, n_kraus, rng: np.random.Generator)
     Only the operations that can still set the maximum are scaled exactly.
     Every raw T has ||T|| >= max_k T[k, k] (Rayleigh quotient), so
     |tr(T delta)| / (max_k T[k, k] + 1e-9) bounds its scaled gap.  The
-    operations are visited by descending bound, in blocks of 16, 32, 64
-    and so on, and the visit stops at the first bound at or below the
-    largest exact gap found.
+    operations are scaled in the order ``linalg.bounded_max`` visits them.
     """
     delta = as_hermitian(as_complex_matrix(delta))
     _, t = _raw_operations(delta.shape[0], dim_out, n_kraus, rng)
@@ -405,16 +414,12 @@ def random_operations_max_gap(delta, dim_out, n_kraus, rng: np.random.Generator)
     diag = np.einsum("nii->ni", t).real.max(axis=1)
     raw = np.abs(np.einsum("nij,ji->n", t, delta).real)
     bound = raw / (diag + 1e-9) * (1.0 + 1e-9) + 1e-12 * float(np.abs(delta).max())
-    order = np.argsort(-bound, kind="stable")
-    best, start, size = -np.inf, 0, 16
-    while start < len(order) and bound[order[start]] > best:
-        block = order[start : start + size]
-        block = block[bound[block] > best]
+
+    def gaps(block):
         sub = t[block]
-        gaps = np.abs(np.einsum("nij,ji->n", sub * _scales(sub)[:, None, None], delta).real)
-        best = max(best, float(gaps.max()))
-        start, size = start + size, 2 * size
-    return best
+        return np.abs(np.einsum("nij,ji->n", sub * _scales(sub)[:, None, None], delta).real)
+
+    return bounded_max(bound, gaps)
 
 
 def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> QuantumOperation:

@@ -1,9 +1,10 @@
 """Package-wide tolerances, the QOPDIST_DEFAULT_TOL override and the
-checks of tolerance, count and path arguments."""
+checks of tolerance, count, real-number and path arguments."""
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import os
 
@@ -81,6 +82,21 @@ def checked_index(name: str, value, least: int) -> int:
                 raise ValidationError(f"{name} must be >= {least}, got {n}")
             return n
     raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
+def checked_real(name: str, value) -> float:
+    """``value`` as a float when it is a real number (NumPy reals
+    included): the one type check of every scalar parameter that is not a
+    count, such as a target distance, a probability or a fidelity.
+
+    Anything else, such as "0.5", 0.5j, None or True, raises
+    ValidationError naming the argument, so no string is parsed and no
+    comparison ends in a TypeError.  NaN and infinities pass here; each
+    caller's range check rejects them.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValidationError(f"{name} must be a real number, got {value!r}")
 
 
 def checked_indices(name: str, values, least: int) -> np.ndarray:

@@ -22,6 +22,7 @@ __all__ = [
     "as_complex_matrix",
     "as_hermitian",
     "as_real_array",
+    "bounded_max",
     "complex_normals",
     "eig_hermitian",
     "hermitian_part",
@@ -109,6 +110,31 @@ def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.
     rows = np.flatnonzero(keep)  # the kept rows' flat indices, in C order
     g.reshape(-1, dim)[rows] = rng.standard_normal((rows.size, 2 * dim)).view(np.complex128)
     return g
+
+
+def bounded_max(bound, exact) -> float:
+    """The largest exact value of an oracle whose members have the upper
+    bounds ``bound`` (1-D), evaluating only the members that can still set it.
+
+    ``exact(block)`` gives the exact values of the members at the index
+    array ``block``; each must be at or below its bound.  The members are
+    visited by descending bound (stable sort), in blocks of 16, 32, 64 and
+    so on; each block is cut to the bounds still above the largest exact
+    value found, and the visit stops at the first bound at or below it.
+    An empty oracle or a NaN bound raises ValidationError.
+    """
+    bound = np.asarray(bound, dtype=np.float64)
+    if bound.ndim != 1 or not bound.size:
+        raise ValidationError(f"bounded_max needs a 1-D array of at least one bound, got shape {bound.shape}")
+    if np.isnan(bound).any():
+        raise ValidationError("bounded_max got a NaN bound")
+    order = np.argsort(-bound, kind="stable")
+    best, start, size = -np.inf, 0, 16
+    while start < len(order) and bound[order[start]] > best:
+        block = order[start : start + size]
+        best = max(best, float(np.max(exact(block[bound[block] > best]))))
+        start, size = start + size, 2 * size
+    return best
 
 
 def eig_hermitian(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import QuantumOperation, apply, held, occurrence_probability, t_eigh
-from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, checked_index, default_tol, resolve_tol
+from .config import TOL_BOUND, TOL_PROB, TOL_UNIT_ZERO, checked_index, checked_real, default_tol, resolve_tol
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -239,6 +239,7 @@ def build_state_pair(
     delta_lambda + delta_kappa = 1 - d_target; ``from_spectrum`` checks
     that the deltas are >= 0 and complete each state to a unit trace.
     """
+    d_target = checked_real("d_target", d_target)
     if not (0.0 < d_target < 1.0):
         raise ValidationError(f"d_target must lie in (0, 1), got {d_target}")
     unit, zero = matched_eigenspaces(E)
@@ -376,6 +377,7 @@ def extremal_trace_product(t, d_frak: float) -> ExtremalTraceProduct:
     w, v = eig_hermitian(t)
     if w.size == 0:
         raise ValidationError("T needs dimension >= 1, got a 0 x 0 matrix")
+    d_frak = checked_real("d_frak", d_frak)
     if not (math.isfinite(d_frak) and d_frak > 0):
         raise ValidationError(f"d_frak must be a finite positive number, got {d_frak}")
     if w[-1] < -default_tol():

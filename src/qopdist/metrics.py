@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .config import checked_real
 from .errors import DimensionMismatchError, ValidationError
 from .linalg import psd_sqrt
 from .states import as_state, state_matrix
@@ -97,6 +98,7 @@ class QubitGapPoint:
 def qubit_gap(u: float, v: float, eta: float) -> float:
     """Sine distance minus trace distance for qubits with Bloch lengths
     u, v and angle cosine eta."""
+    u, v, eta = checked_real("u", u), checked_real("v", v), checked_real("eta", eta)
     if not (-1e-12 <= u <= 1 + 1e-12 and -1e-12 <= v <= 1 + 1e-12 and -1 - 1e-12 <= eta <= 1 + 1e-12):
         raise ValidationError(f"(u, v, eta) = ({u}, {v}, {eta}) outside [0,1]x[0,1]x[-1,1]")
     val = _kernels.gap_values(

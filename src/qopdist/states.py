@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import TOL_HERM, TOL_ORTHO, TOL_PSD, TOL_TRACE, checked_index, checked_indices, resolve_tol
 from .errors import ValidationError
-from .linalg import as_hermitian, as_real_array, complex_normals, hermitian_part
+from .linalg import as_complex_matrix, as_hermitian, as_real_array, bounded_max, complex_normals, hermitian_part
 
 __all__ = [
     "DensityMatrix",
@@ -23,6 +23,7 @@ __all__ = [
     "from_bloch",
     "from_spectrum",
     "random_density",
+    "random_pairs_max_gap",
     "state_matrix",
     "validate_state",
 ]
@@ -143,15 +144,71 @@ def random_density(dim: int, rank, rng: np.random.Generator) -> DensityMatrix:
     draw: each G is padded with zero rows to ``dim`` rows.  One state is
     drawn as a stack of one, so both forms share the draw order.
     """
+    mats = _densities(_raw_densities(dim, rank, rng))
+    return _trusted_state(mats[0] if np.ndim(rank) == 0 else mats)
+
+
+def _raw_densities(dim: int, rank, rng: np.random.Generator) -> np.ndarray:
+    """The padded Ginibre stack (n, dim, dim) of ``random_density``: the one
+    draw path, which the argument checks and the masked draw run through."""
     dim = checked_index("dim", dim, 1)
-    one = np.ndim(rank) == 0
-    ranks = np.array([checked_index("rank", rank, 1)]) if one else checked_indices("rank", rank, 1)
+    ranks = np.array([checked_index("rank", rank, 1)]) if np.ndim(rank) == 0 else checked_indices("rank", rank, 1)
     if (ranks > dim).any():
         raise ValidationError(f"rank must be <= dim, got rank={rank}, dim={dim}")
-    g = complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
+    return complex_normals(np.arange(dim) < ranks[:, None], dim, rng)
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """G†G / tr(G†G) for each G of a stack: the one formula of
+    ``random_density``."""
     mats = hermitian_part(g.conj().transpose(0, 2, 1) @ g)
-    mats = mats / np.einsum("nii->n", mats).real[:, None, None]
-    return _trusted_state(mats[0] if one else mats)
+    return mats / np.einsum("nii->n", mats).real[:, None, None]
+
+
+# Rows of G per BLAS product in ``_trace_estimates``.  One product over
+# every row of an oracle (12 000 rows at n = 2 000, d = 6) is big enough
+# for OpenBLAS to start its threads, which slows the forked suite workers
+# down; blocks of 1 500 rows stay single-threaded.
+_BLAS_ROWS = 1500
+
+
+def _trace_estimates(g: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Re<G T, G> / ||G||_F^2 for each G of a stack: tr(T rho) for
+    rho = G†G / tr(G†G) up to a rounding of a few d^2 * eps * max|T|."""
+    rows = g.reshape(-1, g.shape[-1])
+    gt = np.empty_like(rows)
+    for start in range(0, len(rows), _BLAS_ROWS):
+        np.matmul(rows[start : start + _BLAS_ROWS], t, out=gt[start : start + _BLAS_ROWS])
+    re_im, gt_re_im = rows.view(np.float64).reshape(len(g), -1), gt.view(np.float64).reshape(len(g), -1)
+    return np.einsum("ij,ij->i", gt_re_im, re_im) / np.einsum("ij,ij->i", re_im, re_im)
+
+
+def random_pairs_max_gap(t, ranks, rng: np.random.Generator) -> float:
+    """max_i |tr(T (rho_i - sigma_i))| for rho = ``random_density(d, ranks,
+    rng)`` followed by sigma = ``random_density(d, ranks, rng)``, bit for
+    bit, leaving ``rng`` where those two calls leave it; ``t`` is a (d, d)
+    matrix Hermitian within ``TOL_HERM`` and enters as its Hermitian part.
+
+    Only the pairs that can still set the maximum are built as states.
+    Each state's tr(T rho) is estimated from its Ginibre draw G without
+    forming rho (``_trace_estimates``), which bounds each pair's gap; the
+    pairs are built in the order ``linalg.bounded_max`` visits them.
+    """
+    t = as_hermitian(as_complex_matrix(t))
+    g_rho = _raw_densities(t.shape[0], ranks, rng)
+    g_sigma = _raw_densities(t.shape[0], ranks, rng)
+    if not len(g_rho):
+        raise ValidationError("random_pairs_max_gap needs at least one pair")
+    # The estimates and the exact values each round off tr(T rho) by a few
+    # d^2 * eps * max|T|; the margins, 1e-9 relative and 1e-12 * max|T|
+    # absolute, are far above both.
+    gap = np.abs(_trace_estimates(g_rho, t) - _trace_estimates(g_sigma, t))
+    bound = gap * (1.0 + 1e-9) + 1e-12 * float(np.abs(t).max())
+
+    def gaps(block):
+        return np.abs(np.einsum("nij,ji->n", _densities(g_rho[block]) - _densities(g_sigma[block]), t).real)
+
+    return bounded_max(bound, gaps)
 
 
 def from_spectrum(vectors, weights) -> DensityMatrix:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import QuantumOperation, apply, held
-from .config import TOL_BOUND, checked_index
+from .config import TOL_BOUND, checked_index, checked_real
 from .errors import ValidationError
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
@@ -60,6 +60,8 @@ class TrianglePoint:
     p_n: float
 
     def __post_init__(self):
+        checked_real("p_m", self.p_m)
+        checked_real("p_n", self.p_n)
         if not (0.0 <= self.p_n < self.p_m <= 1.0):
             raise ValidationError(f"(p_m, p_n) = ({self.p_m}, {self.p_n}) outside the triangle")
 

@@ -39,7 +39,7 @@ from .channels import (
 )
 from .config import checked_index, checked_path, resolve_tol
 from .errors import MatrixFileError, NumericalError, ReportParseError, ValidationError
-from .linalg import random_hermitian
+from .linalg import bounded_max, random_hermitian
 from .maximizers import (
     MaximizerMode,
     build_maximizing_operation,
@@ -47,7 +47,7 @@ from .maximizers import (
     maximizing_projector,
 )
 from .metrics import check_fvdg_bounds, fidelity, max_qubit_gap, trace_distance
-from .states import random_density, validate_state
+from .states import random_density, random_pairs_max_gap, validate_state
 from .statlab import BoundKind, cdf_moment, dominance_implies_moments, empirical_cdf, moment_check
 
 __all__ = [
@@ -181,30 +181,45 @@ def _distinct_pair(dim: int, rng: np.random.Generator):
             return rho, sig
 
 
-def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """tr(M delta) for each matrix M of a stack."""
-    return np.einsum("nij,ji->n", mats, delta).real
-
-
 def _probe_block(dim: int, count: int, rng: np.random.Generator):
     """``count`` random probes 0 <= P <= 1 of rank 0 to ``dim``: each spans
     the first ``rank`` columns of a Ginibre draw, with weight 1 on each
     column (half the probes) or uniform weights in [0, 1].
 
-    One stacked QR: the first ``rank`` columns of Q span the first ``rank``
-    columns of the draw.  Returns Q, the weights (zero beyond each rank)
-    and the ranks; P = Q diag(w) Q†.
+    Returns the draws (count, dim, dim), the weights (zero beyond each
+    rank) and the ranks.  The first ``rank`` columns of Q, from the QR of a
+    draw, span its first ``rank`` columns, and P = Q diag(w) Q†.
     """
     ranks = rng.integers(0, dim + 1, size=count)
-    q, _ = np.linalg.qr(rng.standard_normal((count, dim, 2 * dim)).view(np.complex128))
+    draws = rng.standard_normal((count, dim, 2 * dim)).view(np.complex128)
     weights = np.where(rng.random((count, 1)) < 0.5, 1.0, rng.uniform(0.0, 1.0, size=(count, dim)))
     weights *= np.arange(dim) < ranks[:, None]
-    return q, weights, ranks
+    return draws, weights, ranks
 
 
 def _probe_values(q: np.ndarray, weights: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """tr(P delta) = sum_k w_k q_k† delta q_k for each probe of a block."""
     return np.einsum("nik,nik,nk->n", q.conj(), delta @ q, weights).real
+
+
+def _probe_max(delta: np.ndarray, draws: np.ndarray, weights: np.ndarray) -> float:
+    """The largest probe value of a block, with only the probes that can
+    still set it sent through QR (``linalg.bounded_max``).
+
+    Each P has eigenvalues w, so tr(P delta) <= sum_k w_k lambda_k(delta)
+    with both sorted alike (von Neumann's trace inequality).  The QR and
+    the products round each value off by a few d^3 * eps * max|delta|; the
+    margins, 1e-9 relative and 1e-12 * d * max|delta| absolute, are far
+    above that.
+    """
+    top = np.sort(weights, axis=1) @ np.linalg.eigvalsh(delta)
+    bound = top + 1e-9 * np.abs(top) + 1e-12 * len(delta) * float(np.abs(delta).max())
+
+    def values(block):
+        q, _ = np.linalg.qr(draws[block])
+        return _probe_values(q, weights[block], delta)
+
+    return bounded_max(bound, values)
 
 
 def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperation:
@@ -269,15 +284,11 @@ def run_thm2(rng, n_cases, slack):
         op = random_operation(dim, int(rng.integers(1, dim + 1)), int(rng.integers(1, 5)), rng)
         ext = max_e_distance_over_states(op)
         attain = abs(e_distance(op, ext.rho_star, ext.sigma_star) - ext.value)
-        t = op.t_op
-        ranks = rng.integers(1, dim + 1, size=n_pairs)
-        rhos = random_density(dim, ranks, rng)
-        sigs = random_density(dim, ranks, rng)
-        vals = np.abs(_trace_products(rhos.mat - sigs.mat, t))
+        gap = random_pairs_max_gap(op.t_op, rng.integers(1, dim + 1, size=n_pairs), rng)
         details.append(
             _detail(
                 f"op-{i:03d}-dim{dim}",
-                {"attainment": (attain, 1e-10), "pair_excess": (vals.max() - ext.value, slack)},
+                {"attainment": (attain, 1e-10), "pair_excess": (gap - ext.value, slack)},
             )
         )
     # Trace-preserving operations: unitary singleton and a complete
@@ -475,8 +486,7 @@ def run_appendixB(rng, n_cases, slack):
         b = random_hermitian(dim, rng)
         c = random_hermitian(dim, rng)
         mp = maximizing_projector(a, b)
-        q, weights, _ = _probe_block(dim, n_probes, rng)
-        probe_excess = _probe_values(q, weights, a - b).max() - mp.value
+        probe_excess = _probe_max(a - b, *_probe_block(dim, n_probes, rng)[:2]) - mp.value
         probs = rng.dirichlet(np.ones(3))
         a_parts = [random_hermitian(dim, rng) for _ in range(3)]
         b_parts = [random_hermitian(dim, rng) for _ in range(3)]
@@ -565,14 +575,14 @@ SUITE_NAMES = tuple(_SUITES)
 
 # The suites by their run time at seed 7 (minimum of 5 in-process runs on
 # one CPU of a 2-vCPU host, two measurements), longest first: appendixB
-# 0.43 s and thm2 0.42 s (a tie within noise), thm1 0.31-0.32 s, thm5
-# 0.16-0.17 s, cloning 0.08 s, lemma1 0.05 s, section3 0.04 s, the rest
-# under 0.01 s each.  Workers take them in this order, so the longest
-# suite does not start last.
+# 0.39-0.41 s, thm1 0.31-0.33 s, thm2 0.26-0.27 s, thm5 0.17 s, cloning
+# 0.08-0.09 s, lemma1 0.05-0.06 s, section3 0.04 s, the rest under 0.01 s
+# each.  Workers take them in this order, so the longest suite does not
+# start last.
 _LONGEST_FIRST = (
     "appendixB",
-    "thm2",
     "thm1",
+    "thm2",
     "thm5",
     "cloning",
     "lemma1",

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qopdist.errors import ValidationError
 from qopdist.linalg import (
     as_hermitian,
+    bounded_max,
     eig_hermitian,
     hermitian_part,
     projector_onto,
@@ -137,3 +140,61 @@ def test_random_hermitian_is_hermitian():
     rng = np.random.default_rng(0)
     h = random_hermitian(6, rng)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def _bounded_oracle(values, slack):
+    """bounded_max over exact ``values`` with bounds ``values + slack``, and
+    the index blocks it evaluated, in order."""
+    values, bound = np.asarray(values), np.asarray(values) + np.asarray(slack)
+    blocks = []
+
+    def exact(block):
+        blocks.append(block)
+        return values[block]
+
+    return bounded_max(bound, exact), bound, blocks
+
+
+@st.composite
+def oracles(draw):
+    """Exact values (spread out, or on three levels, so that bounds and
+    values tie) and slacks >= 0 (zero for some members, so bounds are tight)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 300))
+    values = rng.integers(0, 3, size=n).astype(float) if draw(st.booleans()) else 100.0 * rng.normal(size=n)
+    slack = rng.exponential(draw(st.sampled_from([0.0, 0.1, 10.0, 1e3])), size=n) * (rng.random(n) < 0.7)
+    return values, slack
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle=oracles())
+def test_bounded_max_is_the_largest_exact_value(oracle):
+    values, slack = oracle
+    best, _, _ = _bounded_oracle(values, slack)
+    assert best == max(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(oracle=oracles())
+def test_bounded_max_visits_only_members_that_can_still_set_the_maximum(oracle):
+    """Each member is evaluated at most once; every member whose bound is
+    above the maximum is evaluated; and each evaluated member's bound is
+    above the largest value of the blocks evaluated before its own, so
+    after the first block only members that can still set the maximum are
+    evaluated."""
+    values, slack = oracle
+    best, bound, blocks = _bounded_oracle(values, slack)
+    seen = np.concatenate(blocks)
+    assert len(seen) == len(set(seen.tolist()))
+    assert set(np.flatnonzero(bound > best).tolist()) <= set(seen.tolist())
+    found = -np.inf
+    for block in blocks:
+        assert block.size and (bound[block] > found).all()
+        found = max(found, max(values[i] for i in block))
+    assert blocks[0].tolist() == np.argsort(-bound, kind="stable")[:16].tolist()
+
+
+@pytest.mark.parametrize("bound", [[], np.zeros((2, 2)), [0.0, np.nan]])
+def test_bounded_max_rejects_an_empty_or_malformed_oracle(bound):
+    with pytest.raises(ValidationError):
+        bounded_max(bound, lambda block: np.zeros(len(block)))

@@ -6,7 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from qopdist.channels import random_operation
 from qopdist.errors import ValidationError
+from qopdist.linalg import random_hermitian
 from qopdist.maximizers import build_maximizing_operation
 from qopdist.states import (
     DensityMatrix,
@@ -14,6 +16,7 @@ from qopdist.states import (
     from_bloch,
     from_spectrum,
     random_density,
+    random_pairs_max_gap,
     validate_state,
 )
 
@@ -205,3 +208,51 @@ def test_from_spectrum_builds_the_state_of_its_weights():
 def test_from_spectrum_rejects(vectors, weights, match):
     with pytest.raises(ValidationError, match=match):
         from_spectrum(vectors, weights)
+
+
+def _operators(rng, dim):
+    """A random Hermitian matrix, zero, a multiple of the identity and the
+    T of a random operation."""
+    return {
+        "hermitian": random_hermitian(dim, rng),
+        "zero": np.zeros((dim, dim), dtype=np.complex128),
+        "identity": float(rng.normal()) * np.eye(dim, dtype=np.complex128),
+        "operation": random_operation(dim, dim, 2, rng).t_op,
+    }
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_pairs_max_gap_is_the_largest_gap_of_the_pairs(dim, n):
+    """random_pairs_max_gap gives max |tr(T (rho - sigma))| over the pairs
+    of two random_density calls bit for bit, and leaves the generator
+    where those calls leave it."""
+    for seed in range(50):
+        rng = np.random.default_rng([seed, dim, n])
+        ranks = rng.integers(1, dim + 1, size=n)
+        full = np.random.default_rng(seed)
+        diff = random_density(dim, ranks, full).mat - random_density(dim, ranks, full).mat
+        after = full.random()
+        for kind, t in _operators(rng, dim).items():
+            pruned = np.random.default_rng(seed)
+            expected = np.abs(np.einsum("nij,ji->n", diff, t).real).max()
+            assert random_pairs_max_gap(t, ranks, pruned) == expected, (seed, kind)
+            assert pruned.random() == after
+
+
+# test id: (an operator or ranks random_pairs_max_gap must reject, its error message)
+BAD_PAIR_ORACLES = {
+    "non-square": (np.ones((2, 3)), [1, 2], "2-D matrix|square"),
+    "non-hermitian": (np.array([[0.0, 1.0], [0.0, 0.0]]), [1, 2], "not Hermitian"),
+    "nan": (np.diag([np.nan, 0.0]), [1, 2], "NaN"),
+    "stack": (np.zeros((2, 2, 2)), [1, 2], "2-D"),
+    "rank-above-dim": (np.eye(2), [1, 3], "rank must be <= dim"),
+    "no-ranks": (np.eye(2), np.array([], dtype=np.int64), "at least one pair"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PAIR_ORACLES)
+def test_pairs_max_gap_rejects_bad_operators_and_ranks(name):
+    t, ranks, message = BAD_PAIR_ORACLES[name]
+    with pytest.raises(ValidationError, match=message):
+        random_pairs_max_gap(t, ranks, np.random.default_rng(0))

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopdist import metrics, statlab, suites
+from qopdist import metrics, states, statlab, suites
 from qopdist.channels import QuantumOperation, e_distance, random_operations
 from qopdist.cli import main
 from qopdist.errors import DegenerateInputError, NumericalError, ReportParseError, ValidationError
@@ -225,6 +225,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 DIMS = st.integers(2, 6)
 
 
+def _trace_products(mats: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """tr(M delta) for each matrix M of a stack."""
+    return np.einsum("nij,ji->n", mats, delta).real
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=SEEDS, dim=DIMS)
 def test_oracle_block_holds_public_operations(seed, dim):
@@ -237,7 +242,7 @@ def test_oracle_block_holds_public_operations(seed, dim):
     kraus, t = random_operations(dim, dim_out, n_kraus, rng)
     rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
     sig = random_density(dim, int(rng.integers(1, dim + 1)), rng)
-    gaps = np.abs(suites._trace_products(t, rho.mat - sig.mat))
+    gaps = np.abs(_trace_products(t, rho.mat - sig.mat))
     for n in range(40):
         op = QuantumOperation(kraus[n, : n_kraus[n], : dim_out[n]])
         assert abs(e_distance(op, rho, sig) - gaps[n]) <= 1e-12
@@ -264,9 +269,11 @@ def test_ginibre_batch_holds_public_states(seed, dim):
 @given(seed=SEEDS, dim=DIMS)
 def test_probe_values_match_explicit_probes(seed, dim):
     """Each stacked appendixB probe value is tr(P delta) of the probe P built
-    from the first ``rank`` columns of Q and their weights, and 0 <= P <= 1."""
+    from the first ``rank`` columns of Q, from the QR of its draw, and their
+    weights, and 0 <= P <= 1."""
     rng = np.random.default_rng(seed)
-    q, weights, ranks = suites._probe_block(dim, 40, rng)
+    draws, weights, ranks = suites._probe_block(dim, 40, rng)
+    q, _ = np.linalg.qr(draws)
     delta = random_hermitian(dim, rng) - random_hermitian(dim, rng)
     values = suites._probe_values(q, weights, delta)
     for n in range(40):
@@ -280,7 +287,7 @@ def test_probe_values_match_explicit_probes(seed, dim):
 def _full_max_gap(delta, dim_out, n_kraus, rng):
     """The thm1 oracle as the whole scaled block: every T scaled exactly."""
     _, t = random_operations(delta.shape[0], dim_out, n_kraus, rng)
-    return np.abs(suites._trace_products(t, delta)).max()
+    return np.abs(_trace_products(t, delta)).max()
 
 
 @pytest.mark.parametrize("seed", [7, 11])
@@ -309,6 +316,102 @@ def test_thm1_scales_at_most_a_fifth_of_its_oracle_exactly(monkeypatch):
     (report,) = run_suite("thm1", 7)
     assert report.n_failures == 0
     assert 0 < sum(scaled) <= 0.2 * 200 * 500
+
+
+def _full_pairs_max_gap(t, ranks, rng):
+    """The thm2 oracle as two whole stacks of states."""
+    rhos, sigmas = random_density(t.shape[0], ranks, rng), random_density(t.shape[0], ranks, rng)
+    return np.abs(_trace_products(rhos.mat - sigmas.mat, t)).max()
+
+
+def _full_probe_max(delta, draws, weights):
+    """The appendixB oracle with every probe sent through QR."""
+    q, _ = np.linalg.qr(draws)
+    return suites._probe_values(q, weights, delta).max()
+
+
+@pytest.mark.parametrize("n", [1, 7, 2000])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_probe_max_is_the_largest_probe_value(dim, n):
+    """The pruned probe maximum is the maximum over every probe of the
+    block bit for bit, and the block leaves the generator where it is."""
+    for seed in range(50):
+        rng = np.random.default_rng([seed, dim, n])
+        delta = random_hermitian(dim, rng) - random_hermitian(dim, rng)
+        full, pruned = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws, weights, _ = suites._probe_block(dim, n, full)
+        q, _ = np.linalg.qr(draws)
+        block = suites._probe_block(dim, n, pruned)[:2]
+        for kind, d in {"hermitian": delta, "negative": -delta @ delta, "zero": 0.0 * delta}.items():
+            expected = suites._probe_values(q, weights, d).max()
+            assert suites._probe_max(d, *block) == expected, (seed, kind)
+        assert pruned.random() == full.random()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize(
+    "suite, name, full",
+    [("thm2", "random_pairs_max_gap", _full_pairs_max_gap), ("appendixB", "_probe_max", _full_probe_max)],
+)
+def test_pruned_oracle_reports_match_the_full_evaluation(tmp_path, monkeypatch, seed, suite, name, full):
+    """Evaluating only the thm2 pairs and appendixB probes that can set
+    the maximum writes the report that evaluating all of them writes, byte
+    for byte."""
+    pruned_file, full_file = tmp_path / "pruned.jsonl", tmp_path / "full.jsonl"
+    write_report(pruned_file, run_suite(suite, seed, 40))
+    monkeypatch.setattr(suites, name, full)
+    write_report(full_file, run_suite(suite, seed, 40))
+    assert pruned_file.read_bytes() == full_file.read_bytes()
+
+
+def test_thm2_builds_at_most_a_twentieth_of_its_pairs(monkeypatch):
+    """Of the 100 x 2 000 random pairs of thm2 at seed 7, at most 5% are
+    built as states to be evaluated exactly."""
+    real = states._densities
+    built = []
+
+    def spy(g):
+        built.append(len(g))
+        return real(g)
+
+    monkeypatch.setattr(states, "_densities", spy)
+    (report,) = run_suite("thm2", 7)
+    assert report.n_failures == 0
+    assert 0 < sum(built) <= 2 * 0.05 * 100 * 2000
+
+
+def test_appendixB_sends_at_most_three_fifths_of_its_probes_through_qr(monkeypatch):
+    """Of the 500 x 200 probes of appendixB at seed 7, at most 60% go
+    through the QR that suites calls to build them."""
+    real = np.linalg.qr
+    factored = []
+
+    def spy(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == "qopdist.suites":
+            factored.append(a.shape[0] if a.ndim == 3 else 1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    (report,) = run_suite("appendixB", 7)
+    assert report.n_failures == 0
+    assert 0 < sum(factored) <= 0.6 * 500 * 200
+
+
+def _thread_count_after(name: str) -> int:
+    suites._SUITES[name](7, 100 if name == "section3" else 2)
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task") or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs /proc/self/task and the fork start method",
+)
+def test_no_suite_starts_blas_threads():
+    """A forked worker starts with one thread and runs each suite on it
+    alone: no product of a suite is big enough for OpenBLAS to start its
+    threads, which would compete with the other worker for the CPUs."""
+    with multiprocessing.get_context("fork").Pool(1, maxtasksperchild=1) as pool:
+        assert {name: pool.apply(_thread_count_after, (name,)) for name in SUITE_NAMES} == dict.fromkeys(SUITE_NAMES, 1)
 
 
 def test_thm1_fails_when_the_construction_misses(monkeypatch):

@@ -344,6 +344,12 @@ COUNT_TAKERS = {
         1,
         lambda v: random_operations_max_gap(E0, [1, 1], [1, v], _rng()),
     ),
+    "random_pairs_max_gap.ranks": (
+        "random_pairs_max_gap.ranks",
+        "rank",
+        1,
+        lambda v: states.random_pairs_max_gap(E0, [1, v], _rng()),
+    ),
 }
 
 
@@ -633,6 +639,47 @@ def test_max_gap_rejects_an_empty_oracle():
     empty = np.array([], dtype=np.int64)
     with pytest.raises(ValidationError, match="at least one operation"):
         random_operations_max_gap(E0, empty, empty, _rng())
+
+
+# test id: a call that passes a value that is not a real number where a
+# real number is due, or a number where the Kraus operators are due
+NOT_REAL = {
+    "build_state_pair.d_target": lambda v: build_state_pair(suites._maximizer_shaped_op(4, 2, 1), v),
+    "TrianglePoint.p_m": lambda v: TrianglePoint(v, 0.1),
+    "TrianglePoint.p_n": lambda v: TrianglePoint(0.8, v),
+    "cloner_distance_factor.omega": lambda v: channels.cloner_distance_factor(v),
+    "qubit_gap.u": lambda v: metrics.qubit_gap(v, 0.5, 0.5),
+    "qubit_gap.v": lambda v: metrics.qubit_gap(0.5, v, 0.5),
+    "qubit_gap.eta": lambda v: metrics.qubit_gap(0.5, 0.5, v),
+    "extremal_trace_product.d_frak": lambda v: extremal_trace_product(np.diag([0.9, 0.3]), v),
+}
+
+
+@pytest.mark.parametrize("value", ["0.5", 0.5j, None, True, np.array([0.5])])
+@pytest.mark.parametrize("name", sorted(NOT_REAL))
+def test_a_scalar_that_is_not_a_real_number_is_rejected(name, value):
+    """A string, a complex number, None, a bool or an array where a real
+    number is due raises ValidationError naming the parameter, not a
+    TypeError from a comparison."""
+    with pytest.raises(ValidationError, match=f"{name.partition('.')[2]} must be a real number"):
+        NOT_REAL[name](value)
+
+
+@pytest.mark.parametrize("value", [0.5, np.float32(0.5), np.float64(0.5)])
+@pytest.mark.parametrize("name", sorted(NOT_REAL))
+def test_numpy_reals_pass_the_real_number_check(name, value):
+    NOT_REAL[name](value)
+
+
+def test_checked_real_returns_a_float():
+    assert config.checked_real("x", np.int64(3)) == 3.0 and type(config.checked_real("x", np.int64(3))) is float
+    assert math.isnan(config.checked_real("x", math.nan))
+
+
+@pytest.mark.parametrize("kraus", [5, 2.5, None])
+def test_an_operation_of_a_number_is_rejected(kraus):
+    with pytest.raises(ValidationError, match="kraus must be a sequence of matrices"):
+        QuantumOperation(kraus)
 
 
 @pytest.mark.parametrize("args", [(0, 2, 1), (2, 0, 1), (2, 2, 0)])
