@@ -92,7 +92,7 @@ class QuantumOperation:
                 raise DimensionMismatchError(
                     f"Kraus shapes disagree: {(d_out, d_in)} vs {e.shape}"
                 )
-        _fill(self, ops, _t_sum(ops))
+        _fill(self, ops)
         w = t_eigh(self)[0]
         if w[0] < -tol or w[-1] > 1.0 + tol:
             raise ValidationError(
@@ -122,7 +122,8 @@ def _t_sum(ops) -> np.ndarray:
     return hermitian_part(t)
 
 
-def _fill(op: QuantumOperation, ops: tuple, t: np.ndarray) -> QuantumOperation:
+def _fill(op: QuantumOperation, ops: tuple) -> QuantumOperation:
+    t = _t_sum(ops)
     for e in ops:
         e.flags.writeable = False
     t.flags.writeable = False
@@ -134,16 +135,10 @@ def _fill(op: QuantumOperation, ops: tuple, t: np.ndarray) -> QuantumOperation:
     return op
 
 
-def _trusted_operation(ops: tuple, t: np.ndarray) -> QuantumOperation:
-    """Wrap Kraus operators this module just built, with ``t = _t_sum(ops)``
-    already known to lie between 0 and 1, without checking them again."""
-    return _fill(object.__new__(QuantumOperation), ops, t)
-
-
 def _rebuilt(ops: tuple) -> QuantumOperation:
-    """A copy of an operation with Kraus operators ``ops``, whose T has the
-    bits of the one its constructor accepted."""
-    return _trusted_operation(ops, _t_sum(ops))
+    """An operation with Kraus operators ``ops`` whose T is known to lie in
+    [0, 1], a copy's or one this module built, without checking T again."""
+    return _fill(object.__new__(QuantumOperation), ops)
 
 
 def held(owner, build, *others):
@@ -397,29 +392,23 @@ def random_operations_max_gap(delta, dim_out, n_kraus, rng: np.random.Generator)
     bit for bit, from the same draws; ``delta`` is Hermitian within
     ``TOL_HERM`` and enters as its Hermitian part.
 
-    Only the operations that can still set the maximum are scaled exactly.
-    Every raw T has ||T|| >= max_k T[k, k] (Rayleigh quotient), so
-    |tr(T delta)| / (max_k T[k, k] + 1e-9) bounds its scaled gap.  The
-    operations are scaled in the order ``linalg.bounded_max`` visits them.
+    Only the operations that can still set the maximum are scaled exactly
+    (``linalg.bounded_max``).  Every raw T has ||T|| >= max_k T[k, k]
+    (Rayleigh quotient), so |tr(T delta)| / (max_k T[k, k] + 1e-9) is the
+    estimate; the scale is max|delta|, as each |T[i, j]| <= 1 once scaled.
     """
     delta = as_hermitian(as_complex_matrix(delta))
     _, t = _raw_operations(delta.shape[0], dim_out, n_kraus, rng)
     if not len(t):
         raise ValidationError("random_operations_max_gap needs at least one operation")
-    # The bound must hold for computed values.  Rounding can put the computed
-    # ||T|| below max_k T[k, k] by a few d * eps relative to it, and move the
-    # scaled gap off the raw gap times the scale by a few d^2 * eps *
-    # max|delta| (each |T[i, j]| <= 1 once scaled); the margins, 1e-9
-    # relative and 1e-12 * max|delta| absolute, are far above both.
     diag = np.einsum("nii->ni", t).real.max(axis=1)
     raw = np.abs(np.einsum("nij,ji->n", t, delta).real)
-    bound = raw / (diag + 1e-9) * (1.0 + 1e-9) + 1e-12 * float(np.abs(delta).max())
 
     def gaps(block):
         sub = t[block]
         return np.abs(np.einsum("nij,ji->n", sub * _scales(sub)[:, None, None], delta).real)
 
-    return bounded_max(bound, gaps)
+    return bounded_max(raw / (diag + 1e-9), gaps, float(np.abs(delta).max()))
 
 
 def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Generator) -> QuantumOperation:
@@ -429,5 +418,4 @@ def random_operation(dim_in: int, dim_out: int, n_kraus: int, rng: np.random.Gen
     is not repeated.
     """
     kraus, _ = random_operations(dim_in, [dim_out], [n_kraus], rng)
-    ops = tuple(kraus[0])
-    return _trusted_operation(ops, _t_sum(ops))
+    return _rebuilt(tuple(kraus[0]))

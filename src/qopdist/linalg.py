@@ -112,27 +112,38 @@ def complex_normals(keep: np.ndarray, dim: int, rng: np.random.Generator) -> np.
     return g
 
 
-def bounded_max(bound, exact) -> float:
-    """The largest exact value of an oracle whose members have the upper
-    bounds ``bound`` (1-D), evaluating only the members that can still set it.
+def bounded_max(estimate, exact, scale: float) -> float:
+    """The largest exact value of an oracle, evaluating only the members
+    that can still set it.
 
-    ``exact(block)`` gives the exact values of the members at the index
-    array ``block``; each must be at or below its bound.  The members are
-    visited by descending bound (stable sort), in blocks of 16, 32, 64 and
-    so on; each block is cut to the bounds still above the largest exact
-    value found, and the visit stops at the first bound at or below it.
-    An empty oracle or a NaN bound raises ValidationError.
+    ``estimate`` (1-D) is at or above each member's exact value in exact
+    arithmetic, and ``exact(block)`` gives the exact values of the members
+    at the index array ``block``.  A member's bound is ``estimate + 1e-9 *
+    |estimate| + 1e-12 * scale``: margins far above the rounding of both
+    values for inputs of size ``scale``.  The members are visited by
+    descending bound (stable sort), in blocks of 16, 32, 64 and so on; each
+    block is cut to the bounds still above the largest exact value found,
+    and the visit stops at the first bound at or below it.  An exact value
+    above its bound, or NaN, raises NumericalError; an empty estimate array
+    or a NaN bound raises ValidationError.
     """
-    bound = np.asarray(bound, dtype=np.float64)
-    if bound.ndim != 1 or not bound.size:
-        raise ValidationError(f"bounded_max needs a 1-D array of at least one bound, got shape {bound.shape}")
+    estimate = np.asarray(estimate, dtype=np.float64)
+    if estimate.ndim != 1 or not estimate.size:
+        raise ValidationError(f"bounded_max needs a 1-D array of at least one estimate, got shape {estimate.shape}")
+    bound = estimate + 1e-9 * np.abs(estimate) + 1e-12 * scale
     if np.isnan(bound).any():
-        raise ValidationError("bounded_max got a NaN bound")
+        raise ValidationError(f"bounded_max got a NaN bound from its estimates and scale {scale!r}")
     order = np.argsort(-bound, kind="stable")
     best, start, size = -np.inf, 0, 16
     while start < len(order) and bound[order[start]] > best:
         block = order[start : start + size]
-        best = max(best, float(np.max(exact(block[bound[block] > best]))))
+        block = block[bound[block] > best]
+        values = exact(block)
+        above = np.flatnonzero(~(values <= bound[block]))  # NaN is not at or below
+        if above.size:
+            i, value = block[above[0]], float(values[above[0]])
+            raise NumericalError(f"bounded_max: member {i} has exact value {value!r} above its bound {float(bound[i])!r}")
+        best = max(best, float(np.max(values)))
         start, size = start + size, 2 * size
     return best
 

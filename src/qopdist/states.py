@@ -189,26 +189,22 @@ def random_pairs_max_gap(t, ranks, rng: np.random.Generator) -> float:
     bit, leaving ``rng`` where those two calls leave it; ``t`` is a (d, d)
     matrix Hermitian within ``TOL_HERM`` and enters as its Hermitian part.
 
-    Only the pairs that can still set the maximum are built as states.
-    Each state's tr(T rho) is estimated from its Ginibre draw G without
-    forming rho (``_trace_estimates``), which bounds each pair's gap; the
-    pairs are built in the order ``linalg.bounded_max`` visits them.
+    Only the pairs that can still set the maximum are built as states
+    (``linalg.bounded_max``).  Each state's tr(T rho) is computed from its
+    Ginibre draw G without forming rho (``_trace_estimates``), which gives
+    each pair's gap up to rounding; the scale is max|T|.
     """
     t = as_hermitian(as_complex_matrix(t))
     g_rho = _raw_densities(t.shape[0], ranks, rng)
     g_sigma = _raw_densities(t.shape[0], ranks, rng)
     if not len(g_rho):
         raise ValidationError("random_pairs_max_gap needs at least one pair")
-    # The estimates and the exact values each round off tr(T rho) by a few
-    # d^2 * eps * max|T|; the margins, 1e-9 relative and 1e-12 * max|T|
-    # absolute, are far above both.
     gap = np.abs(_trace_estimates(g_rho, t) - _trace_estimates(g_sigma, t))
-    bound = gap * (1.0 + 1e-9) + 1e-12 * float(np.abs(t).max())
 
     def gaps(block):
         return np.abs(np.einsum("nij,ji->n", _densities(g_rho[block]) - _densities(g_sigma[block]), t).real)
 
-    return bounded_max(bound, gaps)
+    return bounded_max(gap, gaps, float(np.abs(t).max()))
 
 
 def from_spectrum(vectors, weights) -> DensityMatrix:
@@ -216,7 +212,10 @@ def from_spectrum(vectors, weights) -> DensityMatrix:
     and weights w >= 0 that sum to 1 within ``TOL_TRACE``: w is the
     spectrum, so the check needs no eigendecomposition."""
     v = np.asarray(vectors, dtype=np.complex128)
-    w = np.asarray(weights, dtype=np.float64)
+    try:
+        w = as_real_array(weights)
+    except ValidationError as exc:
+        raise ValidationError(f"weights are not numeric: {exc}") from None
     if v.ndim != 2 or v.shape[0] < 1 or w.shape != v.shape[1:]:
         raise ValidationError(f"need a (d, k) matrix of columns and k weights, got {v.shape} and {w.shape}")
     dev = float(np.abs(v.conj().T @ v - np.eye(w.size)).max(initial=0.0))

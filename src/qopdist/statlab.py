@@ -24,6 +24,7 @@ from . import _kernels
 from .channels import QuantumOperation, apply, held
 from .config import TOL_BOUND, checked_index, checked_real
 from .errors import ValidationError
+from .linalg import as_real_array
 from .maximizers import build_state_pair, matched_eigenspaces
 from .metrics import trace_distance
 from .states import from_spectrum
@@ -202,8 +203,8 @@ class TrialColumns:
     def __post_init__(self):
         for name, col in vars(self).items():
             try:
-                col = np.array(col, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
+                col = as_real_array(col).copy()
+            except ValidationError as exc:
                 raise ValidationError(f"trial column {name} is not numeric: {exc}") from None
             col.flags.writeable = False
             object.__setattr__(self, name, col)
@@ -348,8 +349,8 @@ def moment_check(samples, n: int, bound_kind: BoundKind) -> MomentCheck:
 
 def _floats(values, what: str) -> np.ndarray:
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+        return as_real_array(values)
+    except ValidationError as exc:
         raise ValidationError(f"{what} are not numeric: {exc}") from None
 
 

@@ -174,11 +174,12 @@ def _violations(case: str, checks: dict, **extra) -> dict:
 
 
 def _distinct_pair(dim: int, rng: np.random.Generator):
+    """Random states rho and sigma at trace distance d >= 1e-3, and d."""
     while True:
         rho = random_density(dim, int(rng.integers(1, dim + 1)), rng)
         sig = random_density(dim, int(rng.integers(1, dim + 1)), rng)
-        if trace_distance(rho, sig) >= 1e-3:
-            return rho, sig
+        if (d := trace_distance(rho, sig)) >= 1e-3:
+            return rho, sig, d
 
 
 def _probe_block(dim: int, count: int, rng: np.random.Generator):
@@ -207,19 +208,17 @@ def _probe_max(delta: np.ndarray, draws: np.ndarray, weights: np.ndarray) -> flo
     still set it sent through QR (``linalg.bounded_max``).
 
     Each P has eigenvalues w, so tr(P delta) <= sum_k w_k lambda_k(delta)
-    with both sorted alike (von Neumann's trace inequality).  The QR and
-    the products round each value off by a few d^3 * eps * max|delta|; the
-    margins, 1e-9 relative and 1e-12 * d * max|delta| absolute, are far
-    above that.
+    with both sorted alike (von Neumann's trace inequality); the scale is
+    d * max|delta|, as the QR and the products round each value off by a
+    few d^3 * eps * max|delta|.
     """
     top = np.sort(weights, axis=1) @ np.linalg.eigvalsh(delta)
-    bound = top + 1e-9 * np.abs(top) + 1e-12 * len(delta) * float(np.abs(delta).max())
 
     def values(block):
         q, _ = np.linalg.qr(draws[block])
         return _probe_values(q, weights[block], delta)
 
-    return bounded_max(bound, values)
+    return bounded_max(top, values, len(delta) * float(np.abs(delta).max()))
 
 
 def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperation:
@@ -254,8 +253,7 @@ def run_thm1(rng, n_cases, slack):
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
-        rho, sig = _distinct_pair(dim, rng)
-        d = trace_distance(rho, sig)
+        rho, sig, d = _distinct_pair(dim, rng)
         mode = MaximizerMode.ON_Q if i % 2 == 0 else MaximizerMode.ON_R
         dim_out = int(rng.integers(1, 5))
         op = build_maximizing_operation(rho, sig, dim_out, mode)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopdist.errors import ValidationError
+from qopdist.errors import NumericalError, ValidationError
 from qopdist.linalg import (
     as_hermitian,
     bounded_max,
@@ -142,36 +142,40 @@ def test_random_hermitian_is_hermitian():
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
-def _bounded_oracle(values, slack):
-    """bounded_max over exact ``values`` with bounds ``values + slack``, and
-    the index blocks it evaluated, in order."""
-    values, bound = np.asarray(values), np.asarray(values) + np.asarray(slack)
+def _bounded_oracle(values, slack, scale):
+    """bounded_max over exact ``values`` with estimates ``values + slack``,
+    the bounds the contract derives from them, and the index blocks it
+    evaluated, in order."""
+    values = np.asarray(values)
+    estimate = values + np.asarray(slack)
     blocks = []
 
     def exact(block):
         blocks.append(block)
         return values[block]
 
-    return bounded_max(bound, exact), bound, blocks
+    bound = estimate + 1e-9 * np.abs(estimate) + 1e-12 * scale
+    return bounded_max(estimate, exact, scale), bound, blocks
 
 
 @st.composite
 def oracles(draw):
     """Exact values (spread out, or on three levels, so that bounds and
-    values tie) and slacks >= 0 (zero for some members, so bounds are tight)."""
+    values tie), slacks >= 0 (zero for some members, so estimates are
+    exact) and a scale (zero for some oracles, so only the relative margin
+    is left)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 300))
     values = rng.integers(0, 3, size=n).astype(float) if draw(st.booleans()) else 100.0 * rng.normal(size=n)
     slack = rng.exponential(draw(st.sampled_from([0.0, 0.1, 10.0, 1e3])), size=n) * (rng.random(n) < 0.7)
-    return values, slack
+    return values, slack, draw(st.sampled_from([0.0, 1.0, 1e3]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(oracle=oracles())
 def test_bounded_max_is_the_largest_exact_value(oracle):
-    values, slack = oracle
-    best, _, _ = _bounded_oracle(values, slack)
-    assert best == max(values)
+    best, _, _ = _bounded_oracle(*oracle)
+    assert best == max(oracle[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -182,8 +186,8 @@ def test_bounded_max_visits_only_members_that_can_still_set_the_maximum(oracle):
     above the largest value of the blocks evaluated before its own, so
     after the first block only members that can still set the maximum are
     evaluated."""
-    values, slack = oracle
-    best, bound, blocks = _bounded_oracle(values, slack)
+    values = oracle[0]
+    best, bound, blocks = _bounded_oracle(*oracle)
     seen = np.concatenate(blocks)
     assert len(seen) == len(set(seen.tolist()))
     assert set(np.flatnonzero(bound > best).tolist()) <= set(seen.tolist())
@@ -194,7 +198,25 @@ def test_bounded_max_visits_only_members_that_can_still_set_the_maximum(oracle):
     assert blocks[0].tolist() == np.argsort(-bound, kind="stable")[:16].tolist()
 
 
-@pytest.mark.parametrize("bound", [[], np.zeros((2, 2)), [0.0, np.nan]])
-def test_bounded_max_rejects_an_empty_or_malformed_oracle(bound):
+@pytest.mark.parametrize("estimate", [[], np.zeros((2, 2)), [0.0, np.nan]])
+def test_bounded_max_rejects_an_empty_or_malformed_oracle(estimate):
     with pytest.raises(ValidationError):
-        bounded_max(bound, lambda block: np.zeros(len(block)))
+        bounded_max(estimate, lambda block: np.zeros(len(block)), 1.0)
+
+
+@pytest.mark.parametrize(
+    "estimate, values, bad",
+    [
+        # NaN in the first block of 16, the maximum 0.3 in the second.
+        ([1.0] * 16 + [0.5] * 4, [np.nan] + [0.0] * 15 + [0.3] * 4, "nan"),
+        # An estimate below its exact value by more than the margin.
+        ([0.5, 0.2], [0.5 + 1e-6, 0.1], "0.500001"),
+    ],
+    ids=["nan", "above"],
+)
+def test_bounded_max_raises_on_an_exact_value_above_its_bound(estimate, values, bad):
+    """A NaN or an exact value above its bound is a failed evaluation or a
+    wrong estimate, which raises naming the value instead of being dropped
+    or trusted."""
+    with pytest.raises(NumericalError, match=f"exact value {bad}"):
+        bounded_max(estimate, lambda block: np.asarray(values)[block], 1.0)

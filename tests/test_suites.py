@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qopdist import metrics, states, statlab, suites
+from qopdist import channels, linalg, metrics, states, statlab, suites
 from qopdist.channels import QuantumOperation, e_distance, random_operations
 from qopdist.cli import main
 from qopdist.errors import DegenerateInputError, NumericalError, ReportParseError, ValidationError
@@ -395,6 +395,17 @@ def test_appendixB_sends_at_most_three_fifths_of_its_probes_through_qr(monkeypat
     (report,) = run_suite("appendixB", 7)
     assert report.n_failures == 0
     assert 0 < sum(factored) <= 0.6 * 500 * 200
+
+
+@pytest.mark.parametrize("suite, module", [("thm1", channels), ("thm2", states), ("appendixB", suites)])
+def test_a_halved_oracle_estimate_raises(monkeypatch, suite, module):
+    """An oracle whose estimates are halved no longer bounds its exact
+    values from above; the check in bounded_max reports that as a
+    NumericalError, where pruning alone would drop members unseen."""
+    real = linalg.bounded_max
+    monkeypatch.setattr(module, "bounded_max", lambda estimate, exact, scale: real(0.5 * estimate, exact, scale))
+    with pytest.raises(NumericalError, match="above its bound"):
+        run_suite(suite, 7, 40)
 
 
 def _thread_count_after(name: str) -> int:

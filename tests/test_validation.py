@@ -48,10 +48,12 @@ from qopdist.metrics import angle, check_fvdg_bounds, fidelity, sine_distance, t
 from qopdist.states import DensityMatrix, as_state, random_density, validate_state
 from qopdist.statlab import (
     BoundKind,
+    TrialColumns,
     TrialRecord,
     TrianglePoint,
     cdf_moment,
     dominance_implies_moments,
+    empirical_cdf,
     mean_output_distance_bound,
     moment_check,
     run_trials,
@@ -932,3 +934,28 @@ NON_NUMERIC = {
 def test_non_numeric_or_ragged_input_raises_validation_error(name):
     with pytest.raises(ValidationError):
         NON_NUMERIC[name]()
+
+
+# test id: (a call passing a complex array where real numbers are due, the
+# argument its error message names)
+COMPLEX_ARRAYS = {
+    "empirical_cdf": (lambda: empirical_cdf(np.array([0.5 + 1j, 0.2]), [0.3, 0.6]), "empirical_cdf samples"),
+    "moment_check": (lambda: moment_check(np.array([0.5 + 1j, 0.2]), 1, BoundKind.UNIFORM), "moment_check samples"),
+    "cdf_moment": (lambda: cdf_moment(UNIT_GRID, UNIT_GRID + 0.5j, 1), "CDF values"),
+    "dominance_implies_moments": (
+        lambda: dominance_implies_moments((UNIT_GRID + 0.5j, UNIT_GRID), (UNIT_GRID, UNIT_GRID), [1]),
+        "grid points",
+    ),
+    "TrialColumns": (lambda: TrialColumns(np.array([0.8 + 1j]), *([0.2], [0.6], [0.5], [0.3], [0.1])), "trial column p_m"),
+    "from_spectrum": (lambda: states.from_spectrum(EYE2, np.array([0.5 + 0.3j, 0.5])), "weights"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPLEX_ARRAYS))
+def test_a_complex_array_is_rejected_not_cut_to_its_real_part(name):
+    """A complex array where real numbers are due raises ValidationError
+    naming the argument, as a list of complex numbers does, instead of
+    losing its imaginary part to a cast."""
+    call, argument = COMPLEX_ARRAYS[name]
+    with pytest.raises(ValidationError, match=f"{argument} .*complex entries"):
+        call()
