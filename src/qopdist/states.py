@@ -211,7 +211,10 @@ def from_spectrum(vectors, weights) -> DensityMatrix:
     """The state V diag(w) V† of columns V orthonormal within ``TOL_ORTHO``
     and weights w >= 0 that sum to 1 within ``TOL_TRACE``: w is the
     spectrum, so the check needs no eigendecomposition."""
-    v = np.asarray(vectors, dtype=np.complex128)
+    try:
+        v = np.asarray(vectors, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"vectors are not numeric: {exc}") from None
     try:
         w = as_real_array(weights)
     except ValidationError as exc:

@@ -7,7 +7,9 @@ record's ``margin`` is the least ``bound - value`` of its checks and its
 ``ok`` is ``margin >= 0``, so a negative margin means a failed check.  A
 check of the form "at least" is stated as a deficit against its floor.
 The report's ``n_failures`` counts the records that are not ok and its
-``worst_margin`` is their least margin.  Reports serialize as
+``worst_margin`` is their least margin.  A suite of many like cases
+folds its passing ones into one block record (``_fold``); each failing
+case keeps its own record.  Reports serialize as
 line-delimited JSON with a schema header; timing stays in memory only, so
 a fixed seed reproduces a report file byte for byte.
 
@@ -39,7 +41,7 @@ from .channels import (
 )
 from .config import checked_index, checked_path, resolve_tol
 from .errors import MatrixFileError, NumericalError, ReportParseError, ValidationError
-from .linalg import bounded_max, random_hermitian
+from .linalg import bounded_max, hermitian_part
 from .maximizers import (
     MaximizerMode,
     build_maximizing_operation,
@@ -160,6 +162,35 @@ def _tally(details) -> tuple[int, float]:
     return sum(not d["ok"] for d in details), min(d["margin"] for d in details)
 
 
+def _fold(block: str, records) -> list:
+    """The records of one block of like cases, already judged by
+    ``_detail``: one record named ``block`` for the passing ones, then each
+    failing one as it was, in case order.
+
+    Each check has one bound over a block, so the block record holds each
+    check's largest value over the passing cases with that bound: as
+    ``bound - value`` rounds monotonically, its margin is their least
+    margin, and ``_tally`` gives what it gives on the records unfolded.
+    ``cases`` counts the passing cases and ``worst_case`` names the first
+    of least margin.  A block with no passing case is its failing records
+    alone.
+    """
+    failing, worst, worst_case, least, n_passed = [], {}, None, math.inf, 0
+    for record in records:
+        if not record["ok"]:
+            failing.append(record)
+            continue
+        n_passed += 1
+        if record["margin"] < least:
+            least, worst_case = record["margin"], record["case"]
+        for name, pair in record["checks"].items():
+            if name not in worst or pair[0] > worst[name][0]:
+                worst[name] = pair
+    if not n_passed:
+        return failing
+    return [_detail(block, worst, cases=n_passed, worst_case=worst_case), *failing]
+
+
 def _violations(case: str, checks: dict, **extra) -> dict:
     """A record over arrays, ``checks = {name: (values, bound)}``: each
     check's value is the largest of its values, and ``violations`` counts
@@ -221,6 +252,13 @@ def _probe_max(delta: np.ndarray, draws: np.ndarray, weights: np.ndarray) -> flo
     return bounded_max(top, values, len(delta) * float(np.abs(delta).max()))
 
 
+def _random_hermitians(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` matrices of ``linalg.random_hermitian`` in one draw: the
+    same stream and the same bits as ``count`` calls of it."""
+    g = rng.standard_normal((count, 2, dim, dim))
+    return hermitian_part((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+
+
 def _maximizer_shaped_op(dim: int, n_unit: int, dim_out: int) -> QuantumOperation:
     """Operation with T = diag(1,...,1,0,...,0): n_unit unit eigenvalues,
     the rest kernel; output vectors cycle through the output basis."""
@@ -268,7 +306,7 @@ def run_thm1(rng, n_cases, slack):
                 {"attainment": (attain, 1e-10), "oracle_excess": (gap - d, slack)},
             )
         )
-    return n_cases, details
+    return n_cases, _fold("pairs", details)
 
 
 @_suite("thm2", salt=102, default_cases=100)
@@ -276,19 +314,20 @@ def run_thm2(rng, n_cases, slack):
     """Extremal input pairs attain the spread of the T spectrum; random
     pairs never exceed it; trace-preserving operations give zero."""
     n_pairs = 2000
-    details = []
+    random_ops = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
         op = random_operation(dim, int(rng.integers(1, dim + 1)), int(rng.integers(1, 5)), rng)
         ext = max_e_distance_over_states(op)
         attain = abs(e_distance(op, ext.rho_star, ext.sigma_star) - ext.value)
         gap = random_pairs_max_gap(op.t_op, rng.integers(1, dim + 1, size=n_pairs), rng)
-        details.append(
+        random_ops.append(
             _detail(
                 f"op-{i:03d}-dim{dim}",
                 {"attainment": (attain, 1e-10), "pair_excess": (gap - ext.value, slack)},
             )
         )
+    details = _fold("random-operations", random_ops)
     # Trace-preserving operations: unitary singleton and a complete
     # projective measurement both have flat T spectrum.
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -391,9 +430,8 @@ def run_cloning(rng, n_cases, slack):
     omega2 = np.diag([0.0, 1.0]).astype(np.complex128)
     out = cloner_outputs(omega1, omega2)
     ratio = trace_distance(out.g1, out.g2) / trace_distance(omega1, omega2)
-    details = [
-        _detail("orthogonal-pair-ratio-one", {"residual": (abs(ratio - 1.0), 1e-12)}, ratio=float(ratio))
-    ]
+    orthogonal = _detail("orthogonal-pair-ratio-one", {"residual": (abs(ratio - 1.0), 1e-12)}, ratio=float(ratio))
+    pairs = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
         while True:
@@ -403,7 +441,7 @@ def run_cloning(rng, n_cases, slack):
                 break
         out = cloner_outputs(w1, w2)
         ratio = trace_distance(out.g1, out.g2) / trace_distance(w1, w2)
-        details.append(
+        pairs.append(
             _detail(
                 f"pair-{i:03d}-dim{dim}",
                 {
@@ -414,7 +452,7 @@ def run_cloning(rng, n_cases, slack):
                 ratio=float(ratio),
             )
         )
-    return n_cases + 1, details
+    return n_cases + 1, [orthogonal, *_fold("pairs", pairs)]
 
 
 @_suite("lemma1", salt=108, default_cases=500)
@@ -440,7 +478,7 @@ def run_lemma1(rng, n_cases, slack):
                 {"attainment": (attain, 1e-10), "escape": (max(ext.min_val - val, val - ext.max_val), slack)},
             )
         )
-    return n_cases, details
+    return n_cases, _fold("T-cases", details)
 
 
 @_suite("lemma2", salt=110, default_cases=10_000)
@@ -480,14 +518,12 @@ def run_appendixB(rng, n_cases, slack):
     details = []
     for i in range(n_cases):
         dim = int(rng.integers(2, 7))
-        a = random_hermitian(dim, rng)
-        b = random_hermitian(dim, rng)
-        c = random_hermitian(dim, rng)
+        a, b, c = _random_hermitians(3, dim, rng)
         mp = maximizing_projector(a, b)
         probe_excess = _probe_max(a - b, *_probe_block(dim, n_probes, rng)[:2]) - mp.value
         probs = rng.dirichlet(np.ones(3))
-        a_parts = [random_hermitian(dim, rng) for _ in range(3)]
-        b_parts = [random_hermitian(dim, rng) for _ in range(3)]
+        parts = _random_hermitians(6, dim, rng)
+        a_parts, b_parts = parts[:3], parts[3:]
         mix_a = sum(p * m for p, m in zip(probs, a_parts))
         mix_b = sum(p * m for p, m in zip(probs, b_parts))
         # One stacked call: ab, ba, aa, ac, cb, the mixtures, then the parts.
@@ -509,7 +545,7 @@ def run_appendixB(rng, n_cases, slack):
                 },
             )
         )
-    return n_cases, details
+    return n_cases, _fold("instances", details)
 
 
 def _cdf_floor(prefix: str, samples: np.ndarray, grid: np.ndarray, targets: np.ndarray) -> list:
@@ -644,9 +680,6 @@ def write_report(path, reports) -> None:
     a compact object with sorted keys.
 
     Timing is deliberately omitted so fixed-seed runs are byte-identical.
-    Each detail record is encoded and written by itself, ahead of the other
-    keys because "details" sorts first: one encoding call for a whole suite
-    record would keep every fragment of it alive until the call returns.
     A path that cannot be written raises MatrixFileError, and one that is
     not a ``str``, ``bytes`` or ``os.PathLike`` ValidationError.
     """
@@ -655,17 +688,15 @@ def write_report(path, reports) -> None:
         with open(checked_path(path), "w", encoding="utf-8") as fh:
             fh.write(dumps({"format": REPORT_FORMAT, "schema_version": SCHEMA_VERSION}) + "\n")
             for r in reports:
-                fh.write('{"details":[')
-                for k, detail in enumerate(r.details):
-                    fh.write(("," if k else "") + dumps(detail))
-                rest = {
+                record = {
+                    "details": r.details,
                     "n_cases": r.n_cases,
                     "n_failures": r.n_failures,
                     "seed": r.seed,
                     "suite_name": r.suite_name,
                     "worst_margin": r.worst_margin,
                 }
-                fh.write("]," + dumps(rest)[1:] + "\n")
+                fh.write(dumps(record) + "\n")
     except OSError as exc:
         raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qopdist
 from qopdist.channels import QuantumOperation, e_distance, random_operation
@@ -19,6 +20,7 @@ from qopdist.maximizers import MaximizerMode, build_maximizing_operation, certif
 from qopdist.metrics import trace_distance
 from qopdist.states import random_density
 from qopdist.suites import (
+    parse_report,
     run_appendixB,
     run_cloning,
     run_lemma1,
@@ -174,13 +176,17 @@ def test_criterion_10_metric_axioms(capsys):
     _criterion(capsys, 10, "metric axioms, projector optimality and joint convexity", ok)
 
 
-def test_criterion_11_verify_determinism(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def seed7_reports(tmp_path_factory):
+    """Two report files of ``verify all --seed 7``, each written by its own
+    process."""
     # Run the package this test imported, never an installed copy found
     # on PATH: its source root goes in front of the inherited PYTHONPATH.
     src = str(Path(qopdist.__file__).resolve().parents[1])
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src if not inherited else os.pathsep.join([src, inherited]))
-    paths = [tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"]
+    tmp = tmp_path_factory.mktemp("verify")
+    paths = [tmp / "r1.jsonl", tmp / "r2.jsonl"]
     for p in paths:
         proc = subprocess.run(
             [sys.executable, "-m", "qopdist.cli", "verify", "all", "--seed", "7", "--report", str(p)],
@@ -189,5 +195,18 @@ def test_criterion_11_verify_determinism(tmp_path, capsys):
             env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-    ok = paths[0].read_bytes() == paths[1].read_bytes()
+    return paths
+
+
+def test_criterion_11_verify_determinism(seed7_reports, capsys):
+    ok = seed7_reports[0].read_bytes() == seed7_reports[1].read_bytes()
     _criterion(capsys, 11, "verify-all reports are byte-identical across runs", ok)
+
+
+def test_verify_all_report_stays_small(seed7_reports):
+    """Passing cases fold into block records, so the seed-7 report holds
+    52 detail records in about 9 KB; a suite that writes one record per
+    passing case again breaks these limits."""
+    reports = parse_report(seed7_reports[0])
+    assert sum(len(r.details) for r in reports) <= 100
+    assert seed7_reports[0].stat().st_size <= 20_000

@@ -203,6 +203,8 @@ def test_from_spectrum_builds_the_state_of_its_weights():
         (np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5], "orthonormal"),
         (np.full((2, 1), np.nan), [1.0], "orthonormal"),
         (np.eye(2)[:, :1], [np.nan], "weights must"),
+        (["a"], [1.0], "vectors are not numeric"),
+        ([[1, 0], [0]], [1.0], "vectors are not numeric"),
     ],
 )
 def test_from_spectrum_rejects(vectors, weights, match):

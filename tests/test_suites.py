@@ -63,6 +63,16 @@ SMALL = {
 }
 
 
+# The block each suite of many like cases folds its passing cases into.
+BLOCKS = {
+    "thm1": "pairs",
+    "thm2": "random-operations",
+    "cloning": "pairs",
+    "lemma1": "T-cases",
+    "appendixB": "instances",
+}
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 def test_suite_passes_at_reduced_scale(name):
     reports = run_suite(name, 7, SMALL[name])
@@ -76,6 +86,8 @@ def test_suite_passes_at_reduced_scale(name):
     for d in r.details:
         assert d["ok"]
         assert np.isfinite(d["margin"])
+    blocks = [(d["case"], d["cases"]) for d in r.details if "cases" in d]
+    assert blocks == ([(BLOCKS[name], SMALL[name])] if name in BLOCKS else [])
 
 
 def test_run_all_order():
@@ -488,6 +500,86 @@ def test_zero_slack_passes_an_exact_closed_form():
     assert all(d["ok"] for d in exact)
 
 
+# -- block records ----------------------------------------------------------------
+
+CHECK_VALUES = st.one_of(st.sampled_from([-1.0, -1e-12, 0.0, 1e-12, 0.5]), st.floats(-2.0, 2.0))
+
+
+@st.composite
+def case_records(draw):
+    """Records of one block as ``_detail`` judges them: each check keeps
+    one bound over the block, and values often tie or sit on the bound."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=3, unique=True))
+    bounds = {name: draw(st.sampled_from([0.0, 1e-12, 1e-10, 0.25])) for name in names}
+    rows = draw(st.lists(st.fixed_dictionaries({name: CHECK_VALUES for name in names}), max_size=12))
+    return [
+        suites._detail(f"case-{i}", {name: (value, bounds[name]) for name, value in row.items()}, info=i)
+        for i, row in enumerate(rows)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=case_records())
+def test_fold_keeps_the_verdicts_of_its_cases(records):
+    """One block record covers exactly the passing cases, with each check's
+    largest value and its bound and the label of the least-margin case; the
+    failing records follow unchanged and in order; the tally is the same."""
+    folded = suites._fold("block", records)
+    passing = [r for r in records if r["ok"]]
+    failing = [r for r in records if not r["ok"]]
+    tail = folded[len(folded) - len(failing) :]
+    assert len(tail) == len(failing) and all(a is b for a, b in zip(tail, failing))
+    if records:
+        assert suites._tally(folded) == suites._tally(records)
+    if not passing:
+        assert folded == failing
+        return
+    block = folded[0]
+    assert len(folded) == len(failing) + 1
+    assert block["case"] == "block" and block["ok"]
+    assert block["cases"] == len(passing)
+    least = min(r["margin"] for r in passing)
+    assert block["worst_case"] == next(r["case"] for r in passing if r["margin"] == least)
+    assert block["checks"] == {
+        name: [max(r["checks"][name][0] for r in passing), bound] for name, (_, bound) in passing[0]["checks"].items()
+    }
+
+
+# The dimensions of the 37 cloning cases that fail at seed 5, 40 cases and
+# slack 0, in case order: every case but 6, 16 and 38.
+CLONING_FAILING_DIMS = "5252546245666633633546636243544325546"
+
+
+def test_failing_cases_keep_their_own_records():
+    """At slack 0 most cloning cases miss their closed form by rounding:
+    each keeps its own record, label and information fields, and only the
+    three exact cases fold into the block."""
+    r = run_suite("cloning", 5, 40, 0.0)[0]
+    assert (r.n_cases, r.n_failures, r.worst_margin) == (41, 37, -2.4424906541753444e-15)
+    orthogonal, block, *failing = r.details
+    assert orthogonal["case"] == "orthogonal-pair-ratio-one"
+    assert block["case"] == "pairs"
+    assert (block["cases"], block["worst_case"]) == (3, "pair-006-dim5")
+    assert block["checks"]["from_closed_form"] == [0.0, 0.0]
+    failing_ids = [i for i in range(40) if i not in (6, 16, 38)]
+    assert [d["case"] for d in failing] == [
+        f"pair-{i:03d}-dim{dim}" for i, dim in zip(failing_ids, CLONING_FAILING_DIMS, strict=True)
+    ]
+    assert all(not d["ok"] and {"omega", "ratio"} <= d.keys() for d in failing)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, dim=DIMS, count=st.integers(1, 6))
+def test_stacked_hermitians_are_the_scalar_draws(seed, dim, count):
+    """appendixB's stacked draw takes the stream of ``count`` calls of
+    random_hermitian and gives the same bits."""
+    stacked_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked = suites._random_hermitians(count, dim, stacked_rng)
+    scalar = np.stack([random_hermitian(dim, scalar_rng) for _ in range(count)])
+    assert stacked.tobytes() == scalar.tobytes()
+    assert stacked_rng.random() == scalar_rng.random()
+
+
 @pytest.mark.parametrize("name", SUITE_NAMES)
 @pytest.mark.parametrize("n_cases", [0, -3])
 def test_too_few_cases_rejected(name, n_cases):
@@ -561,6 +653,24 @@ def test_report_lines_are_compact_sorted_json(tmp_path):
     ]
     expected = "".join(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n" for rec in records)
     assert path.read_text() == expected
+
+
+def test_report_bytes_of_a_hand_built_report(tmp_path):
+    """A suite record is one line of sorted compact JSON, "details" first,
+    without the timing."""
+    details = (
+        {"case": "block", "cases": 2, "checks": {"x": [0.5, 1.0]}, "margin": 0.5, "ok": True, "worst_case": "c-1"},
+        {"case": "c-2", "checks": {"x": [1.5, 1.0]}, "margin": -0.5, "ok": False},
+    )
+    path = tmp_path / "report.jsonl"
+    write_report(path, [SuiteReport("toy", 3, 1, -0.5, 4, 1.25, details)])
+    assert path.read_text() == (
+        '{"format":"qopdist-suite-report","schema_version":2}\n'
+        '{"details":[{"case":"block","cases":2,"checks":{"x":[0.5,1.0]},"margin":0.5,"ok":true,"worst_case":"c-1"},'
+        '{"case":"c-2","checks":{"x":[1.5,1.0]},"margin":-0.5,"ok":false}],'
+        '"n_cases":3,"n_failures":1,"seed":4,"suite_name":"toy","worst_margin":-0.5}\n'
+    )
+    assert parse_report(path)[0].details == details
 
 
 def test_report_files_are_deterministic(tmp_path):
